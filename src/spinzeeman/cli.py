@@ -20,6 +20,8 @@ import sys
 import numpy as np
 
 from .coupling import (
+    BasisTransform,
+    CoupledState,
     CouplingTree,
     classify_exchange,
     couple,
@@ -87,6 +89,19 @@ def _build_tree(scheme: "str | None", system: SpinSystem) -> CouplingTree:
         f"unknown scheme {scheme!r}; use 'like-pairs', 'positronium-pairs', "
         "or a tree expression such as '((e1,e2),(p1,p2))'"
     )
+
+
+def _states(args, scheme: "str | None" = None) -> "list[CoupledState]":
+    """Build the system and couple it along ``scheme`` (default ``--scheme``)."""
+    system = _build_system(args.system, args.mu0)
+    tree = _build_tree(args.scheme if scheme is None else scheme, system)
+    return couple(system, tree)
+
+
+def _block(args) -> BasisTransform:
+    """The ``--m`` sector of the coupled basis, or all of it without ``--m``."""
+    states = _states(args)
+    return full_transform(states) if args.m is None else m_sector(states, args.m)
 
 
 def parse_energies(path: str, states) -> DegeneracySpec:
@@ -176,26 +191,34 @@ def _csv_dump(rows: "list[list[str]]") -> str:
     return buffer.getvalue()
 
 
+def _emit(fmt_name: str, headers: "list[str]", rows, payload) -> str:
+    """JSON of ``payload()``, or ``headers`` over ``rows()`` as CSV or an
+    aligned table; only the requested form is built."""
+    if fmt_name == "json":
+        return _json_dump(payload())
+    if fmt_name == "csv":
+        return _csv_dump([headers] + rows())
+    return _table(headers, rows())
+
+
 def _matrix_output(row_labels, col_labels, entries, fmt_name: str) -> str:
     entries = np.asarray(entries, dtype=complex)
-    if fmt_name == "json":
-        payload = {
+    return _emit(
+        fmt_name,
+        ["state"] + list(col_labels),
+        lambda: [
+            [label] + [fmt_complex(z) for z in row]
+            for label, row in zip(row_labels, entries)
+        ],
+        lambda: {
             "rows": list(row_labels),
             "cols": list(col_labels),
             "entries": [
                 [[_rounded(z.real), _rounded(z.imag)] for z in row]
                 for row in entries
             ],
-        }
-        return _json_dump(payload)
-    cells = [
-        [label] + [fmt_complex(z) for z in row]
-        for label, row in zip(row_labels, entries)
-    ]
-    headers = ["state"] + list(col_labels)
-    if fmt_name == "csv":
-        return _csv_dump([headers] + cells)
-    return _table(headers, cells)
+        },
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -203,19 +226,14 @@ def _matrix_output(row_labels, col_labels, entries, fmt_name: str) -> str:
 
 
 def _cmd_basis(args) -> str:
-    system = _build_system(args.system, args.mu0)
-    states = couple(system, _build_tree(args.scheme, system))
-    block = m_sector(states, args.m) if args.m is not None else full_transform(states)
+    block = _block(args)
     return _matrix_output(
         block.row_labels, block.column_labels, block.matrix, args.format
     )
 
 
 def _cmd_moment(args) -> str:
-    system = _build_system(args.system, args.mu0)
-    states = couple(system, _build_tree(args.scheme, system))
-    block = m_sector(states, args.m) if args.m is not None else full_transform(states)
-    matrix = moment_matrix(block)
+    matrix = moment_matrix(_block(args))
     return _matrix_output(matrix.labels, matrix.labels, matrix.entries, args.format)
 
 
@@ -226,18 +244,23 @@ def _degeneracy(args, states) -> DegeneracySpec:
 
 
 def _cmd_classify(args) -> str:
-    system = _build_system(args.system, args.mu0)
-    states = couple(system, _build_tree(args.scheme, system))
-    if args.m is not None:
-        block = m_sector(states, args.m)
-        selected = list(block.states)
-    else:
-        block = full_transform(states)
-        selected = states
-    spec = _degeneracy(args, selected)
+    block = _block(args)
+    spec = _degeneracy(args, block.states)
     report = classify(moment_matrix(block), spec)
-    if args.format == "json":
-        payload = {
+    return _emit(
+        args.format,
+        ["state", "class", "slope", "moment", "partners"],
+        lambda: [
+            [
+                s.label,
+                s.classification.value,
+                fmt(s.linear_slope),
+                fmt(s.moment),
+                " ".join(s.quadratic_partners),
+            ]
+            for s in report.states
+        ],
+        lambda: {
             "states": [
                 {
                     "label": s.label,
@@ -248,40 +271,27 @@ def _cmd_classify(args) -> str:
                 }
                 for s in report.states
             ]
-        }
-        return _json_dump(payload)
-    rows = [
-        [
-            s.label,
-            s.classification.value,
-            fmt(s.linear_slope),
-            fmt(s.moment),
-            " ".join(s.quadratic_partners),
-        ]
-        for s in report.states
-    ]
-    headers = ["state", "class", "slope", "moment", "partners"]
-    if args.format == "csv":
-        return _csv_dump([headers] + rows)
-    return _table(headers, rows)
+        },
+    )
 
 
 def _cmd_sweep(args) -> str:
-    system = _build_system(args.system, args.mu0)
-    states = couple(system, _build_tree(args.scheme, system))
-    if args.m is not None:
-        block = m_sector(states, args.m)
-        selected = list(block.states)
-    else:
-        block = full_transform(states)
-        selected = states
-    spec = _degeneracy(args, selected)
+    block = _block(args)
+    spec = _degeneracy(args, block.states)
     if args.steps < 1:
         raise ValueError("steps must be at least 1")
     grid = np.linspace(args.bmin, args.bmax, args.steps)
     curves = level_curves(moment_matrix(block), spec, grid)
-    if args.format == "json":
-        payload = {
+    order = sorted(range(len(curves.labels)), key=lambda k: curves.labels[k])
+    return _emit(
+        args.format,
+        ["B", "label", "energy"],
+        lambda: [
+            [fmt(b), curves.labels[k], fmt(curves.energies[i, k])]
+            for i, b in enumerate(curves.b_values)
+            for k in order
+        ],
+        lambda: {
             "B": [_rounded(b) for b in curves.b_values],
             "curves": [
                 {
@@ -293,48 +303,37 @@ def _cmd_sweep(args) -> str:
                 for k, label in enumerate(curves.labels)
             ],
             "flagged": [[_rounded(b), label] for b, label in curves.flagged],
-        }
-        return _json_dump(payload)
-    order = sorted(range(len(curves.labels)), key=lambda k: curves.labels[k])
-    rows = []
-    for i, b in enumerate(curves.b_values):
-        for k in order:
-            rows.append([fmt(b), curves.labels[k], fmt(curves.energies[i, k])])
-    headers = ["B", "label", "energy"]
-    if args.format == "csv":
-        return _csv_dump([headers] + rows)
-    return _table(headers, rows)
+        },
+    )
 
 
 def _cmd_exchange(args) -> str:
-    system = _build_system(args.system, args.mu0)
-    states = couple(system, _build_tree(args.scheme, system))
+    states = _states(args)
+    system = states[0].system
     pairs = like_species_pairs(system)
     names = system.names
     pair_labels = [f"{names[i]}<->{names[j]}" for i, j in pairs]
     values = classify_exchange(states, pairs)
-    if args.format == "json":
-        payload = {
+    return _emit(
+        args.format,
+        ["state"] + pair_labels,
+        lambda: [
+            [s.label] + [str(v) for v in row]
+            for s, row in zip(states, values)
+        ],
+        lambda: {
             "pairs": pair_labels,
             "states": [
                 {"label": s.label, "eigenvalues": row}
                 for s, row in zip(states, values)
             ],
-        }
-        return _json_dump(payload)
-    rows = [
-        [s.label] + [str(v) for v in row] for s, row in zip(states, values)
-    ]
-    headers = ["state"] + pair_labels
-    if args.format == "csv":
-        return _csv_dump([headers] + rows)
-    return _table(headers, rows)
+        },
+    )
 
 
 def _cmd_overlap(args) -> str:
-    system = _build_system(args.system, args.mu0)
-    states_a = couple(system, _build_tree(args.scheme, system))
-    states_b = couple(system, _build_tree(args.scheme2, system))
+    states_a = _states(args)
+    states_b = _states(args, args.scheme2)
     overlap = scheme_overlap(states_a, states_b)
     return _matrix_output(
         [s.label for s in states_a],

@@ -19,7 +19,13 @@ import numpy as np
 
 from .cg import cg_coefficient
 from .operators import Operator
-from .system import ProductState, SpinSystem, Species, product_states_with_m
+from .system import (
+    ProductState,
+    SpinSystem,
+    Species,
+    _bit_table,
+    product_states_with_m,
+)
 
 NORM_TOL = 1e-12
 EXCHANGE_TOL = 1e-10
@@ -251,17 +257,12 @@ def _node_states(node):
 
 
 def _site_permutation(sites: list[int], n: int) -> np.ndarray:
-    """Map partial-space indices (ordered by ``sites``) to product indices."""
-    dim = 1 << n
-    target = np.empty(dim, dtype=np.int64)
-    width = len(sites)
-    for p in range(dim):
-        q = 0
-        for k, s in enumerate(sites):
-            bit = (p >> (width - 1 - k)) & 1
-            q |= bit << (n - 1 - s)
-        target[p] = q
-    return target
+    """Map partial-space indices (ordered by ``sites``) to product indices.
+
+    Bit k of a partial index, counted from the most significant, is the bit
+    of site ``sites[k]``.
+    """
+    return _bit_table(n) @ (1 << (n - 1 - np.asarray(sites, dtype=np.int64)))
 
 
 def _render_label(tree: CouplingTree, total_s: float, m: float,
@@ -370,7 +371,7 @@ def full_transform(states: "list[CoupledState]") -> BasisTransform:
         raise ValueError("no coupled states supplied")
     system = states[0].system
     columns = tuple(
-        ProductState.from_index(i, system.n) for i in range(system.dimension)
+        ProductState(tuple(row)) for row in _bit_table(system.n).tolist()
     )
     matrix = np.array([s.vector for s in states], dtype=complex)
     return BasisTransform(tuple(states), columns, matrix, system)
@@ -393,24 +394,19 @@ def scheme_overlap(basis_a: "list[CoupledState]",
 
 
 def _swap_permutation(n: int, i: int, j: int) -> np.ndarray:
-    perm = np.empty(1 << n, dtype=np.int64)
-    for index in range(1 << n):
-        bi = (index >> (n - 1 - i)) & 1
-        bj = (index >> (n - 1 - j)) & 1
-        swapped = index
-        if bi != bj:
-            swapped ^= (1 << (n - 1 - i)) | (1 << (n - 1 - j))
-        perm[index] = swapped
-    return perm
+    """Product-index permutation transposing the bits of sites i and j."""
+    if i == j:
+        raise ValueError("exchange requires two distinct sites")
+    for site in (i, j):
+        if not 0 <= site < n:
+            raise ValueError(f"site {site} out of range for {n} particles")
+    sites = list(range(n))
+    sites[i], sites[j] = j, i
+    return _site_permutation(sites, n)
 
 
 def exchange_operator(system: SpinSystem, i: int, j: int) -> Operator:
     """Permutation operator transposing particles i and j."""
-    if i == j:
-        raise ValueError("exchange requires two distinct sites")
-    for site in (i, j):
-        if not 0 <= site < system.n:
-            raise ValueError(f"site {site} out of range for {system.n} particles")
     perm = _swap_permutation(system.n, i, j)
     matrix = np.zeros((system.dimension, system.dimension), dtype=complex)
     matrix[perm, np.arange(system.dimension)] = 1.0
@@ -418,25 +414,20 @@ def exchange_operator(system: SpinSystem, i: int, j: int) -> Operator:
 
 
 def classify_exchange(states: "list[CoupledState]",
-                      pairs: "list[tuple[int, int]]",
-                      tol: float = EXCHANGE_TOL):
+                      pairs: "list[tuple[int, int]]"):
     """Exchange eigenvalue (+1, -1, or 'mixed') per state per site pair."""
     if not states:
         raise ValueError("no coupled states supplied")
     n = states[0].system.n
-    permutations = []
-    for i, j in pairs:
-        if i == j:
-            raise ValueError("exchange requires two distinct sites")
-        permutations.append(_swap_permutation(n, i, j))
+    permutations = [_swap_permutation(n, i, j) for i, j in pairs]
     results = []
     for state in states:
         row = []
         for perm in permutations:
             swapped = state.vector[perm]
-            if np.max(np.abs(swapped - state.vector)) <= tol:
+            if np.max(np.abs(swapped - state.vector)) <= EXCHANGE_TOL:
                 row.append(+1)
-            elif np.max(np.abs(swapped + state.vector)) <= tol:
+            elif np.max(np.abs(swapped + state.vector)) <= EXCHANGE_TOL:
                 row.append(-1)
             else:
                 row.append("mixed")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .system import ProductState, SpinSystem
+from .system import SpinSystem, _bit_table
 
 HERMITIAN_TOL = 1e-12
 
@@ -88,14 +88,8 @@ def total_spin_squared(system: SpinSystem) -> Operator:
 
 def moment_diagonal(system: SpinSystem) -> np.ndarray:
     """Diagonal of mu_z in the product basis: mu0 * sum_i sign_i sigma_z,i."""
-    signs = system.moment_signs()
-    diag = np.empty(system.dimension)
-    for index in range(system.dimension):
-        bits = ProductState.from_index(index, system.n).bits
-        diag[index] = system.mu0 * sum(
-            s * (1 - 2 * b) for s, b in zip(signs, bits)
-        )
-    return diag
+    signs = np.array(system.moment_signs())
+    return system.mu0 * ((1 - 2 * _bit_table(system.n)) @ signs)
 
 
 def magnetic_moment_z(system: SpinSystem) -> Operator:

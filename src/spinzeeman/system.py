@@ -12,6 +12,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 MAX_PARTICLES = 12
 
 
@@ -171,11 +173,14 @@ class ProductState:
         return f"|{arrows}⟩"
 
 
+def _bit_table(n: int) -> np.ndarray:
+    """Bits of every product index: row i holds the n bits of index i, the
+    leftmost particle (most significant bit) in column 0."""
+    return (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+
+
 def product_states_with_m(n: int, m: float) -> list[ProductState]:
     """All product states of given projection, in ascending index order."""
-    out = []
-    for index in range(1 << n):
-        state = ProductState.from_index(index, n)
-        if state.m == m:
-            out.append(state)
-    return out
+    bits = _bit_table(n)
+    keep = (n - 2 * bits.sum(axis=1)) / 2 == m
+    return [ProductState(tuple(row)) for row in bits[keep].tolist()]

@@ -6,6 +6,10 @@ a declared degeneracy structure: within each degenerate group the moment is
 diagonalized first (degenerate perturbation theory), then states split into
 LINEAR (nonzero slope), QUADRATIC (zero slope but coupled outside the
 group), and NONE (entire moment row zero).
+
+Tolerances on moments and couplings (``ZERO_TOL``, ``MOMENT_ORACLE_TOL``)
+are relative to |mu0|, so a verdict does not depend on the moment unit.
+Unitless checks (basis orthonormality, level tracking) stay absolute.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .coupling import BasisTransform
-from .system import ProductState, SpinSystem
+from .operators import moment_diagonal
 
 ZERO_TOL = 1e-10
 MOMENT_ORACLE_TOL = 1e-12
@@ -26,13 +30,6 @@ TRACK_TIE_TOL = 1e-9
 # the moment matrix come out as ~1e-17 accumulation noise; entries this far
 # below the matrix scale are provably zero and are chopped.
 CHOP_TOL = 1e-14
-
-
-def _moment_value(system: SpinSystem, state: ProductState) -> float:
-    signs = system.moment_signs()
-    return system.mu0 * sum(
-        sign * (1 - 2 * bit) for sign, bit in zip(signs, state.bits)
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,7 +44,7 @@ class MomentMatrix:
         n = len(self.basis.states)
         mat = mat.reshape((n, n))
         dev = np.max(np.abs(mat - mat.conj().T)) if n else 0.0
-        if dev > MOMENT_ORACLE_TOL:
+        if dev > MOMENT_ORACLE_TOL * _unit(self):
             raise ValueError(f"moment matrix deviates from Hermitian by {dev:.3e}")
         mat.setflags(write=False)
         object.__setattr__(self, "entries", mat)
@@ -73,9 +70,7 @@ def moment_matrix(basis: BasisTransform) -> MomentMatrix:
         dev = np.max(np.abs(gram - np.eye(n)))
         if dev > ZERO_TOL:
             raise ValueError(f"basis rows are not orthonormal (deviation {dev:.3e})")
-    diag = np.array(
-        [_moment_value(basis.system, c) for c in basis.column_states]
-    )
+    diag = moment_diagonal(basis.system)[[c.index for c in basis.column_states]]
     entries = (mat.conj() * diag) @ mat.T
     scale = np.max(np.abs(entries)) if entries.size else 0.0
     if scale > 0.0:
@@ -180,7 +175,6 @@ class StateReport:
 @dataclass(eq=False)
 class ZeemanReport:
     states: tuple[StateReport, ...]
-    curves: "LevelCurves | None" = None
 
     def counts(self) -> "dict[Classification, int]":
         out = {c: 0 for c in Classification}
@@ -200,13 +194,17 @@ def _check_spec(matrix: MomentMatrix, spec: DegeneracySpec) -> None:
         )
 
 
+def _unit(matrix: MomentMatrix) -> float:
+    """|mu0|, the scale of the moment tolerances."""
+    return abs(matrix.basis.system.mu0)
+
+
 def _rotate_groups(matrix: MomentMatrix, spec: DegeneracySpec):
     """Diagonalize the moment within each group.
 
-    Returns the rotated matrix, the per-state first-order moments, and the
-    per-state group ids.  Group eigenvalues are matched to the original
-    states by maximal eigenvector overlap so the report rows stay aligned
-    with the input basis.
+    Returns the rotated matrix and the per-state first-order moments.  Group
+    eigenvalues are matched to the original states by maximal eigenvector
+    overlap so the report rows stay aligned with the input basis.
     """
     entries = matrix.entries
     n = matrix.size
@@ -216,7 +214,7 @@ def _rotate_groups(matrix: MomentMatrix, spec: DegeneracySpec):
         idx = np.asarray(group)
         block = entries[np.ix_(idx, idx)]
         off = block - np.diag(np.diag(block))
-        if np.max(np.abs(off), initial=0.0) <= 1e-15:
+        if np.max(np.abs(off), initial=0.0) <= 1e-15 * _unit(matrix):
             moments[idx] = np.diag(block).real
             continue
         w, v = np.linalg.eigh(block)
@@ -225,31 +223,38 @@ def _rotate_groups(matrix: MomentMatrix, spec: DegeneracySpec):
         v = v[:, cols]
         rotation[np.ix_(idx, idx)] = v
         moments[idx] = w
-    moments[np.abs(moments) <= ZERO_TOL] = 0.0
+    moments[np.abs(moments) <= ZERO_TOL * _unit(matrix)] = 0.0
     rotated = rotation.conj().T @ entries @ rotation
-    return rotated, moments, spec.group_ids()
+    return rotated, moments
 
 
-def classify(matrix: MomentMatrix, spec: DegeneracySpec,
-             fields: "np.ndarray | None" = None,
-             zero_tol: float = ZERO_TOL) -> ZeemanReport:
-    """Classify each state as LINEAR, QUADRATIC, or NONE.
+def _partners(matrix: MomentMatrix, spec: DegeneracySpec):
+    """Group-rotate, then mark the partners of each state.
 
-    The slope of state k is minus its first-order moment eigenvalue.  If a
-    field grid is supplied the exact level curves are attached to the report.
+    Returns the rotated matrix, the first-order moments, and a boolean mask
+    whose (i, j) entry is set when j lies outside i's group and the rotated
+    moment couples them above the zero tolerance.
     """
     _check_spec(matrix, spec)
-    rotated, moments, gids = _rotate_groups(matrix, spec)
+    rotated, moments = _rotate_groups(matrix, spec)
+    gids = spec.group_ids()
+    mask = np.abs(rotated) > ZERO_TOL * _unit(matrix)
+    mask &= gids[:, None] != gids[None, :]
+    return rotated, moments, mask
+
+
+def classify(matrix: MomentMatrix, spec: DegeneracySpec) -> ZeemanReport:
+    """Classify each state as LINEAR, QUADRATIC, or NONE.
+
+    The slope of state k is minus its first-order moment eigenvalue.
+    """
+    _rotated, moments, mask = _partners(matrix, spec)
     labels = matrix.labels
     reports = []
-    for i in range(matrix.size):
+    for i, row in enumerate(mask):
         slope = -moments[i]
-        partners = tuple(
-            labels[j]
-            for j in range(matrix.size)
-            if gids[j] != gids[i] and abs(rotated[i, j]) > zero_tol
-        )
-        if abs(slope) > zero_tol:
+        partners = tuple(labels[j] for j in np.flatnonzero(row))
+        if abs(slope) > ZERO_TOL * _unit(matrix):
             kind = Classification.LINEAR
         elif partners:
             kind = Classification.QUADRATIC
@@ -264,8 +269,7 @@ def classify(matrix: MomentMatrix, spec: DegeneracySpec,
                 quadratic_partners=partners,
             )
         )
-    curves = level_curves(matrix, spec, fields) if fields is not None else None
-    return ZeemanReport(tuple(reports), curves)
+    return ZeemanReport(tuple(reports))
 
 
 @dataclass(eq=False)
@@ -337,31 +341,25 @@ def level_curves(matrix: MomentMatrix, spec: DegeneracySpec,
     )
 
 
-def quadratic_coefficients(matrix: MomentMatrix, spec: DegeneracySpec,
-                           zero_tol: float = ZERO_TOL) -> np.ndarray:
+def quadratic_coefficients(matrix: MomentMatrix,
+                           spec: DegeneracySpec) -> np.ndarray:
     """Second-order coefficients of B^2 per state.
 
     Uses sum over states outside the group of |<n| mu_z |m>|^2 / (E_n - E_m)
     after the within-group rotation.  Groups that are coupled by the moment
     must not share an energy.
     """
-    _check_spec(matrix, spec)
-    rotated, _moments, gids = _rotate_groups(matrix, spec)
+    rotated, _moments, mask = _partners(matrix, spec)
     energy = spec.state_energies()
     labels = matrix.labels
     coeffs = np.zeros(matrix.size)
-    for i in range(matrix.size):
-        for j in range(matrix.size):
-            if gids[j] == gids[i]:
-                continue
-            coupling = abs(rotated[i, j])
-            if coupling <= zero_tol:
-                continue
-            gap = energy[i] - energy[j]
-            if gap == 0.0:
-                raise ValueError(
-                    f"states {labels[i]} and {labels[j]} are coupled but their "
-                    "groups share an energy; merge the groups"
-                )
-            coeffs[i] += coupling**2 / gap
+    # row-major order: each row sums its terms in ascending j
+    for i, j in zip(*np.nonzero(mask)):
+        gap = energy[i] - energy[j]
+        if gap == 0.0:
+            raise ValueError(
+                f"states {labels[i]} and {labels[j]} are coupled but their "
+                "groups share an energy; merge the groups"
+            )
+        coeffs[i] += abs(rotated[i, j]) ** 2 / gap
     return coeffs

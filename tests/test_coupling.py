@@ -287,6 +287,8 @@ def test_exchange_operator_properties():
         exchange_operator(DIPOS, 1, 1)
     with pytest.raises(ValueError):
         exchange_operator(DIPOS, 0, 9)
+    with pytest.raises(ValueError, match="out of range"):
+        exchange_operator(DIPOS, 0, -1)
 
 
 def test_exchange_classification(like_states, pos_states):
@@ -309,6 +311,13 @@ def test_exchange_classification(like_states, pos_states):
     table = {s.label: row for s, row in zip(pos_states, rows)}
     assert table["|1,1(1,0)⟩"] == ["mixed", "mixed"]
     assert table["|2,1(1,1)⟩"] == [1, 1]
+
+    # site pairs outside the system are rejected by name
+    for bad in ((0, 9), (0, -1)):
+        with pytest.raises(ValueError, match=f"site {bad[1]} out of range"):
+            classify_exchange(like_states, [bad])
+    with pytest.raises(ValueError, match="distinct"):
+        classify_exchange(like_states, [(1, 1)])
 
 
 def test_empty_sector_is_not_an_error(like_states):

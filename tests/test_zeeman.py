@@ -141,18 +141,26 @@ def test_moment_matrix_rejects_non_orthonormal(like_states):
 # classification
 
 
-def test_classify_like_pairs_default(like_states):
+# SI (J/T), a tiny and a huge unit: the census must not depend on mu0's unit
+@pytest.mark.parametrize("mu0", [1e-24, 9.274e-24, 1.0, 1e6])
+def test_classify_like_pairs_default(mu0):
+    system = SpinSystem.dipositronium(mu0)
+    states = couple(system, CouplingTree.like_pairs(system))
     report = classify(
-        moment_matrix(full_transform(like_states)),
+        moment_matrix(full_transform(states)),
         DegeneracySpec.isolated(16),
     )
     by_label = report.by_label()
+
+    def slope(label):
+        return by_label[label].linear_slope / mu0
+
     assert by_label["|1,1[1,0]⟩"].classification is Classification.LINEAR
-    assert by_label["|1,1[1,0]⟩"].linear_slope == pytest.approx(2.0, abs=1e-12)
+    assert slope("|1,1[1,0]⟩") == pytest.approx(2.0, abs=1e-12)
     assert by_label["|1,1[0,1]⟩"].classification is Classification.LINEAR
-    assert by_label["|1,1[0,1]⟩"].linear_slope == pytest.approx(-2.0, abs=1e-12)
-    assert by_label["|1,-1[1,0]⟩"].linear_slope == pytest.approx(-2.0, abs=1e-12)
-    assert by_label["|1,-1[0,1]⟩"].linear_slope == pytest.approx(2.0, abs=1e-12)
+    assert slope("|1,1[0,1]⟩") == pytest.approx(-2.0, abs=1e-12)
+    assert slope("|1,-1[1,0]⟩") == pytest.approx(-2.0, abs=1e-12)
+    assert slope("|1,-1[0,1]⟩") == pytest.approx(2.0, abs=1e-12)
 
     for label in ("|1,0[0,1]⟩", "|1,0[1,0]⟩", "|0,0[0,0]⟩",
                   "|2,2[2,2]⟩", "|2,-2[2,2]⟩"):
@@ -215,16 +223,6 @@ def test_classify_degenerate_group(like_states):
     assert sorted(s.linear_slope for s in first_two) == pytest.approx(
         [-2.0, 2.0], abs=1e-12
     )
-
-
-def test_classify_attaches_curves_when_fields_given(like_states):
-    matrix = moment_matrix(m_sector(like_states, 1.0))
-    spec = DegeneracySpec.isolated(4)
-    grid = np.linspace(-1.0, 1.0, 5)
-    report = classify(matrix, spec, fields=grid)
-    assert report.curves is not None
-    assert report.curves.labels == matrix.labels
-    assert classify(matrix, spec).curves is None
 
 
 def test_classify_rejects_mismatched_spec(like_states):
