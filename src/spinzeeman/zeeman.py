@@ -34,18 +34,19 @@ CHOP_TOL = 1e-14
 
 @dataclass(frozen=True, eq=False)
 class MomentMatrix:
-    """Hermitian matrix of <row| mu_z |col> over a coupled basis block."""
+    """Real symmetric matrix of <row| mu_z |col> over a coupled basis block."""
 
     basis: BasisTransform
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        mat = np.array(self.entries, dtype=complex)
+        if np.any(np.imag(self.entries)):
+            raise ValueError("moment matrix entries must be real")
         n = len(self.basis.states)
-        mat = mat.reshape((n, n))
-        dev = np.max(np.abs(mat - mat.conj().T)) if n else 0.0
+        mat = np.array(np.real(self.entries), dtype=float).reshape((n, n))
+        dev = np.max(np.abs(mat - mat.T)) if n else 0.0
         if dev > MOMENT_ORACLE_TOL * _unit(self):
-            raise ValueError(f"moment matrix deviates from Hermitian by {dev:.3e}")
+            raise ValueError(f"moment matrix deviates from symmetric by {dev:.3e}")
         mat.setflags(write=False)
         object.__setattr__(self, "entries", mat)
 
@@ -61,17 +62,34 @@ class MomentMatrix:
 def moment_matrix(basis: BasisTransform) -> MomentMatrix:
     """Moment matrix for a basis block; mu_z is diagonal over the columns.
 
-    Entries below ``CHOP_TOL`` times the matrix scale are set to exact zero.
+    mu_z conserves M, so the matrix is assembled from one real product per
+    M sector of the rows.  The basis must be real, orthonormal, and keep
+    each row inside its own M sector.  Entries below ``CHOP_TOL`` times the
+    matrix scale are set to exact zero.
     """
     mat = basis.matrix
+    if np.any(mat.imag):
+        raise ValueError("basis amplitudes must be real")
+    mat = mat.real
     n = len(basis.states)
-    if n:
-        gram = mat @ mat.conj().T
-        dev = np.max(np.abs(gram - np.eye(n)))
+    row_m = np.array([s.m for s in basis.states])
+    col_m = np.array([c.m for c in basis.column_states])
+    diag = moment_diagonal(basis.system)[[c.index for c in basis.column_states]]
+    entries = np.zeros((n, n))
+    for m in np.unique(row_m):
+        rows = np.flatnonzero(row_m == m)
+        inside = col_m == m
+        leak = np.max(np.abs(mat[np.ix_(rows, ~inside)]), initial=0.0)
+        if leak > ZERO_TOL:
+            raise ValueError(
+                f"basis rows of M={m:g} leave their M sector (amplitude "
+                f"{leak:.3e})"
+            )
+        block = mat[np.ix_(rows, np.flatnonzero(inside))]
+        dev = np.max(np.abs(block @ block.T - np.eye(rows.size)))
         if dev > ZERO_TOL:
             raise ValueError(f"basis rows are not orthonormal (deviation {dev:.3e})")
-    diag = moment_diagonal(basis.system)[[c.index for c in basis.column_states]]
-    entries = (mat.conj() * diag) @ mat.T
+        entries[np.ix_(rows, rows)] = (block * diag[inside]) @ block.T
     scale = np.max(np.abs(entries)) if entries.size else 0.0
     if scale > 0.0:
         entries[np.abs(entries) < CHOP_TOL * scale] = 0.0
@@ -202,29 +220,27 @@ def _unit(matrix: MomentMatrix) -> float:
 def _rotate_groups(matrix: MomentMatrix, spec: DegeneracySpec):
     """Diagonalize the moment within each group.
 
-    Returns the rotated matrix and the per-state first-order moments.  Group
-    eigenvalues are matched to the original states by maximal eigenvector
-    overlap so the report rows stay aligned with the input basis.
+    Returns the rotated matrix and the per-state first-order moments.  Each
+    group that is not already diagonal is rotated in place: its eigenvectors
+    act on the group's rows and columns only.  Group eigenvalues are matched
+    to the original states by maximal eigenvector overlap so the report rows
+    stay aligned with the input basis.
     """
-    entries = matrix.entries
-    n = matrix.size
-    rotation = np.eye(n, dtype=complex)
-    moments = np.empty(n)
+    rotated = np.array(matrix.entries)
+    moments = np.diag(rotated).copy()
     for group in spec.groups:
         idx = np.asarray(group)
-        block = entries[np.ix_(idx, idx)]
+        block = matrix.entries[np.ix_(idx, idx)]
         off = block - np.diag(np.diag(block))
         if np.max(np.abs(off), initial=0.0) <= 1e-15 * _unit(matrix):
-            moments[idx] = np.diag(block).real
             continue
         w, v = np.linalg.eigh(block)
-        _rows, cols = linear_sum_assignment(-np.abs(v) ** 2)
-        w = w[cols]
+        _rows, cols = linear_sum_assignment(-(v * v))
         v = v[:, cols]
-        rotation[np.ix_(idx, idx)] = v
-        moments[idx] = w
+        rotated[idx] = v.T @ rotated[idx]
+        rotated[:, idx] = rotated[:, idx] @ v
+        moments[idx] = w[cols]
     moments[np.abs(moments) <= ZERO_TOL * _unit(matrix)] = 0.0
-    rotated = rotation.conj().T @ entries @ rotation
     return rotated, moments
 
 
@@ -292,21 +308,25 @@ class LevelCurves:
 
 def level_curves(matrix: MomentMatrix, spec: DegeneracySpec,
                  fields) -> LevelCurves:
-    """Eigenvalues of H(B) = H0 - B mu_z over a sorted field grid with 0."""
+    """Eigenvalues of H(B) = H0 - B mu_z over a strictly increasing grid.
+
+    Curves are tracked outward from B = 0, where each starts on its basis
+    state.  A grid without B = 0 is tracked from an inserted origin that is
+    left out of the result.
+    """
     _check_spec(matrix, spec)
     b_values = np.asarray(fields, dtype=float)
     if b_values.ndim != 1 or b_values.size == 0:
         raise ValueError("field grid must be a non-empty 1-D array")
     if np.any(np.diff(b_values) <= 0):
         raise ValueError("field grid must be strictly increasing")
-    zeros = np.flatnonzero(b_values == 0.0)
-    if zeros.size != 1:
-        raise ValueError("field grid must contain B = 0 exactly once")
-    origin = int(zeros[0])
+    origin = int(np.searchsorted(b_values, 0.0))
+    inserted = origin == b_values.size or b_values[origin] != 0.0
+    grid = np.insert(b_values, origin, 0.0) if inserted else b_values
 
     n = matrix.size
     h0 = np.diag(spec.state_energies().astype(complex))
-    energies = np.empty((b_values.size, n))
+    energies = np.empty((grid.size, n))
     energies[origin] = spec.state_energies()
     labels = matrix.labels
     flagged: list[tuple[float, str]] = []
@@ -314,7 +334,7 @@ def level_curves(matrix: MomentMatrix, spec: DegeneracySpec,
     def march(indices) -> None:
         previous = np.eye(n, dtype=complex)
         for i in indices:
-            w, v = np.linalg.eigh(h0 - b_values[i] * matrix.entries)
+            w, v = np.linalg.eigh(h0 - grid[i] * matrix.entries)
             overlap = np.abs(previous.conj().T @ v)
             _rows, cols = linear_sum_assignment(-(overlap**2))
             for r in range(n):
@@ -324,14 +344,16 @@ def level_curves(matrix: MomentMatrix, spec: DegeneracySpec,
                         continue
                     if best - overlap[r, c] <= TRACK_TIE_TOL:
                         other = int(np.flatnonzero(cols == c)[0])
-                        flagged.append((b_values[i], labels[r]))
-                        flagged.append((b_values[i], labels[other]))
+                        flagged.append((grid[i], labels[r]))
+                        flagged.append((grid[i], labels[other]))
             energies[i] = w[cols]
             previous = v[:, cols]
 
-    march(range(origin + 1, b_values.size))
+    march(range(origin + 1, grid.size))
     march(range(origin - 1, -1, -1))
 
+    if inserted:
+        energies = np.delete(energies, origin, axis=0)
     unique_flags = tuple(dict.fromkeys(flagged))
     return LevelCurves(
         b_values=b_values,
@@ -352,14 +374,16 @@ def quadratic_coefficients(matrix: MomentMatrix,
     rotated, _moments, mask = _partners(matrix, spec)
     energy = spec.state_energies()
     labels = matrix.labels
-    coeffs = np.zeros(matrix.size)
-    # row-major order: each row sums its terms in ascending j
-    for i, j in zip(*np.nonzero(mask)):
-        gap = energy[i] - energy[j]
-        if gap == 0.0:
-            raise ValueError(
-                f"states {labels[i]} and {labels[j]} are coupled but their "
-                "groups share an energy; merge the groups"
-            )
-        coeffs[i] += abs(rotated[i, j]) ** 2 / gap
-    return coeffs
+    rows, cols = np.nonzero(mask)  # row-major order
+    gap = energy[rows] - energy[cols]
+    shared = np.flatnonzero(gap == 0.0)
+    if shared.size:
+        i, j = rows[shared[0]], cols[shared[0]]
+        raise ValueError(
+            f"states {labels[i]} and {labels[j]} are coupled but their "
+            "groups share an energy; merge the groups"
+        )
+    coupling = rotated[rows, cols]
+    # bincount adds each row's terms in ascending column order
+    return np.bincount(rows, weights=coupling * coupling / gap,
+                       minlength=matrix.size)

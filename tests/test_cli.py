@@ -1,5 +1,7 @@
 """Command-line interface: golden snapshots, formats, errors, exit codes."""
 
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -8,7 +10,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinzeeman import CouplingTree, SpinSystem, couple, m_sector
+from spinzeeman import (
+    CouplingTree,
+    DegeneracySpec,
+    SpinSystem,
+    couple,
+    full_transform,
+    level_curves,
+    m_sector,
+    moment_matrix,
+)
 from spinzeeman.cli import fmt, main, parse_energies
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -116,13 +127,29 @@ def test_sweep_csv_format(capsys):
         assert labels == sorted(labels)
 
 
-def test_sweep_rejects_grid_without_zero(capsys):
-    code, _out, err = run_cli(
-        capsys, "sweep", "--system", "positronium", "--bmin", "0.5",
-        "--bmax", "1", "--steps", "3",
+@pytest.mark.parametrize("bmin, bmax, steps",
+                         [(-1.0, 1.0, 20), (-0.3, 0.7, 11)])
+def test_sweep_grid_without_zero_matches_inserted_origin(capsys, bmin, bmax,
+                                                         steps):
+    code, out, err = run_cli(
+        capsys, "sweep", "--system", "positronium", f"--bmin={bmin}",
+        "--bmax", str(bmax), "--steps", str(steps), "--format", "csv",
     )
-    assert code == 1
-    assert "B = 0" in err
+    assert code == 0, err
+    grid = np.linspace(bmin, bmax, steps)
+    assert not np.any(grid == 0.0)
+    with_zero = np.insert(grid, np.searchsorted(grid, 0.0), 0.0)
+    system = SpinSystem.positronium()
+    states = couple(system, CouplingTree.positronium_pairs(system))
+    curves = level_curves(moment_matrix(full_transform(states)),
+                          DegeneracySpec.isolated(len(states)), with_zero)
+    order = sorted(range(len(states)), key=lambda k: curves.labels[k])
+    expected = [
+        ["B", "label", "energy"],
+        *([fmt(b), curves.labels[k], fmt(curves.energies[i, k])]
+          for i, b in enumerate(curves.b_values) if b != 0.0 for k in order),
+    ]
+    assert list(csv.reader(io.StringIO(out))) == expected
 
 
 def test_mu0_scales_output(capsys):

@@ -272,6 +272,37 @@ def test_scheme_overlap(like_states, pos_states):
     assert abs(overlap[i, j]) == pytest.approx(0.5, abs=1e-12)
 
 
+def test_scheme_overlap_9j_oracle(like_states, pos_states):
+    # Recoupling (e1 e2)J12 (p1 p2)J34 -> (e1 p1)J13 (e2 p2)J24 at total S:
+    # a normalized 9j symbol, up to the phase convention of each basis.
+    wigner = pytest.importorskip("sympy.physics.wigner")
+    from sympy import Rational, sqrt
+
+    half = Rational(1, 2)
+    e1, p1, e2, p2 = 0, 1, 2, 3
+
+    def spins(state, pairs):
+        by_sites = {frozenset(sites): j for sites, j in state.intermediates}
+        return [Rational(round(2 * by_sites[frozenset(p)]), 2) for p in pairs]
+
+    overlap = scheme_overlap(like_states, pos_states)
+    for i, a in enumerate(like_states):
+        j12, j34 = spins(a, [(e1, e2), (p1, p2)])
+        for k, b in enumerate(pos_states):
+            j13, j24 = spins(b, [(e1, p1), (e2, p2)])
+            expected = 0.0
+            if (a.total_s, a.m) == (b.total_s, b.m):
+                total = Rational(round(2 * a.total_s), 2)
+                expected = float(
+                    sqrt((2 * j12 + 1) * (2 * j34 + 1) * (2 * j13 + 1)
+                         * (2 * j24 + 1))
+                    * wigner.wigner_9j(half, half, j12, half, half, j34,
+                                       j13, j24, total)
+                )
+            assert abs(overlap[i, k]) == pytest.approx(abs(expected),
+                                                       abs=1e-12)
+
+
 def test_scheme_overlap_errors(like_states):
     with pytest.raises(ValueError):
         scheme_overlap(like_states, like_states[:4])

@@ -297,10 +297,28 @@ def test_level_curves_free_moment(like_states):
 def test_level_curves_grid_validation(like_states):
     matrix = moment_matrix(m_sector(like_states, 1.0))
     spec = DegeneracySpec.isolated(4)
-    with pytest.raises(ValueError, match="B = 0"):
-        level_curves(matrix, spec, np.array([0.5, 1.0]))
     with pytest.raises(ValueError, match="increasing"):
         level_curves(matrix, spec, np.array([1.0, 0.0, -1.0]))
+    with pytest.raises(ValueError, match="increasing"):
+        level_curves(matrix, spec, np.array([0.0, 0.0]))
+
+
+@pytest.mark.parametrize("grid", [
+    np.linspace(-1.0, 1.0, 20),  # origin inside
+    np.array([0.5, 1.0]),        # origin before the grid
+    np.array([-1.0, -0.5]),      # origin after the grid
+])
+def test_level_curves_grid_without_zero(grid, like_states):
+    # tracked from an inserted B = 0, which the result leaves out
+    matrix = moment_matrix(full_transform(like_states))
+    spec = DegeneracySpec.isolated(16)
+    origin = int(np.searchsorted(grid, 0.0))
+    anchored = level_curves(matrix, spec, np.insert(grid, origin, 0.0))
+    curves = level_curves(matrix, spec, grid)
+    assert np.array_equal(curves.b_values, grid)
+    assert np.array_equal(curves.energies,
+                          np.delete(anchored.energies, origin, axis=0))
+    assert curves.flagged == anchored.flagged
 
 
 def test_level_curves_flags_degenerate_tracking(like_states):
