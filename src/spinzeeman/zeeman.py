@@ -18,7 +18,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .coupling import BasisTransform
 from .operators import moment_diagonal
@@ -26,6 +25,9 @@ from .operators import moment_diagonal
 ZERO_TOL = 1e-10
 MOMENT_ORACLE_TOL = 1e-12
 TRACK_TIE_TOL = 1e-9
+# Distinct group energies closer than this, relative to max(1, |E|), would
+# put a near-zero gap under a second-order sum.
+ENERGY_GAP_TOL = 1e-9
 # Coupled amplitudes are products of Clebsch-Gordan values, so exact zeros in
 # the moment matrix come out as ~1e-17 accumulation noise; entries this far
 # below the matrix scale are provably zero and are chopped.
@@ -144,7 +146,11 @@ class DegeneracySpec:
     @classmethod
     def from_energy_map(cls, labels: "list[str]",
                         mapping: "dict[str, float]") -> "DegeneracySpec":
-        """Group states by assigned energy; unlisted states share energy 0."""
+        """Group states by assigned energy; unlisted states share energy 0.
+
+        Two distinct energies within ``ENERGY_GAP_TOL`` times
+        max(1, |E|) of each other raise ``ValueError``.
+        """
         unknown = [lab for lab in mapping if lab not in labels]
         if unknown:
             raise ValueError(f"unknown state labels: {', '.join(unknown)}")
@@ -152,6 +158,15 @@ class DegeneracySpec:
         for idx, lab in enumerate(labels):
             energy = float(mapping.get(lab, 0.0))
             by_energy.setdefault(energy, []).append(idx)
+        ladder = sorted(by_energy)
+        for low, high in zip(ladder, ladder[1:]):
+            if high - low <= ENERGY_GAP_TOL * max(1.0, abs(low), abs(high)):
+                a, b = labels[by_energy[low][0]], labels[by_energy[high][0]]
+                raise ValueError(
+                    f"states {a} and {b} have distinct but nearly equal "
+                    f"energies {low!r} and {high!r}; give them one energy "
+                    "or separate them"
+                )
         items = sorted(by_energy.items(), key=lambda kv: kv[1][0])
         return cls(
             groups=tuple(tuple(idx) for _e, idx in items),
@@ -202,6 +217,17 @@ class ZeemanReport:
 
     def by_label(self) -> "dict[str, StateReport]":
         return {s.label: s for s in self.states}
+
+
+def linear_sum_assignment(cost):
+    """scipy's ``linear_sum_assignment``, imported on first call.
+
+    Only group rotation and level tracking solve assignments, so a process
+    that never does loads no scipy (about 0.5 s of import).
+    """
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost)
 
 
 def _check_spec(matrix: MomentMatrix, spec: DegeneracySpec) -> None:
@@ -336,16 +362,15 @@ def level_curves(matrix: MomentMatrix, spec: DegeneracySpec,
         for i in indices:
             w, v = np.linalg.eigh(h0 - grid[i] * matrix.entries)
             overlap = np.abs(previous.conj().T @ v)
-            _rows, cols = linear_sum_assignment(-(overlap**2))
-            for r in range(n):
-                best = overlap[r, cols[r]]
-                for c in range(n):
-                    if c == cols[r]:
-                        continue
-                    if best - overlap[r, c] <= TRACK_TIE_TOL:
-                        other = int(np.flatnonzero(cols == c)[0])
-                        flagged.append((grid[i], labels[r]))
-                        flagged.append((grid[i], labels[other]))
+            rows, cols = linear_sum_assignment(-(overlap**2))
+            # row r ties with column c when c's overlap comes within the
+            # tolerance of r's assigned one; c's owner is the other curve
+            tie = overlap[rows, cols][:, None] - overlap <= TRACK_TIE_TOL
+            tie[rows, cols] = False
+            tied, ties = np.nonzero(tie)  # row-major, as the flags read
+            owners = np.argsort(cols)[ties]
+            pairs = np.stack([tied, owners], axis=1).ravel()
+            flagged.extend((grid[i], labels[k]) for k in pairs)
             energies[i] = w[cols]
             previous = v[:, cols]
 

@@ -287,6 +287,18 @@ def test_energies_file_errors(tmp_path):
         parse_energies(str(bad), states)
 
 
+def test_near_equal_energies_are_domain_error(capsys, tmp_path):
+    path = tmp_path / "near.csv"
+    path.write_text("|1,0⟩,1.0\n|0,0⟩,1.000000000001\n", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "classify", "--system", "positronium", "--energies", str(path),
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: states |1,0⟩ and |0,0⟩ have distinct but "
+                          "nearly equal energies")
+
+
 def test_csv_quotes_labels_with_commas(capsys):
     code, out, _err = run_cli(
         capsys, "basis", "--system", "positronium", "--format", "csv",

@@ -1,9 +1,11 @@
-"""Per-M-sector moment matrices, local group rotations and vectorized
-second-order sums, each against the dense formula it replaced.
+"""Per-M-sector moment matrices, local group rotations, vectorized
+second-order sums and the vectorized tie scan of level tracking, each
+against the formula it replaced; and census and level-curve properties.
 
 The references below are kept only here: one complex 2^N x 2^N product for
 the moment matrix, one block-diagonal rotation R^T E R for the within-group
-diagonalization, and a Python pair loop for the quadratic coefficients.
+diagonalization, a Python pair loop for the quadratic coefficients, and a
+Python (row, column) loop for the tie scan of ``level_curves``.
 """
 
 import re
@@ -14,6 +16,7 @@ from scipy.optimize import linear_sum_assignment
 
 from spinzeeman import (
     BasisTransform,
+    Classification,
     CouplingTree,
     DegeneracySpec,
     MomentMatrix,
@@ -22,6 +25,7 @@ from spinzeeman import (
     classify,
     couple,
     full_transform,
+    level_curves,
     m_sector,
     moment_diagonal,
     moment_matrix,
@@ -31,6 +35,7 @@ from spinzeeman import zeeman
 
 ALTERNATING = [Species.ELECTRON, Species.POSITRON] * 4
 DIPOS = SpinSystem.dipositronium()
+GRID = np.linspace(-1.0, 1.0, 21)
 
 
 def _chain(nodes):
@@ -182,3 +187,94 @@ def test_census_counts_independent_of_particle_order(shape, seed):
     base = ALTERNATING[:6]
     order = np.random.default_rng(seed).permutation(6)
     assert _counts([base[k] for k in order], shape) == _counts(base, shape)
+
+
+def _loop_level_curves(matrix, spec, grid):
+    """Former ``level_curves`` tie scan, a loop over every (row, column)
+    pair; the grid must contain 0.0.  Returns energies and flags."""
+    n = matrix.size
+    h0 = np.diag(spec.state_energies().astype(complex))
+    origin = int(np.flatnonzero(grid == 0.0)[0])
+    energies = np.empty((grid.size, n))
+    energies[origin] = spec.state_energies()
+    labels = matrix.labels
+    flagged = []
+
+    def march(indices):
+        previous = np.eye(n, dtype=complex)
+        for i in indices:
+            w, v = np.linalg.eigh(h0 - grid[i] * matrix.entries)
+            overlap = np.abs(previous.conj().T @ v)
+            _rows, cols = linear_sum_assignment(-(overlap**2))
+            for r in range(n):
+                best = overlap[r, cols[r]]
+                for c in range(n):
+                    if c == cols[r]:
+                        continue
+                    if best - overlap[r, c] <= zeeman.TRACK_TIE_TOL:
+                        other = int(np.flatnonzero(cols == c)[0])
+                        flagged.append((grid[i], labels[r]))
+                        flagged.append((grid[i], labels[other]))
+            energies[i] = w[cols]
+            previous = v[:, cols]
+
+    march(range(origin + 1, grid.size))
+    march(range(origin - 1, -1, -1))
+    return energies, tuple(dict.fromkeys(flagged))
+
+
+@pytest.mark.parametrize("shape", ["atom", "ep"])
+@pytest.mark.parametrize("n", [6, 8])
+def test_tie_scan_matches_pair_loop(n, shape):
+    species = ALTERNATING[:n]
+    states = couple(SpinSystem.from_species(species), _trees(species)[shape])
+    matrix = moment_matrix(full_transform(states))
+    spec = _spin_grouped(states)
+    curves = level_curves(matrix, spec, GRID)
+    energies, flagged = _loop_level_curves(matrix, spec, GRID)
+    assert flagged  # degenerate curves tie somewhere on this grid
+    assert np.array_equal(curves.energies, energies)
+    assert curves.flagged == flagged
+
+
+def _moments_with_mu0(case, mu0):
+    if case in ("like-pairs", "positronium-pairs"):
+        system = SpinSystem.dipositronium(mu0)
+        preset = {"like-pairs": CouplingTree.like_pairs,
+                  "positronium-pairs": CouplingTree.positronium_pairs}[case]
+        tree = preset(system)
+    else:
+        species = ALTERNATING[:6]
+        system = SpinSystem.from_species(species, mu0)
+        tree = _trees(species)[case]
+    states = couple(system, tree)
+    return states, moment_matrix(full_transform(states))
+
+
+@pytest.mark.parametrize("case", ["like-pairs", "positronium-pairs",
+                                  "atom", "ep"])
+def test_moment_sign_flip_mirrors_census_and_curves(case):
+    states, plus = _moments_with_mu0(case, 1.0)
+    _states, minus = _moments_with_mu0(case, -1.0)
+    isolated = DegeneracySpec.isolated(len(states))
+    grouped = _spin_grouped(states)
+    for spec in (isolated, grouped):
+        assert classify(minus, spec).counts() == classify(plus, spec).counts()
+
+    before = classify(plus, isolated).states
+    after = classify(minus, isolated).states
+    linear = [s for s in before if s.classification is Classification.LINEAR]
+    # only the trees that pair like species carry moment diagonals
+    assert bool(linear) == (case in ("like-pairs", "ep"))
+    for old, new in zip(before, after):
+        assert new.label == old.label
+        assert new.classification is old.classification
+        if old.classification is Classification.LINEAR:
+            assert new.linear_slope == -old.linear_slope
+
+    # E(B) under -mu0 is E(-B) under mu0; GRID is symmetric about 0
+    for spec in (isolated, grouped):
+        flipped = np.sort(level_curves(minus, spec, GRID).energies, axis=1)
+        mirrored = np.sort(level_curves(plus, spec, GRID).energies[::-1],
+                           axis=1)
+        assert np.max(np.abs(flipped - mirrored)) <= 1e-12

@@ -1,6 +1,7 @@
 """Moment matrices, Zeeman classification, level curves, quadratic shifts."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -456,3 +457,16 @@ def test_from_energy_map_groups_equal_energies():
     assert spec.energies == (0.0, 2.0)
     with pytest.raises(ValueError, match="unknown"):
         DegeneracySpec.from_energy_map(labels, {"zz": 1.0})
+
+
+def test_from_energy_map_rejects_near_equal_energies(like_states):
+    # the first two M=1 states are coupled, so a 1e-12 gap would give a
+    # 4e12 second-order coefficient
+    labels = list(m_sector(like_states, 1.0).row_labels)
+    a, b = labels[0], labels[1]
+    for low, high in [(1.0, 1.0 + 1e-12), (0.0, 1e-10), (-1e6, -1e6 + 1e-4)]:
+        names = re.escape(f"states {a} and {b}")
+        with pytest.raises(ValueError, match=f"^{names}"):
+            DegeneracySpec.from_energy_map(labels, {a: low, b: high})
+    spec = DegeneracySpec.from_energy_map(labels, {a: 1e6, b: 1e6 + 1.0})
+    assert spec.groups == ((0,), (1,), (2, 3))
