@@ -203,11 +203,18 @@ class CoupledState:
     system: SpinSystem
 
     def __post_init__(self) -> None:
-        vec = np.array(self.vector, dtype=complex)
+        vec = np.asarray(self.vector)
+        if np.iscomplexobj(vec):
+            if np.any(vec.imag):
+                raise ValueError("state vector amplitudes must be real")
+            vec = vec.real
+        # A read-only float64 row, such as couple's, is kept without a copy.
+        if vec.dtype != np.float64 or vec.flags.writeable:
+            vec = vec.astype(float)
+            vec.setflags(write=False)
         norm = np.linalg.norm(vec)
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state vector norm {norm} deviates from 1")
-        vec.setflags(write=False)
         object.__setattr__(self, "vector", vec)
 
     @property
@@ -215,43 +222,58 @@ class CoupledState:
         return tuple(spin for _sites, spin in self.intermediates)
 
 
-def _node_states(node):
+def _cg_table(j1: float, j2: float, jj: float) -> np.ndarray:
+    """<j1 m1; j2 m2 | J M> as a (2J+1, (2j1+1)(2j2+1)) array.
+
+    Row r holds M = J - r; column a (2j2+1) + b holds m1 = j1 - a and
+    m2 = j2 - b.  Only entries with m1 + m2 = M are looked up.
+    """
+    dim1 = int(round(2 * j1)) + 1
+    dim2 = int(round(2 * j2)) + 1
+    two_j = int(round(2 * jj))
+    table = np.zeros((two_j + 1, dim1 * dim2))
+    for row in range(two_j + 1):
+        mm = jj - row
+        for a in range(dim1):
+            m1 = j1 - a
+            b = int(round(j2 - (mm - m1)))
+            if 0 <= b < dim2:
+                table[row, a * dim2 + b] = cg_coefficient(
+                    j1, m1, j2, mm - m1, jj, mm)
+    return table
+
+
+def _node_states(node, tables: dict):
     """Couple a subtree; returns (site order, entries).
 
-    Each entry is ``(j, intermediates, vectors)`` with ``vectors[m]`` the
-    amplitude array over the subtree's 2^k partial space, the k-th listed
-    site being the most significant bit.  ``intermediates`` includes this
-    node itself as its last element.
+    Each entry is ``(j, intermediates, amplitudes)``: row r of the
+    ``(2j+1, 2^k)`` float64 array is the m = j - r vector over the subtree's
+    partial space, the k-th listed site being the most significant bit.
+    ``intermediates`` includes this node itself as its last element.
+    ``tables`` holds the CG tables built so far, by ``(j1, j2, J)``.
     """
     if isinstance(node, int):
-        up = np.array([1.0, 0.0])
-        down = np.array([0.0, 1.0])
-        return [node], [(0.5, (), {0.5: up, -0.5: down})]
-    sites_l, entries_l = _node_states(node[0])
-    sites_r, entries_r = _node_states(node[1])
+        return [node], [(0.5, (), np.eye(2))]  # rows: up, down
+    sites_l, entries_l = _node_states(node[0], tables)
+    sites_r, entries_r = _node_states(node[1], tables)
     sites = sites_l + sites_r
     site_key = tuple(sites)
     entries = []
-    for j1, inter1, vecs1 in entries_l:
-        for j2, inter2, vecs2 in entries_r:
+    for j1, inter1, amps1 in entries_l:
+        for j2, inter2, amps2 in entries_r:
+            # row (m1, m2), m1 major: kron of the two multiplets' rows
+            pairs = amps1[:, None, :, None] * amps2[None, :, None, :]
+            pairs = pairs.reshape(-1, 1 << len(sites))
             two_j_max = int(round(2 * (j1 + j2)))
             two_j_min = int(round(2 * abs(j1 - j2)))
             for two_j in range(two_j_max, two_j_min - 1, -2):
                 jj = two_j / 2.0
-                vectors = {}
-                for step in range(two_j + 1):
-                    mm = jj - step
-                    acc = np.zeros(1 << len(sites))
-                    for m1, vec1 in vecs1.items():
-                        vec2 = vecs2.get(mm - m1)
-                        if vec2 is None:
-                            continue
-                        coeff = cg_coefficient(j1, m1, j2, mm - m1, jj, mm)
-                        if coeff != 0.0:
-                            acc += coeff * np.kron(vec1, vec2)
-                    vectors[mm] = acc
+                key = (j1, j2, jj)
+                if key not in tables:
+                    tables[key] = _cg_table(j1, j2, jj)
                 entries.append(
-                    (jj, inter1 + inter2 + ((site_key, jj),), vectors)
+                    (jj, inter1 + inter2 + ((site_key, jj),),
+                     tables[key] @ pairs)
                 )
     return sites, entries
 
@@ -292,33 +314,36 @@ def couple(system: SpinSystem, tree: CouplingTree) -> list[CoupledState]:
     Returns 2^N orthonormal simultaneous S^2/S_z eigenstates, ordered by
     descending M and, within each M sector, by descending total spin and
     then descending intermediate spins (presets may override a sector's
-    order to match the conventional presentation).
+    order to match the conventional presentation).  The vectors are
+    read-only float64 rows of one 2^N x 2^N array.
     """
     tree.validate_for(system)
-    sites, entries = _node_states(tree.root)
-    permutation = _site_permutation(sites, system.n)
+    sites, entries = _node_states(tree.root, {})
+    partial = np.concatenate([amps for _j, _inter, amps in entries])
+    if partial.shape[0] != system.dimension:
+        raise RuntimeError(
+            f"coupling produced {partial.shape[0]} states for dimension "
+            f"{system.dimension}"
+        )
+    basis = np.empty_like(partial)
+    basis[:, _site_permutation(sites, system.n)] = partial
+    basis.setflags(write=False)
     states = []
-    for total_s, inter, vectors in entries:
+    for total_s, inter, amps in entries:
         inner = inter[:-1]  # the root's spin is the total spin itself
         spins = tuple(spin for _sites, spin in inner)
-        for mm, partial in vectors.items():
-            full = np.zeros(system.dimension)
-            full[permutation] = partial
+        for step in range(amps.shape[0]):
+            mm = total_s - step
             states.append(
                 CoupledState(
                     total_s=total_s,
                     m=mm,
                     intermediates=inner,
-                    vector=full,
+                    vector=basis[len(states)],
                     label=_render_label(tree, total_s, mm, spins),
                     system=system,
                 )
             )
-    if len(states) != system.dimension:
-        raise RuntimeError(
-            f"coupling produced {len(states)} states for dimension "
-            f"{system.dimension}"
-        )
     states.sort(key=lambda s: (-s.m, _sector_key(tree, s)))
     return states
 
@@ -377,20 +402,57 @@ def full_transform(states: "list[CoupledState]") -> BasisTransform:
     return BasisTransform(tuple(states), columns, matrix, system)
 
 
+def _m_sectors(matrix: np.ndarray, row_m: np.ndarray, col_m: np.ndarray,
+               tol: float) -> dict:
+    """Split a basis matrix by the M of its rows.
+
+    Returns ``{M: (rows, columns, block)}``: the row and column indices of
+    the sector and the amplitudes of those rows on those columns.  An
+    amplitude above ``tol`` outside its row's sector raises ``ValueError``.
+    """
+    sectors = {}
+    for m in np.unique(row_m):
+        rows = np.flatnonzero(row_m == m)
+        inside = col_m == m
+        leak = np.max(np.abs(matrix[np.ix_(rows, ~inside)]), initial=0.0)
+        if leak > tol:
+            raise ValueError(
+                f"basis rows of M={m:g} leave their M sector (amplitude "
+                f"{leak:.3e})"
+            )
+        cols = np.flatnonzero(inside)
+        sectors[m] = (rows, cols, matrix[np.ix_(rows, cols)])
+    return sectors
+
+
 def scheme_overlap(basis_a: "list[CoupledState]",
                    basis_b: "list[CoupledState]") -> np.ndarray:
-    """Overlap matrix <a_i|b_j> between two complete coupled bases."""
+    """Overlap matrix <a_i|b_j> between two complete coupled bases.
+
+    Both bases conserve M, so the real matrix is assembled from one product
+    per M sector, and entries between different M are exact zeros.
+    """
     if not basis_a or not basis_b:
         raise ValueError("empty basis")
-    mat_a = np.array([s.vector for s in basis_a], dtype=complex)
-    mat_b = np.array([s.vector for s in basis_b], dtype=complex)
+    mat_a = np.array([s.vector for s in basis_a])
+    mat_b = np.array([s.vector for s in basis_b])
     if mat_a.shape != mat_b.shape:
         raise ValueError(
             f"basis dimensions differ: {mat_a.shape} vs {mat_b.shape}"
         )
     if mat_a.shape[0] != mat_a.shape[1]:
         raise ValueError("both bases must be complete (square transforms)")
-    return mat_a.conj() @ mat_b.T
+    n = basis_a[0].system.n
+    col_m = (n - 2 * _bit_table(n).sum(axis=1)) / 2
+    sectors_b = _m_sectors(mat_b, np.array([s.m for s in basis_b]), col_m,
+                           NORM_TOL)
+    overlap = np.zeros(mat_a.shape)
+    for m, (rows, _cols, block) in _m_sectors(
+            mat_a, np.array([s.m for s in basis_a]), col_m, NORM_TOL).items():
+        if m in sectors_b:
+            rows_b, _cols, block_b = sectors_b[m]
+            overlap[np.ix_(rows, rows_b)] = block @ block_b.T
+    return overlap
 
 
 def _swap_permutation(n: int, i: int, j: int) -> np.ndarray:

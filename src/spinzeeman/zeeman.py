@@ -15,11 +15,11 @@ Unitless checks (basis orthonormality, level tracking) stay absolute.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coupling import BasisTransform
+from .coupling import BasisTransform, _m_sectors
 from .operators import moment_diagonal
 
 ZERO_TOL = 1e-10
@@ -40,6 +40,9 @@ class MomentMatrix:
 
     basis: BasisTransform
     entries: np.ndarray
+    # ``_partners`` results by DegeneracySpec, computed on first use
+    _partners_by_spec: dict = field(default_factory=dict, init=False,
+                                    repr=False)
 
     def __post_init__(self) -> None:
         if np.any(np.imag(self.entries)):
@@ -78,24 +81,25 @@ def moment_matrix(basis: BasisTransform) -> MomentMatrix:
     col_m = np.array([c.m for c in basis.column_states])
     diag = moment_diagonal(basis.system)[[c.index for c in basis.column_states]]
     entries = np.zeros((n, n))
-    for m in np.unique(row_m):
-        rows = np.flatnonzero(row_m == m)
-        inside = col_m == m
-        leak = np.max(np.abs(mat[np.ix_(rows, ~inside)]), initial=0.0)
-        if leak > ZERO_TOL:
-            raise ValueError(
-                f"basis rows of M={m:g} leave their M sector (amplitude "
-                f"{leak:.3e})"
-            )
-        block = mat[np.ix_(rows, np.flatnonzero(inside))]
+    for rows, cols, block in _m_sectors(mat, row_m, col_m, ZERO_TOL).values():
         dev = np.max(np.abs(block @ block.T - np.eye(rows.size)))
         if dev > ZERO_TOL:
             raise ValueError(f"basis rows are not orthonormal (deviation {dev:.3e})")
-        entries[np.ix_(rows, rows)] = (block * diag[inside]) @ block.T
+        entries[np.ix_(rows, rows)] = (block * diag[cols]) @ block.T
     scale = np.max(np.abs(entries)) if entries.size else 0.0
     if scale > 0.0:
         entries[np.abs(entries) < CHOP_TOL * scale] = 0.0
     return MomentMatrix(basis=basis, entries=entries)
+
+
+def _near_equal(energies) -> "tuple[float, float] | None":
+    """The lowest two distinct energies within ``ENERGY_GAP_TOL`` times
+    max(1, |E|) of each other, or None."""
+    ladder = sorted(set(energies))
+    for low, high in zip(ladder, ladder[1:]):
+        if high - low <= ENERGY_GAP_TOL * max(1.0, abs(low), abs(high)):
+            return low, high
+    return None
 
 
 @dataclass(frozen=True)
@@ -104,7 +108,8 @@ class DegeneracySpec:
 
     Distinct groups may share an energy only when
     ``allow_shared_energies`` is set; degenerate perturbation theory would
-    otherwise collapse them.
+    otherwise collapse them.  Two distinct energies within
+    ``ENERGY_GAP_TOL`` times max(1, |E|) of each other raise ``ValueError``.
     """
 
     groups: tuple[tuple[int, ...], ...]
@@ -129,6 +134,14 @@ class DegeneracySpec:
                     "distinct groups share an energy; merge them or set "
                     "allow_shared_energies"
                 )
+        close = _near_equal(energies)
+        if close is not None:
+            low, high = close
+            raise ValueError(
+                f"groups {energies.index(low)} and {energies.index(high)} "
+                f"have distinct but nearly equal energies {low!r} and "
+                f"{high!r}; give them one energy or separate them"
+            )
 
     @property
     def size(self) -> int:
@@ -148,8 +161,7 @@ class DegeneracySpec:
                         mapping: "dict[str, float]") -> "DegeneracySpec":
         """Group states by assigned energy; unlisted states share energy 0.
 
-        Two distinct energies within ``ENERGY_GAP_TOL`` times
-        max(1, |E|) of each other raise ``ValueError``.
+        Nearly equal energies raise ``ValueError`` naming two of their states.
         """
         unknown = [lab for lab in mapping if lab not in labels]
         if unknown:
@@ -158,15 +170,15 @@ class DegeneracySpec:
         for idx, lab in enumerate(labels):
             energy = float(mapping.get(lab, 0.0))
             by_energy.setdefault(energy, []).append(idx)
-        ladder = sorted(by_energy)
-        for low, high in zip(ladder, ladder[1:]):
-            if high - low <= ENERGY_GAP_TOL * max(1.0, abs(low), abs(high)):
-                a, b = labels[by_energy[low][0]], labels[by_energy[high][0]]
-                raise ValueError(
-                    f"states {a} and {b} have distinct but nearly equal "
-                    f"energies {low!r} and {high!r}; give them one energy "
-                    "or separate them"
-                )
+        close = _near_equal(by_energy)
+        if close is not None:
+            low, high = close
+            a, b = labels[by_energy[low][0]], labels[by_energy[high][0]]
+            raise ValueError(
+                f"states {a} and {b} have distinct but nearly equal "
+                f"energies {low!r} and {high!r}; give them one energy "
+                "or separate them"
+            )
         items = sorted(by_energy.items(), key=lambda kv: kv[1][0])
         return cls(
             groups=tuple(tuple(idx) for _e, idx in items),
@@ -252,9 +264,11 @@ def _rotate_groups(matrix: MomentMatrix, spec: DegeneracySpec):
     to the original states by maximal eigenvector overlap so the report rows
     stay aligned with the input basis.
     """
-    rotated = np.array(matrix.entries)
+    rotated = matrix.entries  # copied before the first rotation
     moments = np.diag(rotated).copy()
     for group in spec.groups:
+        if len(group) == 1:
+            continue
         idx = np.asarray(group)
         block = matrix.entries[np.ix_(idx, idx)]
         off = block - np.diag(np.diag(block))
@@ -263,6 +277,8 @@ def _rotate_groups(matrix: MomentMatrix, spec: DegeneracySpec):
         w, v = np.linalg.eigh(block)
         _rows, cols = linear_sum_assignment(-(v * v))
         v = v[:, cols]
+        if rotated is matrix.entries:
+            rotated = np.array(rotated)
         rotated[idx] = v.T @ rotated[idx]
         rotated[:, idx] = rotated[:, idx] @ v
         moments[idx] = w[cols]
@@ -275,14 +291,21 @@ def _partners(matrix: MomentMatrix, spec: DegeneracySpec):
 
     Returns the rotated matrix, the first-order moments, and a boolean mask
     whose (i, j) entry is set when j lies outside i's group and the rotated
-    moment couples them above the zero tolerance.
+    moment couples them above the zero tolerance.  The three read-only
+    arrays are computed once per spec and kept on the matrix, so
+    ``classify`` and ``quadratic_coefficients`` share one rotation.
     """
     _check_spec(matrix, spec)
-    rotated, moments = _rotate_groups(matrix, spec)
-    gids = spec.group_ids()
-    mask = np.abs(rotated) > ZERO_TOL * _unit(matrix)
-    mask &= gids[:, None] != gids[None, :]
-    return rotated, moments, mask
+    found = matrix._partners_by_spec.get(spec)
+    if found is None:
+        rotated, moments = _rotate_groups(matrix, spec)
+        gids = spec.group_ids()
+        mask = np.abs(rotated) > ZERO_TOL * _unit(matrix)
+        mask &= gids[:, None] != gids[None, :]
+        for array in (rotated, moments, mask):
+            array.setflags(write=False)
+        found = matrix._partners_by_spec[spec] = (rotated, moments, mask)
+    return found
 
 
 def classify(matrix: MomentMatrix, spec: DegeneracySpec) -> ZeemanReport:

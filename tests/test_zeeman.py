@@ -470,3 +470,21 @@ def test_from_energy_map_rejects_near_equal_energies(like_states):
             DegeneracySpec.from_energy_map(labels, {a: low, b: high})
     spec = DegeneracySpec.from_energy_map(labels, {a: 1e6, b: 1e6 + 1.0})
     assert spec.groups == ((0,), (1,), (2, 3))
+
+
+def test_spec_constructor_rejects_near_equal_energies(like_states):
+    # built directly, not through from_energy_map: before, this spec gave
+    # second-order coefficients of -/+4e12 on the like-pairs M=1 block
+    groups = ((0,), (1,), (2, 3))
+    for shared in (False, True):
+        with pytest.raises(ValueError, match="^groups 0 and 1 have distinct "
+                                             "but nearly equal energies"):
+            DegeneracySpec(groups, (1.0, 1.0 + 1e-12, 0.0),
+                           allow_shared_energies=shared)
+    with pytest.raises(ValueError, match="^groups 2 and 0 "):
+        DegeneracySpec(groups, (-1e6 + 1e-4, 5.0, -1e6))
+    # equal energies are not near-equal: the isolated spec still builds
+    assert DegeneracySpec.isolated(4).energies == (0.0,) * 4
+    spec = DegeneracySpec(groups, (1.0, 1.0 + 1e-6, 0.0))
+    block = moment_matrix(m_sector(like_states, 1.0))
+    assert np.all(np.isfinite(quadratic_coefficients(block, spec)))
