@@ -280,7 +280,9 @@ def _cmd_sweep(args) -> str:
     spec = _degeneracy(args, block.states)
     if args.steps < 1:
         raise ValueError("steps must be at least 1")
-    grid = np.linspace(args.bmin, args.bmax, args.steps)
+    # an infinite end gives NaN steps, which level_curves rejects
+    with np.errstate(invalid="ignore"):
+        grid = np.linspace(args.bmin, args.bmax, args.steps)
     curves = level_curves(moment_matrix(block), spec, grid)
     order = sorted(range(len(curves.labels)), key=lambda k: curves.labels[k])
     return _emit(

@@ -187,6 +187,24 @@ class CouplingTree:
         return tree
 
 
+def _read_only_real(array, message: str) -> np.ndarray:
+    """``array`` as a read-only float64 array.
+
+    A nonzero imaginary part raises ``ValueError(message)``.  A read-only
+    float64 input, such as a row of ``couple``'s basis, is kept without a
+    copy; any other input is copied, so later changes to it change nothing.
+    """
+    arr = np.asarray(array)
+    if np.iscomplexobj(arr):
+        if np.any(arr.imag):
+            raise ValueError(message)
+        arr = arr.real
+    if arr.dtype != np.float64 or arr.flags.writeable:
+        arr = arr.astype(float)
+        arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class CoupledState:
     """A |S, M, intermediates> basis vector expressed in the product basis.
@@ -203,15 +221,7 @@ class CoupledState:
     system: SpinSystem
 
     def __post_init__(self) -> None:
-        vec = np.asarray(self.vector)
-        if np.iscomplexobj(vec):
-            if np.any(vec.imag):
-                raise ValueError("state vector amplitudes must be real")
-            vec = vec.real
-        # A read-only float64 row, such as couple's, is kept without a copy.
-        if vec.dtype != np.float64 or vec.flags.writeable:
-            vec = vec.astype(float)
-            vec.setflags(write=False)
+        vec = _read_only_real(self.vector, "state vector amplitudes must be real")
         norm = np.linalg.norm(vec)
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state vector norm {norm} deviates from 1")
@@ -287,17 +297,16 @@ def _site_permutation(sites: list[int], n: int) -> np.ndarray:
     return _bit_table(n) @ (1 << (n - 1 - np.asarray(sites, dtype=np.int64)))
 
 
-def _render_label(tree: CouplingTree, total_s: float, m: float,
-                  inter_spins: tuple[float, ...]) -> str:
-    decoration = ""
-    if inter_spins:
-        text = None
-        if tree.intermediate_labels:
-            text = tree.intermediate_labels.get(inter_spins)
-        if text is None:
-            text = ",".join(format_spin(s) for s in inter_spins)
-        decoration = tree.brackets[0] + text + tree.brackets[1]
-    return f"|{format_spin(total_s)},{format_spin(m)}{decoration}⟩"
+def _decoration(tree: CouplingTree, inter_spins: tuple[float, ...]) -> str:
+    """The bracketed intermediate spins of a multiplet's labels."""
+    if not inter_spins:
+        return ""
+    text = None
+    if tree.intermediate_labels:
+        text = tree.intermediate_labels.get(inter_spins)
+    if text is None:
+        text = ",".join(format_spin(s) for s in inter_spins)
+    return tree.brackets[0] + text + tree.brackets[1]
 
 
 def _sector_key(tree: CouplingTree, state: CoupledState):
@@ -325,13 +334,15 @@ def couple(system: SpinSystem, tree: CouplingTree) -> list[CoupledState]:
             f"coupling produced {partial.shape[0]} states for dimension "
             f"{system.dimension}"
         )
-    basis = np.empty_like(partial)
-    basis[:, _site_permutation(sites, system.n)] = partial
+    # column perm[k] of the basis is column k of partial: gather, not scatter
+    order = np.argsort(_site_permutation(sites, system.n))
+    basis = np.take(partial, order, axis=1)
     basis.setflags(write=False)
     states = []
     for total_s, inter, amps in entries:
         inner = inter[:-1]  # the root's spin is the total spin itself
-        spins = tuple(spin for _sites, spin in inner)
+        decoration = _decoration(tree, tuple(spin for _sites, spin in inner))
+        head = f"|{format_spin(total_s)},"
         for step in range(amps.shape[0]):
             mm = total_s - step
             states.append(
@@ -340,7 +351,7 @@ def couple(system: SpinSystem, tree: CouplingTree) -> list[CoupledState]:
                     m=mm,
                     intermediates=inner,
                     vector=basis[len(states)],
-                    label=_render_label(tree, total_s, mm, spins),
+                    label=f"{head}{format_spin(mm)}{decoration}⟩",
                     system=system,
                 )
             )
@@ -350,7 +361,10 @@ def couple(system: SpinSystem, tree: CouplingTree) -> list[CoupledState]:
 
 @dataclass(frozen=True, eq=False)
 class BasisTransform:
-    """Rectangular block of coupled-state amplitudes over product states."""
+    """Rectangular block of coupled-state amplitudes over product states.
+
+    ``matrix`` is a read-only float64 array; coupled amplitudes are real.
+    """
 
     states: tuple[CoupledState, ...]
     column_states: tuple[ProductState, ...]
@@ -358,7 +372,7 @@ class BasisTransform:
     system: SpinSystem
 
     def __post_init__(self) -> None:
-        mat = np.array(self.matrix, dtype=complex)
+        mat = _read_only_real(self.matrix, "basis amplitudes must be real")
         expected = (len(self.states), len(self.column_states))
         if mat.shape != expected and mat.size > 0:
             raise ValueError(f"matrix shape {mat.shape} does not match {expected}")
@@ -386,7 +400,8 @@ def m_sector(states: "list[CoupledState]", m: float) -> BasisTransform:
     selected = tuple(s for s in states if s.m == m)
     columns = tuple(product_states_with_m(system.n, m))
     indices = [c.index for c in columns]
-    matrix = np.array([s.vector[indices] for s in selected], dtype=complex)
+    matrix = np.array([s.vector[indices] for s in selected])
+    matrix.setflags(write=False)
     return BasisTransform(selected, columns, matrix, system)
 
 
@@ -398,7 +413,8 @@ def full_transform(states: "list[CoupledState]") -> BasisTransform:
     columns = tuple(
         ProductState(tuple(row)) for row in _bit_table(system.n).tolist()
     )
-    matrix = np.array([s.vector for s in states], dtype=complex)
+    matrix = np.array([s.vector for s in states])
+    matrix.setflags(write=False)
     return BasisTransform(tuple(states), columns, matrix, system)
 
 
@@ -408,19 +424,23 @@ def _m_sectors(matrix: np.ndarray, row_m: np.ndarray, col_m: np.ndarray,
 
     Returns ``{M: (rows, columns, block)}``: the row and column indices of
     the sector and the amplitudes of those rows on those columns.  An
-    amplitude above ``tol`` outside its row's sector raises ``ValueError``.
+    amplitude above ``tol`` outside its row's sector raises ``ValueError``
+    naming the lowest such M and that sector's largest leak.
     """
+    leaking = (np.abs(matrix) > tol) & (row_m[:, None] != col_m[None, :])
+    if np.any(leaking):
+        rows, cols = np.nonzero(leaking)
+        m = np.min(row_m[rows])
+        lowest = row_m[rows] == m
+        leak = np.max(np.abs(matrix[rows[lowest], cols[lowest]]))
+        raise ValueError(
+            f"basis rows of M={m:g} leave their M sector (amplitude "
+            f"{leak:.3e})"
+        )
     sectors = {}
     for m in np.unique(row_m):
         rows = np.flatnonzero(row_m == m)
-        inside = col_m == m
-        leak = np.max(np.abs(matrix[np.ix_(rows, ~inside)]), initial=0.0)
-        if leak > tol:
-            raise ValueError(
-                f"basis rows of M={m:g} leave their M sector (amplitude "
-                f"{leak:.3e})"
-            )
-        cols = np.flatnonzero(inside)
+        cols = np.flatnonzero(col_m == m)
         sectors[m] = (rows, cols, matrix[np.ix_(rows, cols)])
     return sectors
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coupling import BasisTransform, _m_sectors
+from .coupling import BasisTransform, _m_sectors, _read_only_real
 from .operators import moment_diagonal
 
 ZERO_TOL = 1e-10
@@ -45,13 +45,22 @@ class MomentMatrix:
                                     repr=False)
 
     def __post_init__(self) -> None:
-        if np.any(np.imag(self.entries)):
-            raise ValueError("moment matrix entries must be real")
+        mat = _read_only_real(self.entries, "moment matrix entries must be real")
         n = len(self.basis.states)
-        mat = np.array(np.real(self.entries), dtype=float).reshape((n, n))
-        dev = np.max(np.abs(mat - mat.T)) if n else 0.0
-        if dev > MOMENT_ORACLE_TOL * _unit(self):
+        mat = mat.reshape((n, n))
+        tol = MOMENT_ORACLE_TOL * _unit(self)
+        rows, cols = np.nonzero(mat != 0.0)  # bool nonzero is the fast one
+        dev = np.max(np.abs(mat[rows, cols] - mat[cols, rows]), initial=0.0)
+        if dev > tol:
             raise ValueError(f"moment matrix deviates from symmetric by {dev:.3e}")
+        # mu_z conserves M; group rotations act within one M sector
+        row_m = np.array([s.m for s in self.basis.states])
+        cross = row_m[rows] != row_m[cols]
+        leak = np.max(np.abs(mat[rows[cross], cols[cross]]), initial=0.0)
+        if leak > tol:
+            raise ValueError(
+                f"moment matrix couples states of different M (entry {leak:.3e})"
+            )
         mat.setflags(write=False)
         object.__setattr__(self, "entries", mat)
 
@@ -72,23 +81,25 @@ def moment_matrix(basis: BasisTransform) -> MomentMatrix:
     each row inside its own M sector.  Entries below ``CHOP_TOL`` times the
     matrix scale are set to exact zero.
     """
-    mat = basis.matrix
-    if np.any(mat.imag):
-        raise ValueError("basis amplitudes must be real")
-    mat = mat.real
     n = len(basis.states)
     row_m = np.array([s.m for s in basis.states])
     col_m = np.array([c.m for c in basis.column_states])
     diag = moment_diagonal(basis.system)[[c.index for c in basis.column_states]]
-    entries = np.zeros((n, n))
-    for rows, cols, block in _m_sectors(mat, row_m, col_m, ZERO_TOL).values():
+    products = []
+    for rows, cols, block in _m_sectors(basis.matrix, row_m, col_m,
+                                        ZERO_TOL).values():
         dev = np.max(np.abs(block @ block.T - np.eye(rows.size)))
         if dev > ZERO_TOL:
             raise ValueError(f"basis rows are not orthonormal (deviation {dev:.3e})")
-        entries[np.ix_(rows, rows)] = (block * diag[cols]) @ block.T
-    scale = np.max(np.abs(entries)) if entries.size else 0.0
-    if scale > 0.0:
-        entries[np.abs(entries) < CHOP_TOL * scale] = 0.0
+        products.append((rows, (block * diag[cols]) @ block.T))
+    scale = max((np.max(np.abs(p)) for _rows, p in products if p.size),
+                default=0.0)
+    # entries between different M stay exact zeros
+    entries = np.zeros((n, n))
+    for rows, product in products:
+        product[np.abs(product) < CHOP_TOL * scale] = 0.0
+        entries[np.ix_(rows, rows)] = product
+    entries.setflags(write=False)
     return MomentMatrix(basis=basis, entries=entries)
 
 
@@ -258,30 +269,41 @@ def _unit(matrix: MomentMatrix) -> float:
 def _rotate_groups(matrix: MomentMatrix, spec: DegeneracySpec):
     """Diagonalize the moment within each group.
 
-    Returns the rotated matrix and the per-state first-order moments.  Each
-    group that is not already diagonal is rotated in place: its eigenvectors
-    act on the group's rows and columns only.  Group eigenvalues are matched
-    to the original states by maximal eigenvector overlap so the report rows
-    stay aligned with the input basis.
+    Returns the rotated matrix and the per-state first-order moments.  The
+    moment conserves M, so each group is split by M and every (group, M)
+    sub-block that is not already diagonal is rotated in place: its
+    eigenvectors act on the sub-block's rows and columns, restricted to
+    sector M, and rotated states keep a definite M.  Eigenvalues are
+    matched to the original states by maximal eigenvector overlap so the
+    report rows stay aligned with the input basis.
     """
     rotated = matrix.entries  # copied before the first rotation
     moments = np.diag(rotated).copy()
+    row_m = np.array([s.m for s in matrix.basis.states])
     for group in spec.groups:
         if len(group) == 1:
             continue
-        idx = np.asarray(group)
-        block = matrix.entries[np.ix_(idx, idx)]
-        off = block - np.diag(np.diag(block))
-        if np.max(np.abs(off), initial=0.0) <= 1e-15 * _unit(matrix):
-            continue
-        w, v = np.linalg.eigh(block)
-        _rows, cols = linear_sum_assignment(-(v * v))
-        v = v[:, cols]
-        if rotated is matrix.entries:
-            rotated = np.array(rotated)
-        rotated[idx] = v.T @ rotated[idx]
-        rotated[:, idx] = rotated[:, idx] @ v
-        moments[idx] = w[cols]
+        group = np.asarray(group)
+        group_m = row_m[group]
+        for m in np.unique(group_m):
+            idx = group[group_m == m]
+            if idx.size == 1:
+                continue
+            block = matrix.entries[np.ix_(idx, idx)]
+            off = block - np.diag(np.diag(block))
+            if np.max(np.abs(off)) <= 1e-15 * _unit(matrix):
+                continue
+            w, v = np.linalg.eigh(block)
+            _rows, cols = linear_sum_assignment(-(v * v))
+            v = v[:, cols]
+            if rotated is matrix.entries:
+                rotated = np.array(rotated)
+            sector = np.flatnonzero(row_m == m)
+            rows = np.ix_(idx, sector)
+            rotated[rows] = v.T @ rotated[rows]
+            columns = np.ix_(sector, idx)
+            rotated[columns] = rotated[columns] @ v
+            moments[idx] = w[cols]
     moments[np.abs(moments) <= ZERO_TOL * _unit(matrix)] = 0.0
     return rotated, moments
 
@@ -315,11 +337,15 @@ def classify(matrix: MomentMatrix, spec: DegeneracySpec) -> ZeemanReport:
     """
     _rotated, moments, mask = _partners(matrix, spec)
     labels = matrix.labels
+    rows, cols = np.nonzero(mask)  # row-major order
+    cols = cols.tolist()
+    ends = np.cumsum(np.bincount(rows, minlength=matrix.size)).tolist()
+    tol = ZERO_TOL * _unit(matrix)
     reports = []
-    for i, row in enumerate(mask):
+    for i, (start, end) in enumerate(zip([0] + ends, ends)):
         slope = -moments[i]
-        partners = tuple(labels[j] for j in np.flatnonzero(row))
-        if abs(slope) > ZERO_TOL * _unit(matrix):
+        partners = tuple(map(labels.__getitem__, cols[start:end]))
+        if abs(slope) > tol:
             kind = Classification.LINEAR
         elif partners:
             kind = Classification.QUADRATIC
@@ -367,6 +393,8 @@ def level_curves(matrix: MomentMatrix, spec: DegeneracySpec,
     b_values = np.asarray(fields, dtype=float)
     if b_values.ndim != 1 or b_values.size == 0:
         raise ValueError("field grid must be a non-empty 1-D array")
+    if not np.all(np.isfinite(b_values)):
+        raise ValueError("field grid must be finite")
     if np.any(np.diff(b_values) <= 0):
         raise ValueError("field grid must be strictly increasing")
     origin = int(np.searchsorted(b_values, 0.0))

@@ -127,6 +127,18 @@ def test_sweep_csv_format(capsys):
         assert labels == sorted(labels)
 
 
+@pytest.mark.parametrize("bmin, bmax", [("nan", "1"), ("-inf", "1"),
+                                        ("0", "inf"), ("0", "nan")])
+def test_sweep_non_finite_field_is_domain_error(capsys, bmin, bmax):
+    code, out, err = run_cli(
+        capsys, "sweep", "--system", "positronium", f"--bmin={bmin}",
+        "--bmax", bmax, "--steps", "3",
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: field grid must be finite\n"
+
+
 @pytest.mark.parametrize("bmin, bmax, steps",
                          [(-1.0, 1.0, 20), (-0.3, 0.7, 11)])
 def test_sweep_grid_without_zero_matches_inserted_origin(capsys, bmin, bmax,

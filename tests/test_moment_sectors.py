@@ -4,8 +4,10 @@ against the formula it replaced; and census and level-curve properties.
 
 The references below are kept only here: one complex 2^N x 2^N product for
 the moment matrix, one block-diagonal rotation R^T E R for the within-group
-diagonalization, a Python pair loop for the quadratic coefficients, and a
-Python (row, column) loop for the tie scan of ``level_curves``.
+diagonalization (per (group, M) sub-block, and per whole group as it was
+first done), the former one-copy-per-M leak check of ``_m_sectors``, a
+Python pair loop for the quadratic coefficients, and a Python (row, column)
+loop for the tie scan of ``level_curves``.
 """
 
 import re
@@ -31,7 +33,7 @@ from spinzeeman import (
     moment_matrix,
     quadratic_coefficients,
 )
-from spinzeeman import zeeman
+from spinzeeman import coupling, zeeman
 
 ALTERNATING = [Species.ELECTRON, Species.POSITRON] * 4
 DIPOS = SpinSystem.dipositronium()
@@ -79,19 +81,47 @@ def _dense_moment(basis):
     return entries
 
 
-def _dense_rotation(matrix, spec):
-    """Former ``_rotate_groups``: assemble R, then one product R^T E R."""
+def _dense_rotation(matrix, spec, by_m=True):
+    """Assemble R from one ``eigh`` per (group, M) sub-block, then one
+    product R^T E R.  With ``by_m`` false, R has one ``eigh`` per whole
+    group, as the former ``_rotate_groups`` did."""
     entries = matrix.entries
+    row_m = np.array([s.m for s in matrix.basis.states])
     rotation = np.eye(matrix.size)
     for group in spec.groups:
-        idx = np.asarray(group)
-        block = entries[np.ix_(idx, idx)]
-        if np.max(np.abs(block - np.diag(np.diag(block)))) <= 1e-15:
-            continue
-        _w, v = np.linalg.eigh(block)
-        _rows, cols = linear_sum_assignment(-(v * v))
-        rotation[np.ix_(idx, idx)] = v[:, cols]
+        group = np.asarray(group)
+        parts = ([group[row_m[group] == m] for m in np.unique(row_m[group])]
+                 if by_m else [group])
+        for idx in parts:
+            block = entries[np.ix_(idx, idx)]
+            if np.max(np.abs(block - np.diag(np.diag(block)))) <= 1e-15:
+                continue
+            _w, v = np.linalg.eigh(block)
+            _rows, cols = linear_sum_assignment(-(v * v))
+            rotation[np.ix_(idx, idx)] = v[:, cols]
     return rotation.T @ entries @ rotation
+
+
+def _former_quadratic(matrix, spec):
+    """Second-order coefficients after the former one-``eigh``-per-group
+    rotation, which may mix M inside a degenerate eigenspace."""
+    rotated = _dense_rotation(matrix, spec, by_m=False)
+    energy = spec.state_energies()
+    gids = spec.group_ids()
+    mask = np.abs(rotated) > zeeman.ZERO_TOL
+    mask &= gids[:, None] != gids[None, :]
+    rows, cols = np.nonzero(mask)
+    terms = rotated[rows, cols] ** 2 / (energy[rows] - energy[cols])
+    return np.diag(rotated), np.bincount(rows, weights=terms,
+                                         minlength=matrix.size)
+
+
+def _clusters(values, tol=1e-9):
+    """(low, high) bounds of each run of values whose neighbours lie
+    within ``tol``, widened by ``tol``."""
+    ladder = np.sort(values)
+    cuts = np.flatnonzero(np.diff(ladder) > tol) + 1
+    return [(run[0] - tol, run[-1] + tol) for run in np.split(ladder, cuts)]
 
 
 def _loop_quadratic(matrix, spec):
@@ -135,13 +165,70 @@ def test_rejects_row_leaking_across_sectors():
 
 def test_rejects_complex_basis():
     sector = m_sector(couple(DIPOS, CouplingTree.like_pairs(DIPOS)), 1.0)
-    phased = np.array(sector.matrix)
+    phased = sector.matrix.astype(complex)
     phased[2] *= 1j
-    block = BasisTransform(sector.states, sector.column_states, phased, DIPOS)
     with pytest.raises(ValueError, match="real"):
-        moment_matrix(block)
+        BasisTransform(sector.states, sector.column_states, phased, DIPOS)
     with pytest.raises(ValueError, match="real"):
         MomentMatrix(sector, 1j * np.eye(4))
+
+
+def _former_m_sectors_error(matrix, row_m, col_m, tol):
+    """Former leak check of ``_m_sectors``: one off-sector copy per M, in
+    ascending M; the message it raised, or None."""
+    for m in np.unique(row_m):
+        rows = np.flatnonzero(row_m == m)
+        leak = np.max(np.abs(matrix[np.ix_(rows, col_m != m)]), initial=0.0)
+        if leak > tol:
+            return (f"basis rows of M={m:g} leave their M sector (amplitude "
+                    f"{leak:.3e})")
+    return None
+
+
+def test_sector_leak_error_names_lowest_sector_and_its_largest_leak():
+    basis = full_transform(couple(DIPOS, CouplingTree.like_pairs(DIPOS)))
+    row_m = np.array([s.m for s in basis.states])
+    col_m = np.array([c.m for c in basis.column_states])
+    leaky = np.array(basis.matrix)
+    # M=1 leaks twice, the larger one second; M=0 leaks more than either
+    top = np.flatnonzero(row_m == 1.0)
+    middle = np.flatnonzero(row_m == 0.0)
+    leaky[top[0], np.flatnonzero(col_m == 0.0)[0]] = 3e-3
+    leaky[top[2], np.flatnonzero(col_m == -1.0)[1]] = -7e-3
+    leaky[middle[1], np.flatnonzero(col_m == 2.0)[0]] = 0.5
+    expected = _former_m_sectors_error(leaky, row_m, col_m, 1e-12)
+    assert expected == ("basis rows of M=0 leave their M sector "
+                        "(amplitude 5.000e-01)")
+    with pytest.raises(ValueError) as caught:
+        coupling._m_sectors(leaky, row_m, col_m, 1e-12)
+    assert str(caught.value) == expected
+    leaky[middle[1]] = basis.matrix[middle[1]]
+    expected = _former_m_sectors_error(leaky, row_m, col_m, 1e-12)
+    assert expected.endswith("M=1 leave their M sector (amplitude 7.000e-03)")
+    with pytest.raises(ValueError) as caught:
+        coupling._m_sectors(leaky, row_m, col_m, 1e-12)
+    assert str(caught.value) == expected
+
+
+def test_moment_matrix_rejects_coupling_across_m():
+    sector_states = m_sector(couple(DIPOS, CouplingTree.like_pairs(DIPOS)),
+                             1.0).states
+    zero = m_sector(couple(DIPOS, CouplingTree.like_pairs(DIPOS)), 0.0)
+    states = sector_states[:2] + zero.states[:2]
+    both = BasisTransform(states, (), np.zeros((4, 0)), DIPOS)
+    symmetric = np.diag([1.0, -1.0, 0.5, 0.0])
+    MomentMatrix(both, symmetric)  # within-M couplings are accepted
+    symmetric[0, 1] = symmetric[1, 0] = 0.25
+    MomentMatrix(both, symmetric)
+    symmetric[1, 2] = symmetric[2, 1] = 1e-6
+    with pytest.raises(ValueError, match="different M"):
+        MomentMatrix(both, symmetric)
+    # one-sided entries show on the nonzero pattern, within M or across it
+    for i, j in ((0, 1), (1, 0), (3, 0)):
+        one_sided = np.diag([1.0, -1.0, 0.5, 0.0])
+        one_sided[i, j] = 1e-6
+        with pytest.raises(ValueError, match="deviates from symmetric"):
+            MomentMatrix(both, one_sided)
 
 
 @pytest.mark.parametrize("shape", ["atom", "ep"])
@@ -152,6 +239,36 @@ def test_local_group_rotation_matches_dense_product(shape):
     spec = _spin_grouped(states)
     rotated, _moments = zeeman._rotate_groups(matrix, spec)
     assert np.max(np.abs(rotated - _dense_rotation(matrix, spec))) <= 1e-14
+
+
+@pytest.mark.parametrize("shape", ["atom", "ep"])
+@pytest.mark.parametrize("n", [6, 8])
+def test_group_rotation_independent_of_how_groups_split(n, shape):
+    """What degenerate perturbation theory fixes, whatever basis a
+    degenerate eigenspace gets: each group's moment spectrum, and the
+    second-order sum over each eigenspace."""
+    species = ALTERNATING[:n]
+    states = couple(SpinSystem.from_species(species), _trees(species)[shape])
+    matrix = moment_matrix(full_transform(states))
+    spec = _spin_grouped(states)
+    rotated, moments, _mask = zeeman._partners(matrix, spec)
+    coeffs = quadratic_coefficients(matrix, spec)
+    former_moments, former_coeffs = _former_quadratic(matrix, spec)
+    for group in spec.groups:
+        idx = np.asarray(group)
+        spectrum = np.linalg.eigvalsh(matrix.entries[np.ix_(idx, idx)])
+        spectrum[np.abs(spectrum) <= zeeman.ZERO_TOL] = 0.0
+        assert np.max(np.abs(np.sort(moments[idx]) - spectrum)) <= 1e-13
+        for low, high in _clusters(moments[idx]):
+            now = idx[(moments[idx] >= low) & (moments[idx] <= high)]
+            before = idx[(former_moments[idx] >= low)
+                         & (former_moments[idx] <= high)]
+            assert now.size == before.size
+            assert coeffs[now].sum() == pytest.approx(
+                former_coeffs[before].sum(), rel=1e-12, abs=1e-12)
+    # a rotated state keeps a definite M
+    row_m = np.array([s.m for s in states])
+    assert np.all(rotated[row_m[:, None] != row_m[None, :]] == 0.0)
 
 
 @pytest.mark.parametrize("shape", ["atom", "ep"])

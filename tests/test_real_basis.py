@@ -4,14 +4,16 @@ against the code it replaced.
 
 The references below are kept only here: the former ``_node_states``, which
 summed each m vector of a multiplet from ``np.kron`` products one CG value
-at a time, and the former ``scheme_overlap``, one complex product
-``mat_a.conj() @ mat_b.T`` over all columns.
+at a time, the former per-state label rendering, and the former
+``scheme_overlap``, one complex product ``mat_a.conj() @ mat_b.T`` over all
+columns.
 """
 
 import numpy as np
 import pytest
 
 from spinzeeman import (
+    BasisTransform,
     CoupledState,
     CouplingTree,
     DegeneracySpec,
@@ -19,13 +21,14 @@ from spinzeeman import (
     classify,
     couple,
     full_transform,
+    m_sector,
     moment_matrix,
     quadratic_coefficients,
     scheme_overlap,
 )
 from spinzeeman import zeeman
 from spinzeeman.cg import cg_coefficient
-from spinzeeman.coupling import _site_permutation
+from spinzeeman.coupling import _site_permutation, format_spin
 from test_moment_sectors import ALTERNATING, _spin_grouped, _trees
 
 DIPOS = SpinSystem.dipositronium()
@@ -81,6 +84,19 @@ def _kron_vectors(system, tree):
     return out
 
 
+def _render_label(tree, total_s, m, inter_spins):
+    """Former label rendering, run once per state."""
+    decoration = ""
+    if inter_spins:
+        text = None
+        if tree.intermediate_labels:
+            text = tree.intermediate_labels.get(inter_spins)
+        if text is None:
+            text = ",".join(format_spin(s) for s in inter_spins)
+        decoration = tree.brackets[0] + text + tree.brackets[1]
+    return f"|{format_spin(total_s)},{format_spin(m)}{decoration}⟩"
+
+
 def _dense_overlap(basis_a, basis_b):
     """Former ``scheme_overlap``: one complex product over all columns."""
     mat_a = np.array([s.vector for s in basis_a], dtype=complex)
@@ -106,6 +122,35 @@ def test_couple_matches_kron_reference(name, system, tree):
     for state in states:
         expected = reference[(state.total_s, state.m, state.intermediates)]
         assert np.array_equal(state.vector, expected), state.label
+
+
+@pytest.mark.parametrize("name, system, tree",
+                         list(_cases()), ids=[c[0] for c in _cases()])
+def test_labels_match_per_state_rendering(name, system, tree):
+    for state in couple(system, tree):
+        assert state.label == _render_label(
+            tree, state.total_s, state.m, state.intermediate_spins)
+
+
+def test_basis_transforms_are_real_and_read_only():
+    states = couple(DIPOS, CouplingTree.like_pairs(DIPOS))
+    blocks = [full_transform(states)]
+    blocks += [m_sector(states, m) for m in (2.0, 1.0, 0.0, -1.0, -2.0)]
+    for block in blocks:
+        assert block.matrix.dtype == np.float64
+        assert not block.matrix.flags.writeable
+    full = blocks[0]
+    assert np.array_equal(full.matrix, [s.vector for s in states])
+    # complex amplitudes with zero imaginary parts are accepted as real
+    copy = BasisTransform(full.states, full.column_states,
+                          full.matrix.astype(complex), DIPOS)
+    assert copy.matrix.dtype == np.float64
+    assert np.array_equal(copy.matrix, full.matrix)
+    # a writeable input is copied, so changing it later changes nothing
+    source = np.array(full.matrix)
+    kept = BasisTransform(full.states, full.column_states, source, DIPOS)
+    source[0, 0] = 5.0
+    assert kept.matrix[0, 0] == full.matrix[0, 0]
 
 
 def _preset_pairs():

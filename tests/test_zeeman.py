@@ -304,6 +304,22 @@ def test_level_curves_grid_validation(like_states):
         level_curves(matrix, spec, np.array([0.0, 0.0]))
 
 
+@pytest.mark.parametrize("grid", [[np.nan, 0.0, 1.0], [0.0, np.nan],
+                                  [np.inf, 0.0, 1.0], [-1.0, 0.0, np.inf],
+                                  [-np.inf, 0.0]])
+def test_level_curves_rejects_non_finite_fields(grid, like_states,
+                                                monkeypatch):
+    matrix = moment_matrix(m_sector(like_states, 1.0))
+    spec = DegeneracySpec.isolated(4)
+
+    def no_eigh(_matrix):
+        raise AssertionError("eigh called on a non-finite grid")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    with pytest.raises(ValueError, match="^field grid must be finite$"):
+        level_curves(matrix, spec, np.array(grid))
+
+
 @pytest.mark.parametrize("grid", [
     np.linspace(-1.0, 1.0, 20),  # origin inside
     np.array([0.5, 1.0]),        # origin before the grid
