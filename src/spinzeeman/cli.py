@@ -25,6 +25,7 @@ from .coupling import (
     CouplingTree,
     classify_exchange,
     couple,
+    format_spin,
     full_transform,
     like_species_pairs,
     m_sector,
@@ -99,9 +100,20 @@ def _states(args, scheme: "str | None" = None) -> "list[CoupledState]":
 
 
 def _block(args) -> BasisTransform:
-    """The ``--m`` sector of the coupled basis, or all of it without ``--m``."""
+    """The ``--m`` sector of the coupled basis, or all of it without ``--m``.
+
+    An ``--m`` that no state of the system has is a domain error.
+    """
     states = _states(args)
-    return full_transform(states) if args.m is None else m_sector(states, args.m)
+    if args.m is None:
+        return full_transform(states)
+    block = m_sector(states, args.m)
+    if not block.states:
+        raise ValueError(
+            f"no states with M={format_spin(args.m)} for "
+            f"{states[0].system.n} particles"
+        )
+    return block
 
 
 def parse_energies(path: str, states) -> DegeneracySpec:

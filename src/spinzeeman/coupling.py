@@ -13,6 +13,7 @@ presets are:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -205,6 +206,15 @@ def _read_only_real(array, message: str) -> np.ndarray:
     return arr
 
 
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` with ``fields`` set as
+    given, without running ``__post_init__``.  For callers that have
+    already checked the fields in bulk."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(frozen=True, eq=False)
 class CoupledState:
     """A |S, M, intermediates> basis vector expressed in the product basis.
@@ -232,12 +242,22 @@ class CoupledState:
         return tuple(spin for _sites, spin in self.intermediates)
 
 
+# CG tables built so far, by (coefficient function, j1, j2, J)
+_CG_TABLES: dict = {}
+
+
 def _cg_table(j1: float, j2: float, jj: float) -> np.ndarray:
-    """<j1 m1; j2 m2 | J M> as a (2J+1, (2j1+1)(2j2+1)) array.
+    """<j1 m1; j2 m2 | J M> as a read-only (2J+1, (2j1+1)(2j2+1)) array.
 
     Row r holds M = J - r; column a (2j2+1) + b holds m1 = j1 - a and
-    m2 = j2 - b.  Only entries with m1 + m2 = M are looked up.
+    m2 = j2 - b.  Only entries with m1 + m2 = M are looked up.  A table is
+    built once per process.  It is kept by the ``cg_coefficient`` in use as
+    well as by the spins, so a replaced ``cg_coefficient`` is always called.
     """
+    key = (cg_coefficient, j1, j2, jj)
+    table = _CG_TABLES.get(key)
+    if table is not None:
+        return table
     dim1 = int(round(2 * j1)) + 1
     dim2 = int(round(2 * j2)) + 1
     two_j = int(round(2 * jj))
@@ -250,22 +270,23 @@ def _cg_table(j1: float, j2: float, jj: float) -> np.ndarray:
             if 0 <= b < dim2:
                 table[row, a * dim2 + b] = cg_coefficient(
                     j1, m1, j2, mm - m1, jj, mm)
+    table.setflags(write=False)
+    _CG_TABLES[key] = table
     return table
 
 
-def _node_states(node, tables: dict):
+def _node_states(node):
     """Couple a subtree; returns (site order, entries).
 
     Each entry is ``(j, intermediates, amplitudes)``: row r of the
     ``(2j+1, 2^k)`` float64 array is the m = j - r vector over the subtree's
     partial space, the k-th listed site being the most significant bit.
     ``intermediates`` includes this node itself as its last element.
-    ``tables`` holds the CG tables built so far, by ``(j1, j2, J)``.
     """
     if isinstance(node, int):
         return [node], [(0.5, (), np.eye(2))]  # rows: up, down
-    sites_l, entries_l = _node_states(node[0], tables)
-    sites_r, entries_r = _node_states(node[1], tables)
+    sites_l, entries_l = _node_states(node[0])
+    sites_r, entries_r = _node_states(node[1])
     sites = sites_l + sites_r
     site_key = tuple(sites)
     entries = []
@@ -278,12 +299,9 @@ def _node_states(node, tables: dict):
             two_j_min = int(round(2 * abs(j1 - j2)))
             for two_j in range(two_j_max, two_j_min - 1, -2):
                 jj = two_j / 2.0
-                key = (j1, j2, jj)
-                if key not in tables:
-                    tables[key] = _cg_table(j1, j2, jj)
                 entries.append(
                     (jj, inter1 + inter2 + ((site_key, jj),),
-                     tables[key] @ pairs)
+                     _cg_table(j1, j2, jj) @ pairs)
                 )
     return sites, entries
 
@@ -309,14 +327,6 @@ def _decoration(tree: CouplingTree, inter_spins: tuple[float, ...]) -> str:
     return tree.brackets[0] + text + tree.brackets[1]
 
 
-def _sector_key(tree: CouplingTree, state: CoupledState):
-    if tree.sector_orders:
-        order = tree.sector_orders.get(state.m)
-        if order is not None:
-            return (order.index((state.total_s, state.intermediate_spins)),)
-    return (-state.total_s, tuple(-s for s in state.intermediate_spins))
-
-
 def couple(system: SpinSystem, tree: CouplingTree) -> list[CoupledState]:
     """Build the complete coupled basis for a system along a tree.
 
@@ -327,7 +337,7 @@ def couple(system: SpinSystem, tree: CouplingTree) -> list[CoupledState]:
     read-only float64 rows of one 2^N x 2^N array.
     """
     tree.validate_for(system)
-    sites, entries = _node_states(tree.root, {})
+    sites, entries = _node_states(tree.root)
     partial = np.concatenate([amps for _j, _inter, amps in entries])
     if partial.shape[0] != system.dimension:
         raise RuntimeError(
@@ -338,25 +348,36 @@ def couple(system: SpinSystem, tree: CouplingTree) -> list[CoupledState]:
     order = np.argsort(_site_permutation(sites, system.n))
     basis = np.take(partial, order, axis=1)
     basis.setflags(write=False)
+    # every row at once, so the states below skip CoupledState's own check
+    norms = np.sqrt(np.einsum("ij,ij->i", basis, basis))
+    off = np.flatnonzero(np.abs(norms - 1.0) > NORM_TOL)
+    if off.size:
+        raise ValueError(f"state vector norm {norms[off[0]]} deviates from 1")
     states = []
+    keys = []
     for total_s, inter, amps in entries:
         inner = inter[:-1]  # the root's spin is the total spin itself
-        decoration = _decoration(tree, tuple(spin for _sites, spin in inner))
+        inter_spins = tuple(spin for _sites, spin in inner)
+        decoration = _decoration(tree, inter_spins)
         head = f"|{format_spin(total_s)},"
+        # within a sector: descending S, then descending intermediate spins,
+        # unless the tree fixes that sector's order
+        plain = (-total_s, tuple(-s for s in inter_spins))
         for step in range(amps.shape[0]):
             mm = total_s - step
-            states.append(
-                CoupledState(
-                    total_s=total_s,
-                    m=mm,
-                    intermediates=inner,
-                    vector=basis[len(states)],
-                    label=f"{head}{format_spin(mm)}{decoration}⟩",
-                    system=system,
-                )
-            )
-    states.sort(key=lambda s: (-s.m, _sector_key(tree, s)))
-    return states
+            fixed = tree.sector_orders.get(mm) if tree.sector_orders else None
+            keys.append((-mm, plain if fixed is None
+                         else (fixed.index((total_s, inter_spins)),)))
+            states.append(_unchecked(
+                CoupledState,
+                total_s=total_s,
+                m=mm,
+                intermediates=inner,
+                vector=basis[len(states)],
+                label=f"{head}{format_spin(mm)}{decoration}⟩",
+                system=system,
+            ))
+    return [states[k] for k in sorted(range(len(states)), key=keys.__getitem__)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -405,43 +426,50 @@ def m_sector(states: "list[CoupledState]", m: float) -> BasisTransform:
     return BasisTransform(selected, columns, matrix, system)
 
 
+@functools.cache
+def _product_states(n: int) -> tuple[ProductState, ...]:
+    """Every product state of n sites, in index order.  The states are
+    frozen, so one tuple per n is shared by every caller."""
+    return tuple(ProductState(tuple(row)) for row in _bit_table(n).tolist())
+
+
 def full_transform(states: "list[CoupledState]") -> BasisTransform:
     """Square transform over the complete product basis."""
     if not states:
         raise ValueError("no coupled states supplied")
     system = states[0].system
-    columns = tuple(
-        ProductState(tuple(row)) for row in _bit_table(system.n).tolist()
-    )
     matrix = np.array([s.vector for s in states])
     matrix.setflags(write=False)
-    return BasisTransform(tuple(states), columns, matrix, system)
+    return BasisTransform(tuple(states), _product_states(system.n), matrix,
+                          system)
 
 
-def _m_sectors(matrix: np.ndarray, row_m: np.ndarray, col_m: np.ndarray,
+def _m_sectors(rows_of, row_m: np.ndarray, col_m: np.ndarray,
                tol: float) -> dict:
-    """Split a basis matrix by the M of its rows.
+    """Split a basis by the M of its rows, one slab of rows per sector.
 
-    Returns ``{M: (rows, columns, block)}``: the row and column indices of
-    the sector and the amplitudes of those rows on those columns.  An
-    amplitude above ``tol`` outside its row's sector raises ``ValueError``
-    naming the lowest such M and that sector's largest leak.
+    ``rows_of(rows)`` returns the amplitudes of the given rows on every
+    column.  Returns ``{M: (rows, columns, block)}`` in ascending M: the row
+    and column indices of the sector and the amplitudes of those rows on
+    those columns.  An amplitude above ``tol`` outside its row's sector
+    raises ``ValueError`` naming the lowest such M and that sector's
+    largest leak.
     """
-    leaking = (np.abs(matrix) > tol) & (row_m[:, None] != col_m[None, :])
-    if np.any(leaking):
-        rows, cols = np.nonzero(leaking)
-        m = np.min(row_m[rows])
-        lowest = row_m[rows] == m
-        leak = np.max(np.abs(matrix[rows[lowest], cols[lowest]]))
-        raise ValueError(
-            f"basis rows of M={m:g} leave their M sector (amplitude "
-            f"{leak:.3e})"
-        )
     sectors = {}
     for m in np.unique(row_m):
         rows = np.flatnonzero(row_m == m)
         cols = np.flatnonzero(col_m == m)
-        sectors[m] = (rows, cols, matrix[np.ix_(rows, cols)])
+        slab = rows_of(rows)
+        # largest |amplitude| per column; fmax skips NaN, as ``>`` does
+        peak = np.fmax(np.fmax.reduce(slab, axis=0),
+                       -np.fmin.reduce(slab, axis=0))
+        leak = np.fmax.reduce(peak[col_m != m], initial=0.0)
+        if leak > tol:
+            raise ValueError(
+                f"basis rows of M={m:g} leave their M sector (amplitude "
+                f"{leak:.3e})"
+            )
+        sectors[m] = (rows, cols, np.take(slab, cols, axis=1))
     return sectors
 
 
@@ -450,25 +478,28 @@ def scheme_overlap(basis_a: "list[CoupledState]",
     """Overlap matrix <a_i|b_j> between two complete coupled bases.
 
     Both bases conserve M, so the real matrix is assembled from one product
-    per M sector, and entries between different M are exact zeros.
+    per M sector, and entries between different M are exact zeros.  Each
+    basis is gathered one M sector at a time, never as a whole.
     """
     if not basis_a or not basis_b:
         raise ValueError("empty basis")
-    mat_a = np.array([s.vector for s in basis_a])
-    mat_b = np.array([s.vector for s in basis_b])
-    if mat_a.shape != mat_b.shape:
-        raise ValueError(
-            f"basis dimensions differ: {mat_a.shape} vs {mat_b.shape}"
-        )
-    if mat_a.shape[0] != mat_a.shape[1]:
+    shape_a = (len(basis_a), basis_a[0].vector.size)
+    shape_b = (len(basis_b), basis_b[0].vector.size)
+    if shape_a != shape_b:
+        raise ValueError(f"basis dimensions differ: {shape_a} vs {shape_b}")
+    if shape_a[0] != shape_a[1]:
         raise ValueError("both bases must be complete (square transforms)")
     n = basis_a[0].system.n
     col_m = (n - 2 * _bit_table(n).sum(axis=1)) / 2
-    sectors_b = _m_sectors(mat_b, np.array([s.m for s in basis_b]), col_m,
-                           NORM_TOL)
-    overlap = np.zeros(mat_a.shape)
-    for m, (rows, _cols, block) in _m_sectors(
-            mat_a, np.array([s.m for s in basis_a]), col_m, NORM_TOL).items():
+
+    def sectors(basis):
+        return _m_sectors(
+            lambda rows: np.array([basis[k].vector for k in rows]),
+            np.array([s.m for s in basis]), col_m, NORM_TOL)
+
+    sectors_b = sectors(basis_b)
+    overlap = np.zeros(shape_a)
+    for m, (rows, _cols, block) in sectors(basis_a).items():
         if m in sectors_b:
             rows_b, _cols, block_b = sectors_b[m]
             overlap[np.ix_(rows, rows_b)] = block @ block_b.T

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coupling import BasisTransform, _m_sectors, _read_only_real
+from .coupling import BasisTransform, _m_sectors, _read_only_real, _unchecked
 from .operators import moment_diagonal
 
 ZERO_TOL = 1e-10
@@ -36,10 +36,17 @@ CHOP_TOL = 1e-14
 
 @dataclass(frozen=True, eq=False)
 class MomentMatrix:
-    """Real symmetric matrix of <row| mu_z |col> over a coupled basis block."""
+    """Real symmetric matrix of <row| mu_z |col> over a coupled basis block.
+
+    mu_z conserves M, so the matrix is kept as one block per M sector of the
+    rows; ``entries`` is the same matrix as a read-only dense array.
+    """
 
     basis: BasisTransform
     entries: np.ndarray
+    # ``(rows, block)`` per M sector of the rows, in ascending M; the blocks
+    # are read-only and every entry between two sectors is zero
+    _blocks: tuple = field(default=(), init=False, repr=False)
     # ``_partners`` results by DegeneracySpec, computed on first use
     _partners_by_spec: dict = field(default_factory=dict, init=False,
                                     repr=False)
@@ -48,6 +55,8 @@ class MomentMatrix:
         mat = _read_only_real(self.entries, "moment matrix entries must be real")
         n = len(self.basis.states)
         mat = mat.reshape((n, n))
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("moment matrix entries must be finite")
         tol = MOMENT_ORACLE_TOL * _unit(self)
         rows, cols = np.nonzero(mat != 0.0)  # bool nonzero is the fast one
         dev = np.max(np.abs(mat[rows, cols] - mat[cols, rows]), initial=0.0)
@@ -63,6 +72,38 @@ class MomentMatrix:
             )
         mat.setflags(write=False)
         object.__setattr__(self, "entries", mat)
+        blocks = []
+        for m in np.unique(row_m):
+            sector = np.flatnonzero(row_m == m)
+            block = mat[np.ix_(sector, sector)]
+            block.setflags(write=False)
+            blocks.append((sector, block))
+        object.__setattr__(self, "_blocks", tuple(blocks))
+
+    @classmethod
+    def _from_blocks(cls, basis: BasisTransform, blocks) -> "MomentMatrix":
+        """The matrix made of per-M ``(rows, block)`` pairs, in ascending M,
+        and zero between them.
+
+        Entries between different M are zero by construction, so only each
+        block is checked: finite and symmetric, with the messages of the
+        constructor.
+        """
+        n = len(basis.states)
+        tol = MOMENT_ORACLE_TOL * abs(basis.system.mu0)
+        entries = np.zeros((n, n))
+        for rows, block in blocks:
+            if not np.all(np.isfinite(block)):
+                raise ValueError("moment matrix entries must be finite")
+            dev = np.max(np.abs(block - block.T), initial=0.0)
+            if dev > tol:
+                raise ValueError(
+                    f"moment matrix deviates from symmetric by {dev:.3e}")
+            block.setflags(write=False)
+            entries[np.ix_(rows, rows)] = block
+        entries.setflags(write=False)
+        return _unchecked(cls, basis=basis, entries=entries,
+                          _blocks=tuple(blocks), _partners_by_spec={})
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -81,26 +122,21 @@ def moment_matrix(basis: BasisTransform) -> MomentMatrix:
     each row inside its own M sector.  Entries below ``CHOP_TOL`` times the
     matrix scale are set to exact zero.
     """
-    n = len(basis.states)
     row_m = np.array([s.m for s in basis.states])
     col_m = np.array([c.m for c in basis.column_states])
     diag = moment_diagonal(basis.system)[[c.index for c in basis.column_states]]
     products = []
-    for rows, cols, block in _m_sectors(basis.matrix, row_m, col_m,
-                                        ZERO_TOL).values():
+    for rows, cols, block in _m_sectors(basis.matrix.__getitem__, row_m,
+                                        col_m, ZERO_TOL).values():
         dev = np.max(np.abs(block @ block.T - np.eye(rows.size)))
         if dev > ZERO_TOL:
             raise ValueError(f"basis rows are not orthonormal (deviation {dev:.3e})")
         products.append((rows, (block * diag[cols]) @ block.T))
     scale = max((np.max(np.abs(p)) for _rows, p in products if p.size),
                 default=0.0)
-    # entries between different M stay exact zeros
-    entries = np.zeros((n, n))
-    for rows, product in products:
+    for _rows, product in products:
         product[np.abs(product) < CHOP_TOL * scale] = 0.0
-        entries[np.ix_(rows, rows)] = product
-    entries.setflags(write=False)
-    return MomentMatrix(basis=basis, entries=entries)
+    return MomentMatrix._from_blocks(basis, products)
 
 
 def _near_equal(energies) -> "tuple[float, float] | None":
@@ -269,64 +305,88 @@ def _unit(matrix: MomentMatrix) -> float:
 def _rotate_groups(matrix: MomentMatrix, spec: DegeneracySpec):
     """Diagonalize the moment within each group.
 
-    Returns the rotated matrix and the per-state first-order moments.  The
-    moment conserves M, so each group is split by M and every (group, M)
-    sub-block that is not already diagonal is rotated in place: its
-    eigenvectors act on the sub-block's rows and columns, restricted to
-    sector M, and rotated states keep a definite M.  Eigenvalues are
-    matched to the original states by maximal eigenvector overlap so the
-    report rows stay aligned with the input basis.
+    Returns the rotated ``(rows, block)`` pair of each M sector and the
+    per-state first-order moments.  The moment conserves M, so each group
+    is split by M and every (group, M) sub-block that is not already
+    diagonal is rotated inside its sector's block: its eigenvectors act on
+    the sub-block's rows and columns, and rotated states keep a definite M.
+    Eigenvalues are matched to the original states by maximal eigenvector
+    overlap so the report rows stay aligned with the input basis.  A block
+    is copied before its first rotation.
     """
-    rotated = matrix.entries  # copied before the first rotation
-    moments = np.diag(rotated).copy()
-    row_m = np.array([s.m for s in matrix.basis.states])
+    blocks = list(matrix._blocks)
+    moments = np.diag(matrix.entries).copy()
+    sector_of = np.empty(matrix.size, dtype=int)
+    position = np.empty(matrix.size, dtype=int)
+    for k, (rows, _block) in enumerate(blocks):
+        sector_of[rows] = k
+        position[rows] = np.arange(rows.size)
     for group in spec.groups:
         if len(group) == 1:
             continue
         group = np.asarray(group)
-        group_m = row_m[group]
-        for m in np.unique(group_m):
-            idx = group[group_m == m]
+        group_sector = sector_of[group]
+        for k in np.unique(group_sector):  # ascending M
+            idx = group[group_sector == k]
             if idx.size == 1:
                 continue
-            block = matrix.entries[np.ix_(idx, idx)]
-            off = block - np.diag(np.diag(block))
+            rows, block = blocks[k]
+            original = matrix._blocks[k][1]
+            local = position[idx]
+            sub = original[np.ix_(local, local)]
+            off = sub - np.diag(np.diag(sub))
             if np.max(np.abs(off)) <= 1e-15 * _unit(matrix):
                 continue
-            w, v = np.linalg.eigh(block)
+            w, v = np.linalg.eigh(sub)
             _rows, cols = linear_sum_assignment(-(v * v))
             v = v[:, cols]
-            if rotated is matrix.entries:
-                rotated = np.array(rotated)
-            sector = np.flatnonzero(row_m == m)
-            rows = np.ix_(idx, sector)
-            rotated[rows] = v.T @ rotated[rows]
-            columns = np.ix_(sector, idx)
-            rotated[columns] = rotated[columns] @ v
+            if block is original:
+                block = np.array(block)
+                blocks[k] = (rows, block)
+            every = np.arange(rows.size)
+            sel = np.ix_(local, every)
+            block[sel] = v.T @ block[sel]
+            sel = np.ix_(every, local)
+            block[sel] = block[sel] @ v
             moments[idx] = w[cols]
     moments[np.abs(moments) <= ZERO_TOL * _unit(matrix)] = 0.0
-    return rotated, moments
+    return blocks, moments
 
 
 def _partners(matrix: MomentMatrix, spec: DegeneracySpec):
-    """Group-rotate, then mark the partners of each state.
+    """Group-rotate, then list the partners of each state.
 
-    Returns the rotated matrix, the first-order moments, and a boolean mask
-    whose (i, j) entry is set when j lies outside i's group and the rotated
-    moment couples them above the zero tolerance.  The three read-only
-    arrays are computed once per spec and kept on the matrix, so
-    ``classify`` and ``quadratic_coefficients`` share one rotation.
+    Returns the first-order moments and, in row-major order, the rows,
+    columns and rotated moments of every pair whose column lies outside
+    the row's group and whose rotated moment couples them above the zero
+    tolerance.  The four read-only arrays are computed once per spec and
+    kept on the matrix, so ``classify`` and ``quadratic_coefficients``
+    share one rotation and one scan.
     """
     _check_spec(matrix, spec)
     found = matrix._partners_by_spec.get(spec)
     if found is None:
-        rotated, moments = _rotate_groups(matrix, spec)
+        blocks, moments = _rotate_groups(matrix, spec)
         gids = spec.group_ids()
-        mask = np.abs(rotated) > ZERO_TOL * _unit(matrix)
-        mask &= gids[:, None] != gids[None, :]
-        for array in (rotated, moments, mask):
+        tol = ZERO_TOL * _unit(matrix)
+        rows, cols = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
+        coupling = [np.empty(0)]
+        for sector, block in blocks:
+            sector_gids = gids[sector]
+            mask = np.abs(block) > tol
+            mask &= sector_gids[:, None] != sector_gids[None, :]
+            i, j = np.nonzero(mask)
+            rows.append(sector[i])
+            cols.append(sector[j])
+            coupling.append(block[i, j])
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        coupling = np.concatenate(coupling)
+        # each sector is row-major already; interleave the sectors' rows
+        order = np.argsort(rows * matrix.size + cols)
+        found = (moments, rows[order], cols[order], coupling[order])
+        for array in found:
             array.setflags(write=False)
-        found = matrix._partners_by_spec[spec] = (rotated, moments, mask)
+        matrix._partners_by_spec[spec] = found
     return found
 
 
@@ -335,17 +395,16 @@ def classify(matrix: MomentMatrix, spec: DegeneracySpec) -> ZeemanReport:
 
     The slope of state k is minus its first-order moment eigenvalue.
     """
-    _rotated, moments, mask = _partners(matrix, spec)
+    moments, rows, cols, _coupling = _partners(matrix, spec)
     labels = matrix.labels
-    rows, cols = np.nonzero(mask)  # row-major order
-    cols = cols.tolist()
+    partner_labels = np.array(labels, dtype=object)[cols].tolist()
     ends = np.cumsum(np.bincount(rows, minlength=matrix.size)).tolist()
-    tol = ZERO_TOL * _unit(matrix)
+    linear = (np.abs(moments) > ZERO_TOL * _unit(matrix)).tolist()
     reports = []
-    for i, (start, end) in enumerate(zip([0] + ends, ends)):
-        slope = -moments[i]
-        partners = tuple(map(labels.__getitem__, cols[start:end]))
-        if abs(slope) > tol:
+    for label, moment, slope, is_linear, start, end in zip(
+            labels, moments, -moments, linear, [0] + ends, ends):
+        partners = tuple(partner_labels[start:end])
+        if is_linear:
             kind = Classification.LINEAR
         elif partners:
             kind = Classification.QUADRATIC
@@ -353,9 +412,9 @@ def classify(matrix: MomentMatrix, spec: DegeneracySpec) -> ZeemanReport:
             kind = Classification.NONE
         reports.append(
             StateReport(
-                label=labels[i],
+                label=label,
                 classification=kind,
-                moment=moments[i],
+                moment=moment,
                 linear_slope=slope,
                 quadratic_partners=partners,
             )
@@ -447,10 +506,9 @@ def quadratic_coefficients(matrix: MomentMatrix,
     after the within-group rotation.  Groups that are coupled by the moment
     must not share an energy.
     """
-    rotated, _moments, mask = _partners(matrix, spec)
+    _moments, rows, cols, coupling = _partners(matrix, spec)
     energy = spec.state_energies()
     labels = matrix.labels
-    rows, cols = np.nonzero(mask)  # row-major order
     gap = energy[rows] - energy[cols]
     shared = np.flatnonzero(gap == 0.0)
     if shared.size:
@@ -459,7 +517,6 @@ def quadratic_coefficients(matrix: MomentMatrix,
             f"states {labels[i]} and {labels[j]} are coupled but their "
             "groups share an energy; merge the groups"
         )
-    coupling = rotated[rows, cols]
     # bincount adds each row's terms in ascending column order
     return np.bincount(rows, weights=coupling * coupling / gap,
                        minlength=matrix.size)

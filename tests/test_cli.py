@@ -139,6 +139,21 @@ def test_sweep_non_finite_field_is_domain_error(capsys, bmin, bmax):
     assert err == "error: field grid must be finite\n"
 
 
+@pytest.mark.parametrize("args, m", [
+    (("classify", "--m", "5"), "5"),
+    (("basis", "--m", "3"), "3"),
+    (("classify", "--m", "1/2"), "1/2"),
+    (("moment", "--m", "-3"), "-3"),
+    (("sweep", "--m", "5", "--bmin", "-1", "--bmax", "1", "--steps", "3"),
+     "5"),
+])
+def test_m_without_states_is_domain_error(capsys, args, m):
+    code, out, err = run_cli(capsys, *args, "--system", "dipositronium")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: no states with M={m} for 4 particles\n"
+
+
 @pytest.mark.parametrize("bmin, bmax, steps",
                          [(-1.0, 1.0, 20), (-0.3, 0.7, 11)])
 def test_sweep_grid_without_zero_matches_inserted_origin(capsys, bmin, bmax,

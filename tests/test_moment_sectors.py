@@ -5,12 +5,16 @@ against the formula it replaced; and census and level-curve properties.
 The references below are kept only here: one complex 2^N x 2^N product for
 the moment matrix, one block-diagonal rotation R^T E R for the within-group
 diagonalization (per (group, M) sub-block, and per whole group as it was
-first done), the former one-copy-per-M leak check of ``_m_sectors``, a
-Python pair loop for the quadratic coefficients, and a Python (row, column)
-loop for the tie scan of ``level_curves``.
+first done), the former dense ``_rotate_groups`` and ``_partners``, which
+rotated and masked the whole 2^N x 2^N matrix, the former one-copy-per-M
+leak check of ``_m_sectors``, a Python pair loop for the quadratic
+coefficients, and a Python (row, column) loop for the tie scan of
+``level_curves``.
 """
 
 import re
+import tracemalloc
+from math import comb
 
 import numpy as np
 import pytest
@@ -124,9 +128,55 @@ def _clusters(values, tol=1e-9):
     return [(run[0] - tol, run[-1] + tol) for run in np.split(ladder, cuts)]
 
 
+def _dense_rotate_groups(matrix, spec):
+    """Former ``_rotate_groups``: each (group, M) sub-block rotated inside
+    a copy of the whole dense matrix."""
+    unit = abs(matrix.basis.system.mu0)
+    rotated = matrix.entries  # copied before the first rotation
+    moments = np.diag(rotated).copy()
+    row_m = np.array([s.m for s in matrix.basis.states])
+    for group in spec.groups:
+        if len(group) == 1:
+            continue
+        group = np.asarray(group)
+        group_m = row_m[group]
+        for m in np.unique(group_m):
+            idx = group[group_m == m]
+            if idx.size == 1:
+                continue
+            block = matrix.entries[np.ix_(idx, idx)]
+            off = block - np.diag(np.diag(block))
+            if np.max(np.abs(off)) <= 1e-15 * unit:
+                continue
+            w, v = np.linalg.eigh(block)
+            _rows, cols = linear_sum_assignment(-(v * v))
+            v = v[:, cols]
+            if rotated is matrix.entries:
+                rotated = np.array(rotated)
+            sector = np.flatnonzero(row_m == m)
+            rows = np.ix_(idx, sector)
+            rotated[rows] = v.T @ rotated[rows]
+            columns = np.ix_(sector, idx)
+            rotated[columns] = rotated[columns] @ v
+            moments[idx] = w[cols]
+    moments[np.abs(moments) <= zeeman.ZERO_TOL * unit] = 0.0
+    return rotated, moments
+
+
+def _dense_partners(matrix, spec):
+    """Former ``_partners``: the rotated dense matrix, the moments, and the
+    2^N x 2^N partner mask."""
+    rotated, moments = _dense_rotate_groups(matrix, spec)
+    gids = spec.group_ids()
+    mask = np.abs(rotated) > zeeman.ZERO_TOL * abs(matrix.basis.system.mu0)
+    mask &= gids[:, None] != gids[None, :]
+    return rotated, moments, mask
+
+
 def _loop_quadratic(matrix, spec):
-    """Former pair loop, squaring by x * x; row-major, ascending j."""
-    rotated, _moments, mask = zeeman._partners(matrix, spec)
+    """Former pair loop over the dense reference, squaring by x * x;
+    row-major, ascending j."""
+    rotated, _moments, mask = _dense_partners(matrix, spec)
     energy = spec.state_energies()
     coeffs = np.zeros(matrix.size)
     for i, j in zip(*np.nonzero(mask)):
@@ -200,13 +250,18 @@ def test_sector_leak_error_names_lowest_sector_and_its_largest_leak():
     assert expected == ("basis rows of M=0 leave their M sector "
                         "(amplitude 5.000e-01)")
     with pytest.raises(ValueError) as caught:
-        coupling._m_sectors(leaky, row_m, col_m, 1e-12)
+        coupling._m_sectors(leaky.__getitem__, row_m, col_m, 1e-12)
     assert str(caught.value) == expected
     leaky[middle[1]] = basis.matrix[middle[1]]
     expected = _former_m_sectors_error(leaky, row_m, col_m, 1e-12)
     assert expected.endswith("M=1 leave their M sector (amplitude 7.000e-03)")
     with pytest.raises(ValueError) as caught:
-        coupling._m_sectors(leaky, row_m, col_m, 1e-12)
+        coupling._m_sectors(leaky.__getitem__, row_m, col_m, 1e-12)
+    assert str(caught.value) == expected
+    # a NaN amplitude outside the sector hides no leak in its column
+    leaky[top[1], np.flatnonzero(col_m == -1.0)[1]] = np.nan
+    with pytest.raises(ValueError) as caught:
+        coupling._m_sectors(leaky.__getitem__, row_m, col_m, 1e-12)
     assert str(caught.value) == expected
 
 
@@ -231,13 +286,34 @@ def test_moment_matrix_rejects_coupling_across_m():
             MomentMatrix(both, one_sided)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_moment_matrix_rejects_non_finite_entries(bad):
+    sector = m_sector(couple(DIPOS, CouplingTree.like_pairs(DIPOS)), 1.0)
+    finite = "^moment matrix entries must be finite$"
+    with pytest.raises(ValueError, match=finite):
+        MomentMatrix(sector, np.diag([1.0, bad, 0.0, 0.0]))
+    # the per-sector construction of moment_matrix checks its blocks too
+    with pytest.raises(ValueError, match=finite):
+        MomentMatrix._from_blocks(
+            sector, [(np.arange(4), np.diag([1.0, bad, 0.0, 0.0]))])
+    # a NaN amplitude passes the sector and orthonormality checks
+    amplitudes = np.array(sector.matrix)
+    amplitudes[1, 2] = np.nan
+    with pytest.raises(ValueError, match=finite):
+        moment_matrix(BasisTransform(sector.states, sector.column_states,
+                                     amplitudes, DIPOS))
+
+
 @pytest.mark.parametrize("shape", ["atom", "ep"])
 def test_local_group_rotation_matches_dense_product(shape):
     species = ALTERNATING[:6]
     states = couple(SpinSystem.from_species(species), _trees(species)[shape])
     matrix = moment_matrix(full_transform(states))
     spec = _spin_grouped(states)
-    rotated, _moments = zeeman._rotate_groups(matrix, spec)
+    blocks, _moments = zeeman._rotate_groups(matrix, spec)
+    rotated = np.zeros((matrix.size, matrix.size))
+    for rows, block in blocks:
+        rotated[np.ix_(rows, rows)] = block
     assert np.max(np.abs(rotated - _dense_rotation(matrix, spec))) <= 1e-14
 
 
@@ -251,7 +327,7 @@ def test_group_rotation_independent_of_how_groups_split(n, shape):
     states = couple(SpinSystem.from_species(species), _trees(species)[shape])
     matrix = moment_matrix(full_transform(states))
     spec = _spin_grouped(states)
-    rotated, moments, _mask = zeeman._partners(matrix, spec)
+    moments, rows, cols, _coupling = zeeman._partners(matrix, spec)
     coeffs = quadratic_coefficients(matrix, spec)
     former_moments, former_coeffs = _former_quadratic(matrix, spec)
     for group in spec.groups:
@@ -266,9 +342,9 @@ def test_group_rotation_independent_of_how_groups_split(n, shape):
             assert now.size == before.size
             assert coeffs[now].sum() == pytest.approx(
                 former_coeffs[before].sum(), rel=1e-12, abs=1e-12)
-    # a rotated state keeps a definite M
+    # a rotated state keeps a definite M: it couples only inside its sector
     row_m = np.array([s.m for s in states])
-    assert np.all(rotated[row_m[:, None] != row_m[None, :]] == 0.0)
+    assert np.array_equal(row_m[rows], row_m[cols])
 
 
 @pytest.mark.parametrize("shape", ["atom", "ep"])
@@ -279,6 +355,42 @@ def test_quadratic_coefficients_match_pair_loop(shape):
     spec = _spin_grouped(states)
     assert np.array_equal(quadratic_coefficients(matrix, spec),
                           _loop_quadratic(matrix, spec))
+
+
+def _reference_cases():
+    for n in range(2, 9):
+        system = SpinSystem.from_species(ALTERNATING[:n])
+        for shape, tree in _trees(ALTERNATING[:n]).items():
+            yield f"n{n}-{shape}", system, tree
+    yield "like-pairs", DIPOS, CouplingTree.like_pairs(DIPOS)
+    yield "positronium-pairs", DIPOS, CouplingTree.positronium_pairs(DIPOS)
+
+
+@pytest.mark.parametrize("grouped", [False, True],
+                         ids=["isolated", "spin-grouped"])
+@pytest.mark.parametrize("name, system, tree", list(_reference_cases()),
+                         ids=[c[0] for c in _reference_cases()])
+def test_per_block_partners_match_dense_reference(name, system, tree,
+                                                  grouped):
+    """Rotation and partner scan per M block are bit-identical to the
+    former dense rotation and 2^N x 2^N mask."""
+    states = couple(system, tree)
+    matrix = moment_matrix(full_transform(states))
+    spec = (_spin_grouped(states) if grouped
+            else DegeneracySpec.isolated(len(states)))
+    rotated, dense_moments, mask = _dense_partners(matrix, spec)
+    dense_rows, dense_cols = np.nonzero(mask)  # row-major
+    moments, rows, cols, coupling_values = zeeman._partners(matrix, spec)
+    assert np.array_equal(moments, dense_moments)
+    assert np.array_equal(rows, dense_rows)
+    assert np.array_equal(cols, dense_cols)
+    assert np.array_equal(coupling_values, rotated[dense_rows, dense_cols])
+    if grouped:
+        energy = spec.state_energies()
+        terms = rotated[mask] ** 2 / (energy[dense_rows] - energy[dense_cols])
+        assert np.array_equal(
+            quadratic_coefficients(matrix, spec),
+            np.bincount(dense_rows, weights=terms, minlength=matrix.size))
 
 
 def test_shared_energy_error_names_first_pair():
@@ -304,6 +416,71 @@ def test_census_counts_independent_of_particle_order(shape, seed):
     base = ALTERNATING[:6]
     order = np.random.default_rng(seed).permutation(6)
     assert _counts([base[k] for k in order], shape) == _counts(base, shape)
+
+
+def _ep_linear_count(n):
+    """LINEAR states of an ``ep`` tree under the isolated spec, in closed
+    form.  By the projection theorem a state's moment is proportional to
+    M [S_e(S_e+1) - S_p(S_p+1)] / [S(S+1)], so it is LINEAR exactly when
+    M != 0 and S_e != S_p; count those states from the multiplicities of
+    n/2 coupled spins 1/2."""
+    k = n // 2
+
+    def multiplets(two_s):  # spin-S multiplets of k spins 1/2
+        low = (k - two_s) // 2
+        return comb(k, low) - (comb(k, low - 1) if low else 0)
+
+    spins = range(k % 2, k + 1, 2)  # 2 S_e and 2 S_p
+    total = 0
+    for two_se in spins:
+        for two_sp in spins:
+            if two_se == two_sp:
+                continue
+            for two_s in range(abs(two_se - two_sp), two_se + two_sp + 1, 2):
+                states_m_nonzero = two_s + (two_s % 2)
+                total += (multiplets(two_se) * multiplets(two_sp)
+                          * states_m_nonzero)
+    return total
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+@pytest.mark.parametrize("n, expected", [(2, 0), (4, 4), (6, 24), (8, 112)])
+def test_ep_linear_count_matches_projection_theorem(n, expected, seed):
+    assert _ep_linear_count(n) == expected
+    order = np.random.default_rng(seed).permutation(n)
+    species = [ALTERNATING[k] for k in order]
+    states = couple(SpinSystem.from_species(species), _trees(species)["ep"])
+    report = classify(moment_matrix(full_transform(states)),
+                      DegeneracySpec.isolated(len(states)))
+    assert report.counts()[Classification.LINEAR] == expected
+    # state by state: LINEAR exactly when M != 0 and S_e != S_p
+    chains = [frozenset(k for k, s in enumerate(species) if s is kind)
+              for kind in (Species.ELECTRON, Species.POSITRON)]
+    for state, verdict in zip(states, report.states):
+        spins = {frozenset(sites): spin for sites, spin in state.intermediates}
+        s_e, s_p = (spins.get(chain, 0.5) for chain in chains)
+        linear = state.m != 0 and s_e != s_p
+        assert (verdict.classification is Classification.LINEAR) == linear
+
+
+@pytest.mark.parametrize("shape", ["atom", "ep"])
+def test_classify_allocates_less_than_one_dense_matrix(shape):
+    """Rotation, partner scan, both verdicts and the second-order sums
+    work per M block and on partner pairs, never on an n x n array."""
+    species = ALTERNATING[:8]
+    states = couple(SpinSystem.from_species(species), _trees(species)[shape])
+    matrix = moment_matrix(full_transform(states))
+    isolated = DegeneracySpec.isolated(len(states))
+    grouped = _spin_grouped(states)
+    tracemalloc.start()
+    try:
+        classify(matrix, isolated)
+        classify(matrix, grouped)
+        quadratic_coefficients(matrix, grouped)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < matrix.size ** 2 * 8
 
 
 def _loop_level_curves(matrix, spec, grid):

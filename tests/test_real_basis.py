@@ -26,7 +26,7 @@ from spinzeeman import (
     quadratic_coefficients,
     scheme_overlap,
 )
-from spinzeeman import zeeman
+from spinzeeman import coupling, zeeman
 from spinzeeman.cg import cg_coefficient
 from spinzeeman.coupling import _site_permutation, format_spin
 from test_moment_sectors import ALTERNATING, _spin_grouped, _trees
@@ -141,6 +141,8 @@ def test_basis_transforms_are_real_and_read_only():
         assert not block.matrix.flags.writeable
     full = blocks[0]
     assert np.array_equal(full.matrix, [s.vector for s in states])
+    # the product states are frozen, so one tuple per N serves every call
+    assert full_transform(states).column_states is full.column_states
     # complex amplitudes with zero imaginary parts are accepted as real
     copy = BasisTransform(full.states, full.column_states,
                           full.matrix.astype(complex), DIPOS)
@@ -210,6 +212,44 @@ def test_coupled_vectors_are_real_and_read_only():
     assert state.vector.dtype == np.float64
 
 
+def test_couple_checks_every_norm_at_once(monkeypatch):
+    table = coupling._cg_table
+    monkeypatch.setattr(coupling, "_cg_table",
+                        lambda j1, j2, jj: 1.001 * table(j1, j2, jj))
+    for system in (POSITRONIUM, DIPOS):
+        # every table is 0.1% too large, so every norm is at least that
+        with pytest.raises(ValueError,
+                           match=r"^state vector norm 1\.00\d+ deviates from 1$"):
+            couple(system, CouplingTree.positronium_pairs(system))
+
+
+def test_cg_tables_are_kept_read_only():
+    table = coupling._cg_table(1.0, 0.5, 0.5)
+    assert table is coupling._cg_table(1.0, 0.5, 0.5)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1.0
+    # rows M = 1/2, -1/2; columns (m1, m2) with m1 major
+    expected = np.zeros((2, 6))
+    for row, mm in enumerate((0.5, -0.5)):
+        for a, m1 in enumerate((1.0, 0.0, -1.0)):
+            for b, m2 in enumerate((0.5, -0.5)):
+                if m1 + m2 == mm:
+                    expected[row, 2 * a + b] = cg_coefficient(
+                        1.0, m1, 0.5, m2, 0.5, mm)
+    assert np.array_equal(table, expected)
+
+
+def test_cg_tables_follow_a_replaced_coefficient(monkeypatch):
+    calls = []
+    monkeypatch.setattr(coupling, "cg_coefficient",
+                        lambda *args: calls.append(args) or cg_coefficient(*args))
+    table = coupling._cg_table(0.5, 0.5, 1.0)
+    assert len(calls) == 4  # one term for M = 1 and -1, two for M = 0
+    assert table is coupling._cg_table(0.5, 0.5, 1.0)
+    assert len(calls) == 4
+
+
 def test_coupled_state_rejects_imaginary_amplitudes():
     vector = np.array([0.0, 1.0, 1.0j, 0.0]) / np.sqrt(2.0)
     with pytest.raises(ValueError, match="must be real"):
@@ -259,6 +299,5 @@ def test_rotation_memo_serves_no_stale_spec(name, monkeypatch):
     assert calls == [grouped]
     classify(matrix, isolated)
     assert calls == [grouped, isolated]
-    rotated, moments, mask = zeeman._partners(matrix, grouped)
-    for array in (rotated, moments, mask):
+    for array in zeeman._partners(matrix, grouped):
         assert not array.flags.writeable
