@@ -1,10 +1,10 @@
 """Coupled spin bases and Zeeman-effect analysis for electron-positron systems.
 
-The package builds dense spin operators on small products of spin-1/2
-particles carrying signed magnetic moments, couples them into labeled
-total-spin bases along user-chosen binary trees, and classifies the Zeeman
-response of every state (linear, quadratic, or none) both perturbatively and
-through exact level curves.
+The package couples small products of spin-1/2 particles carrying signed
+magnetic moments into labeled total-spin bases along user-chosen binary
+trees, builds the magnetic-moment matrix in those bases, and classifies the
+Zeeman response of every state (linear, quadratic, or none) both
+perturbatively and through exact level curves.
 """
 
 from .cg import cg_coefficient
@@ -14,30 +14,18 @@ from .coupling import (
     CouplingTree,
     classify_exchange,
     couple,
-    exchange_operator,
     format_spin,
     full_transform,
     like_species_pairs,
     m_sector,
     scheme_overlap,
 )
-from .operators import (
-    Operator,
-    hermitian_eigen,
-    magnetic_moment_z,
-    matrix_element,
-    moment_diagonal,
-    pauli_site,
-    total_spin_squared,
-    total_spin_z,
-)
 from .system import (
     MAX_PARTICLES,
     ParticleSpec,
-    ProductState,
     Species,
     SpinSystem,
-    product_states_with_m,
+    moment_diagonal,
     species_from_name,
 )
 from .zeeman import (
@@ -64,9 +52,7 @@ __all__ = [
     "LevelCurves",
     "MAX_PARTICLES",
     "MomentMatrix",
-    "Operator",
     "ParticleSpec",
-    "ProductState",
     "Species",
     "SpinSystem",
     "StateReport",
@@ -75,23 +61,15 @@ __all__ = [
     "classify",
     "classify_exchange",
     "couple",
-    "exchange_operator",
     "format_spin",
     "full_transform",
-    "hermitian_eigen",
     "level_curves",
     "like_species_pairs",
     "m_sector",
-    "magnetic_moment_z",
-    "matrix_element",
     "moment_diagonal",
     "moment_matrix",
-    "pauli_site",
-    "product_states_with_m",
     "quadratic_coefficients",
     "scheme_overlap",
     "species_from_name",
-    "total_spin_squared",
-    "total_spin_z",
     "__version__",
 ]

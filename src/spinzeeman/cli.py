@@ -41,15 +41,6 @@ def fmt(value: float) -> str:
     return "0" if text == "-0" else text
 
 
-def fmt_complex(value: complex) -> str:
-    real = fmt(float(value.real))
-    imag = fmt(float(value.imag))
-    if imag == "0":
-        return real
-    sign = "" if imag.startswith("-") else "+"
-    return f"{real}{sign}{imag}i"
-
-
 def _rounded(value: float) -> float:
     return float(fmt(value))
 
@@ -213,22 +204,21 @@ def _emit(fmt_name: str, headers: "list[str]", rows, payload) -> str:
     return _table(headers, rows())
 
 
-def _matrix_output(row_labels, col_labels, entries, fmt_name: str) -> str:
-    entries = np.asarray(entries, dtype=complex)
+def _matrix_output(row_labels, col_labels, entries: np.ndarray,
+                   fmt_name: str) -> str:
+    """A real matrix; JSON writes each entry as a [real, imaginary] pair."""
+    entries = entries.tolist()
     return _emit(
         fmt_name,
         ["state"] + list(col_labels),
         lambda: [
-            [label] + [fmt_complex(z) for z in row]
+            [label] + [fmt(x) for x in row]
             for label, row in zip(row_labels, entries)
         ],
         lambda: {
             "rows": list(row_labels),
             "cols": list(col_labels),
-            "entries": [
-                [[_rounded(z.real), _rounded(z.imag)] for z in row]
-                for row in entries
-            ],
+            "entries": [[[_rounded(x), 0.0] for x in row] for row in entries],
         },
     )
 

@@ -13,18 +13,16 @@ presets are:
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cg import cg_coefficient
-from .operators import Operator
 from .system import (
-    ProductState,
     SpinSystem,
     Species,
     _bit_table,
+    _projections,
     product_states_with_m,
 )
 
@@ -188,18 +186,22 @@ class CouplingTree:
         return tree
 
 
-def _read_only_real(array, message: str) -> np.ndarray:
-    """``array`` as a read-only float64 array.
+def _read_only_real(array, what: str) -> np.ndarray:
+    """``array`` as a read-only, finite float64 array.
 
-    A nonzero imaginary part raises ``ValueError(message)``.  A read-only
-    float64 input, such as a row of ``couple``'s basis, is kept without a
-    copy; any other input is copied, so later changes to it change nothing.
+    A nonzero imaginary part raises ``ValueError("<what> must be real")``
+    and a NaN or infinite value ``ValueError("<what> must be finite")``.  A
+    read-only float64 input, such as a row of ``couple``'s basis, is kept
+    without a copy; any other input is copied, so later changes to it
+    change nothing.
     """
     arr = np.asarray(array)
     if np.iscomplexobj(arr):
         if np.any(arr.imag):
-            raise ValueError(message)
+            raise ValueError(f"{what} must be real")
         arr = arr.real
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} must be finite")
     if arr.dtype != np.float64 or arr.flags.writeable:
         arr = arr.astype(float)
         arr.setflags(write=False)
@@ -231,7 +233,7 @@ class CoupledState:
     system: SpinSystem
 
     def __post_init__(self) -> None:
-        vec = _read_only_real(self.vector, "state vector amplitudes must be real")
+        vec = _read_only_real(self.vector, "state vector amplitudes")
         norm = np.linalg.norm(vec)
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state vector norm {norm} deviates from 1")
@@ -348,9 +350,10 @@ def couple(system: SpinSystem, tree: CouplingTree) -> list[CoupledState]:
     order = np.argsort(_site_permutation(sites, system.n))
     basis = np.take(partial, order, axis=1)
     basis.setflags(write=False)
-    # every row at once, so the states below skip CoupledState's own check
+    # every row at once, so the states below skip CoupledState's own check;
+    # written so that a NaN norm fails it
     norms = np.sqrt(np.einsum("ij,ij->i", basis, basis))
-    off = np.flatnonzero(np.abs(norms - 1.0) > NORM_TOL)
+    off = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))
     if off.size:
         raise ValueError(f"state vector norm {norms[off[0]]} deviates from 1")
     states = []
@@ -384,21 +387,31 @@ def couple(system: SpinSystem, tree: CouplingTree) -> list[CoupledState]:
 class BasisTransform:
     """Rectangular block of coupled-state amplitudes over product states.
 
-    ``matrix`` is a read-only float64 array; coupled amplitudes are real.
+    ``columns`` holds the product index of each column as a read-only int64
+    array; ``matrix`` is a read-only float64 array, coupled amplitudes being
+    real.
     """
 
     states: tuple[CoupledState, ...]
-    column_states: tuple[ProductState, ...]
+    columns: np.ndarray
     matrix: np.ndarray
     system: SpinSystem
 
     def __post_init__(self) -> None:
-        mat = _read_only_real(self.matrix, "basis amplitudes must be real")
-        expected = (len(self.states), len(self.column_states))
+        cols = np.asarray(self.columns)
+        if cols.dtype != np.int64 or cols.flags.writeable:
+            cols = cols.astype(np.int64)
+            cols.setflags(write=False)
+        dim = self.system.dimension
+        if cols.ndim != 1 or np.any((cols < 0) | (cols >= dim)):
+            raise ValueError(f"columns must be product indices below {dim}")
+        mat = _read_only_real(self.matrix, "basis amplitudes")
+        expected = (len(self.states), cols.size)
         if mat.shape != expected and mat.size > 0:
             raise ValueError(f"matrix shape {mat.shape} does not match {expected}")
         mat = mat.reshape(expected)
         mat.setflags(write=False)
+        object.__setattr__(self, "columns", cols)
         object.__setattr__(self, "matrix", mat)
 
     @property
@@ -407,7 +420,10 @@ class BasisTransform:
 
     @property
     def column_labels(self) -> tuple[str, ...]:
-        return tuple(c.label for c in self.column_states)
+        """The column kets, such as ``|↑↓⟩``; bit 1 means down."""
+        bits = _bit_table(self.system.n)[self.columns]
+        arrows = np.array(["↑", "↓"])[bits]
+        return tuple(f"|{''.join(row)}⟩" for row in arrows.tolist())
 
 
 def m_sector(states: "list[CoupledState]", m: float) -> BasisTransform:
@@ -419,18 +435,10 @@ def m_sector(states: "list[CoupledState]", m: float) -> BasisTransform:
         raise ValueError("no coupled states supplied")
     system = states[0].system
     selected = tuple(s for s in states if s.m == m)
-    columns = tuple(product_states_with_m(system.n, m))
-    indices = [c.index for c in columns]
-    matrix = np.array([s.vector[indices] for s in selected])
+    columns = product_states_with_m(system.n, m)
+    matrix = np.array([s.vector[columns] for s in selected])
     matrix.setflags(write=False)
     return BasisTransform(selected, columns, matrix, system)
-
-
-@functools.cache
-def _product_states(n: int) -> tuple[ProductState, ...]:
-    """Every product state of n sites, in index order.  The states are
-    frozen, so one tuple per n is shared by every caller."""
-    return tuple(ProductState(tuple(row)) for row in _bit_table(n).tolist())
 
 
 def full_transform(states: "list[CoupledState]") -> BasisTransform:
@@ -440,7 +448,7 @@ def full_transform(states: "list[CoupledState]") -> BasisTransform:
     system = states[0].system
     matrix = np.array([s.vector for s in states])
     matrix.setflags(write=False)
-    return BasisTransform(tuple(states), _product_states(system.n), matrix,
+    return BasisTransform(tuple(states), np.arange(system.dimension), matrix,
                           system)
 
 
@@ -489,8 +497,7 @@ def scheme_overlap(basis_a: "list[CoupledState]",
         raise ValueError(f"basis dimensions differ: {shape_a} vs {shape_b}")
     if shape_a[0] != shape_a[1]:
         raise ValueError("both bases must be complete (square transforms)")
-    n = basis_a[0].system.n
-    col_m = (n - 2 * _bit_table(n).sum(axis=1)) / 2
+    col_m = _projections(basis_a[0].system.n)
 
     def sectors(basis):
         return _m_sectors(
@@ -516,14 +523,6 @@ def _swap_permutation(n: int, i: int, j: int) -> np.ndarray:
     sites = list(range(n))
     sites[i], sites[j] = j, i
     return _site_permutation(sites, n)
-
-
-def exchange_operator(system: SpinSystem, i: int, j: int) -> Operator:
-    """Permutation operator transposing particles i and j."""
-    perm = _swap_permutation(system.n, i, j)
-    matrix = np.zeros((system.dimension, system.dimension), dtype=complex)
-    matrix[perm, np.arange(system.dimension)] = 1.0
-    return Operator(matrix, hermitian_hint=True)
 
 
 def classify_exchange(states: "list[CoupledState]",

@@ -133,54 +133,23 @@ class SpinSystem:
         return cls.from_species((Species.ELECTRON, Species.POSITRON), mu0)
 
 
-@dataclass(frozen=True)
-class ProductState:
-    """One ket of the 2^N product basis; bit 0 means up, 1 means down."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.bits or any(b not in (0, 1) for b in self.bits):
-            raise ValueError("bits must be a non-empty sequence over {0, 1}")
-
-    @classmethod
-    def from_index(cls, index: int, n: int) -> "ProductState":
-        if not 0 <= index < (1 << n):
-            raise ValueError(f"index {index} out of range for {n} particles")
-        bits = tuple((index >> (n - 1 - k)) & 1 for k in range(n))
-        return cls(bits)
-
-    @property
-    def n(self) -> int:
-        return len(self.bits)
-
-    @property
-    def index(self) -> int:
-        out = 0
-        for b in self.bits:
-            out = (out << 1) | b
-        return out
-
-    @property
-    def m(self) -> float:
-        """Total spin projection: (ups - downs) / 2."""
-        downs = sum(self.bits)
-        return (self.n - 2 * downs) / 2
-
-    @property
-    def label(self) -> str:
-        arrows = "".join("↓" if b else "↑" for b in self.bits)
-        return f"|{arrows}⟩"
-
-
 def _bit_table(n: int) -> np.ndarray:
     """Bits of every product index: row i holds the n bits of index i, the
     leftmost particle (most significant bit) in column 0."""
     return (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
 
 
-def product_states_with_m(n: int, m: float) -> list[ProductState]:
-    """All product states of given projection, in ascending index order."""
-    bits = _bit_table(n)
-    keep = (n - 2 * bits.sum(axis=1)) / 2 == m
-    return [ProductState(tuple(row)) for row in bits[keep].tolist()]
+def _projections(n: int) -> np.ndarray:
+    """Total spin projection (ups - downs) / 2 of every product index."""
+    return (n - 2 * _bit_table(n).sum(axis=1)) / 2
+
+
+def moment_diagonal(system: SpinSystem) -> np.ndarray:
+    """Diagonal of mu_z in the product basis: mu0 * sum_i sign_i sigma_z,i."""
+    signs = np.array(system.moment_signs())
+    return system.mu0 * ((1 - 2 * _bit_table(system.n)) @ signs)
+
+
+def product_states_with_m(n: int, m: float) -> np.ndarray:
+    """Indices of the product states of projection m, in ascending order."""
+    return np.flatnonzero(_projections(n) == m)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coupling import BasisTransform, _m_sectors, _read_only_real, _unchecked
-from .operators import moment_diagonal
+from .system import _projections, moment_diagonal
 
 ZERO_TOL = 1e-10
 MOMENT_ORACLE_TOL = 1e-12
@@ -52,32 +52,32 @@ class MomentMatrix:
                                     repr=False)
 
     def __post_init__(self) -> None:
-        mat = _read_only_real(self.entries, "moment matrix entries must be real")
+        mat = _read_only_real(self.entries, "moment matrix entries")
         n = len(self.basis.states)
         mat = mat.reshape((n, n))
-        if not np.all(np.isfinite(mat)):
-            raise ValueError("moment matrix entries must be finite")
+        mat.setflags(write=False)
         tol = MOMENT_ORACLE_TOL * _unit(self)
-        rows, cols = np.nonzero(mat != 0.0)  # bool nonzero is the fast one
-        dev = np.max(np.abs(mat[rows, cols] - mat[cols, rows]), initial=0.0)
-        if dev > tol:
-            raise ValueError(f"moment matrix deviates from symmetric by {dev:.3e}")
         # mu_z conserves M; group rotations act within one M sector
         row_m = np.array([s.m for s in self.basis.states])
-        cross = row_m[rows] != row_m[cols]
-        leak = np.max(np.abs(mat[rows[cross], cols[cross]]), initial=0.0)
-        if leak > tol:
-            raise ValueError(
-                f"moment matrix couples states of different M (entry {leak:.3e})"
-            )
-        mat.setflags(write=False)
-        object.__setattr__(self, "entries", mat)
         blocks = []
         for m in np.unique(row_m):
             sector = np.flatnonzero(row_m == m)
             block = mat[np.ix_(sector, sector)]
+            _check_block(block, block.T, tol)
             block.setflags(write=False)
             blocks.append((sector, block))
+        # between sectors a one-sided entry is an asymmetry, and any entry
+        # above the tolerance a coupling across M
+        rows, cols = np.nonzero(mat != 0.0)  # bool nonzero is the fast one
+        cross = row_m[rows] != row_m[cols]
+        rows, cols = rows[cross], cols[cross]
+        _check_block(mat[rows, cols], mat[cols, rows], tol)
+        leak = np.max(np.abs(mat[rows, cols]), initial=0.0)
+        if leak > tol:
+            raise ValueError(
+                f"moment matrix couples states of different M (entry {leak:.3e})"
+            )
+        object.__setattr__(self, "entries", mat)
         object.__setattr__(self, "_blocks", tuple(blocks))
 
     @classmethod
@@ -86,19 +86,13 @@ class MomentMatrix:
         and zero between them.
 
         Entries between different M are zero by construction, so only each
-        block is checked: finite and symmetric, with the messages of the
-        constructor.
+        block is checked, as the constructor checks it.
         """
         n = len(basis.states)
         tol = MOMENT_ORACLE_TOL * abs(basis.system.mu0)
         entries = np.zeros((n, n))
         for rows, block in blocks:
-            if not np.all(np.isfinite(block)):
-                raise ValueError("moment matrix entries must be finite")
-            dev = np.max(np.abs(block - block.T), initial=0.0)
-            if dev > tol:
-                raise ValueError(
-                    f"moment matrix deviates from symmetric by {dev:.3e}")
+            _check_block(block, block.T, tol)
             block.setflags(write=False)
             entries[np.ix_(rows, rows)] = block
         entries.setflags(write=False)
@@ -114,6 +108,16 @@ class MomentMatrix:
         return len(self.basis.states)
 
 
+def _check_block(entries: np.ndarray, mirror: np.ndarray, tol: float) -> None:
+    """Raise ``ValueError`` unless moment ``entries`` are finite and within
+    ``tol`` of ``mirror``, the entries at their transposed positions."""
+    if not np.all(np.isfinite(entries)):
+        raise ValueError("moment matrix entries must be finite")
+    dev = np.max(np.abs(entries - mirror), initial=0.0)
+    if dev > tol:
+        raise ValueError(f"moment matrix deviates from symmetric by {dev:.3e}")
+
+
 def moment_matrix(basis: BasisTransform) -> MomentMatrix:
     """Moment matrix for a basis block; mu_z is diagonal over the columns.
 
@@ -123,8 +127,8 @@ def moment_matrix(basis: BasisTransform) -> MomentMatrix:
     matrix scale are set to exact zero.
     """
     row_m = np.array([s.m for s in basis.states])
-    col_m = np.array([c.m for c in basis.column_states])
-    diag = moment_diagonal(basis.system)[[c.index for c in basis.column_states]]
+    col_m = _projections(basis.system.n)[basis.columns]
+    diag = moment_diagonal(basis.system)[basis.columns]
     products = []
     for rows, cols, block in _m_sectors(basis.matrix.__getitem__, row_m,
                                         col_m, ZERO_TOL).values():

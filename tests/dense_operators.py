@@ -1,8 +1,11 @@
-"""Dense operators on the 2^N spin product space.
+"""Dense reference operators on the 2^N spin product space.
 
-Pauli matrices are embedded at single sites by Kronecker products, with the
-leftmost particle as the most significant factor.  The convention is
-``sigma_z |up> = +|up>``.
+The library works with real coupled bases and the diagonal moment only.
+The complex operators here are independent oracles for it: Pauli matrices
+embedded at single sites by Kronecker products (leftmost particle the most
+significant factor, ``sigma_z |up> = +|up>``), total spin, the magnetic
+moment, the exchange permutation, and ``ProductState``, the per-ket bit
+rendering that ``BasisTransform.columns`` and ``column_labels`` replace.
 """
 
 from __future__ import annotations
@@ -11,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .system import SpinSystem, _bit_table
+from spinzeeman import SpinSystem, moment_diagonal
+from spinzeeman.coupling import _swap_permutation
 
 HERMITIAN_TOL = 1e-12
 
@@ -20,6 +24,43 @@ _PAULI = {
     "y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
     "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 }
+
+
+@dataclass(frozen=True)
+class ProductState:
+    """One ket of the 2^N product basis; bit 0 means up, 1 means down."""
+
+    bits: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if not self.bits or any(b not in (0, 1) for b in self.bits):
+            raise ValueError("bits must be a non-empty sequence over {0, 1}")
+
+    @classmethod
+    def from_index(cls, index: int, n: int) -> "ProductState":
+        if not 0 <= index < (1 << n):
+            raise ValueError(f"index {index} out of range for {n} particles")
+        return cls(tuple((index >> (n - 1 - k)) & 1 for k in range(n)))
+
+    @property
+    def n(self) -> int:
+        return len(self.bits)
+
+    @property
+    def index(self) -> int:
+        out = 0
+        for b in self.bits:
+            out = (out << 1) | b
+        return out
+
+    @property
+    def m(self) -> float:
+        """Total spin projection: (ups - downs) / 2."""
+        return (self.n - 2 * sum(self.bits)) / 2
+
+    @property
+    def label(self) -> str:
+        return "|" + "".join("↓" if b else "↑" for b in self.bits) + "⟩"
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,16 +127,18 @@ def total_spin_squared(system: SpinSystem) -> Operator:
     return Operator(total, hermitian_hint=True)
 
 
-def moment_diagonal(system: SpinSystem) -> np.ndarray:
-    """Diagonal of mu_z in the product basis: mu0 * sum_i sign_i sigma_z,i."""
-    signs = np.array(system.moment_signs())
-    return system.mu0 * ((1 - 2 * _bit_table(system.n)) @ signs)
-
-
 def magnetic_moment_z(system: SpinSystem) -> Operator:
     """Magnetic moment mu_z; positrons enter with +mu0, electrons with -mu0."""
     return Operator(np.diag(moment_diagonal(system)).astype(complex),
                     hermitian_hint=True)
+
+
+def exchange_operator(system: SpinSystem, i: int, j: int) -> Operator:
+    """Permutation operator transposing particles i and j."""
+    perm = _swap_permutation(system.n, i, j)
+    matrix = np.zeros((system.dimension, system.dimension), dtype=complex)
+    matrix[perm, np.arange(system.dimension)] = 1.0
+    return Operator(matrix, hermitian_hint=True)
 
 
 def hermitian_eigen(op: Operator) -> tuple[np.ndarray, np.ndarray]:

@@ -25,10 +25,13 @@ from spinzeeman import (
     full_transform,
     level_curves,
     m_sector,
-    magnetic_moment_z,
     moment_matrix,
-    pauli_site,
     quadratic_coefficients,
+)
+
+from dense_operators import (
+    magnetic_moment_z,
+    pauli_site,
     total_spin_squared,
     total_spin_z,
 )
@@ -99,9 +102,9 @@ def test_criterion_01_golden_basis_transform_m_pm1():
     assert _rows_match_up_to_sign(sector.matrix.real, LIKE_M1)
     minus = m_sector(LIKE_STATES, -1.0)
     flip = []
-    for col in minus.column_states:
-        flipped = tuple(1 - b for b in col.bits)
-        flip.append([c.bits for c in sector.column_states].index(flipped))
+    for col in minus.columns:
+        flipped = col ^ 0b1111  # every spin reversed
+        flip.append(sector.columns.tolist().index(flipped))
     mirrored = minus.matrix.real[:, np.argsort(flip)]
     assert _rows_match_up_to_sign(mirrored, sector.matrix.real)
     assert [s.total_s for s in minus.states] == [s.total_s for s in sector.states]
@@ -152,8 +155,7 @@ def test_criterion_05_appendix_scheme():
     for i, j in [(2, 2), (2, 3), (3, 0), (3, 1)]:
         assert sector.matrix[i, j] == 0.0
     oracle = sector.matrix.conj() @ mu.matrix[
-        np.ix_([c.index for c in sector.column_states],
-               [c.index for c in sector.column_states])
+        np.ix_(sector.columns, sector.columns)
     ] @ sector.matrix.T
     assert np.max(np.abs(oracle - entries)) <= TOL
     _passed(5, "positronium-pairs M=1 transform and zero-diagonal moment "
@@ -251,7 +253,7 @@ def test_criterion_08_property_suites():
                              - np.eye(16))) <= TOL
         for m in (2.0, 1.0, 0.0, -1.0, -2.0):
             block = m_sector(states, m)
-            cols = [c.index for c in block.column_states]
+            cols = block.columns
             oracle = block.matrix.conj() @ mu[np.ix_(cols, cols)] @ block.matrix.T
             assert np.max(np.abs(moment_matrix(block).entries - oracle)) <= TOL
         # simultaneous eigenstates

@@ -39,6 +39,8 @@ from spinzeeman import (
 )
 from spinzeeman import coupling, zeeman
 
+from dense_operators import ProductState
+
 ALTERNATING = [Species.ELECTRON, Species.POSITRON] * 4
 DIPOS = SpinSystem.dipositronium()
 GRID = np.linspace(-1.0, 1.0, 21)
@@ -77,8 +79,7 @@ def _spin_grouped(states):
 def _dense_moment(basis):
     """Former ``moment_matrix``: one product over all columns, then the
     chop."""
-    columns = [c.index for c in basis.column_states]
-    diag = moment_diagonal(basis.system)[columns]
+    diag = moment_diagonal(basis.system)[basis.columns]
     entries = (basis.matrix.conj() * diag) @ basis.matrix.T
     scale = np.max(np.abs(entries), initial=0.0)
     entries[np.abs(entries) < zeeman.CHOP_TOL * scale] = 0.0
@@ -208,7 +209,7 @@ def test_rejects_row_leaking_across_sectors():
     mixed[[i, j]] = (mixed[i] + np.array([[1], [-1]]) * mixed[j]) / np.sqrt(2)
     # still orthonormal: only the sector check can reject it
     assert np.max(np.abs(mixed @ mixed.conj().T - np.eye(16))) <= 1e-12
-    leaky = BasisTransform(basis.states, basis.column_states, mixed, DIPOS)
+    leaky = BasisTransform(basis.states, basis.columns, mixed, DIPOS)
     with pytest.raises(ValueError, match="M sector"):
         moment_matrix(leaky)
 
@@ -218,7 +219,7 @@ def test_rejects_complex_basis():
     phased = sector.matrix.astype(complex)
     phased[2] *= 1j
     with pytest.raises(ValueError, match="real"):
-        BasisTransform(sector.states, sector.column_states, phased, DIPOS)
+        BasisTransform(sector.states, sector.columns, phased, DIPOS)
     with pytest.raises(ValueError, match="real"):
         MomentMatrix(sector, 1j * np.eye(4))
 
@@ -238,7 +239,8 @@ def _former_m_sectors_error(matrix, row_m, col_m, tol):
 def test_sector_leak_error_names_lowest_sector_and_its_largest_leak():
     basis = full_transform(couple(DIPOS, CouplingTree.like_pairs(DIPOS)))
     row_m = np.array([s.m for s in basis.states])
-    col_m = np.array([c.m for c in basis.column_states])
+    col_m = np.array([ProductState.from_index(c, DIPOS.n).m
+                      for c in basis.columns])
     leaky = np.array(basis.matrix)
     # M=1 leaks twice, the larger one second; M=0 leaks more than either
     top = np.flatnonzero(row_m == 1.0)
@@ -296,12 +298,29 @@ def test_moment_matrix_rejects_non_finite_entries(bad):
     with pytest.raises(ValueError, match=finite):
         MomentMatrix._from_blocks(
             sector, [(np.arange(4), np.diag([1.0, bad, 0.0, 0.0]))])
-    # a NaN amplitude passes the sector and orthonormality checks
+    # a NaN amplitude, which would pass the sector and orthonormality
+    # checks of moment_matrix, is rejected by the basis itself
     amplitudes = np.array(sector.matrix)
     amplitudes[1, 2] = np.nan
-    with pytest.raises(ValueError, match=finite):
-        moment_matrix(BasisTransform(sector.states, sector.column_states,
-                                     amplitudes, DIPOS))
+    with pytest.raises(ValueError, match="^basis amplitudes must be finite$"):
+        BasisTransform(sector.states, sector.columns, amplitudes, DIPOS)
+
+
+def test_both_moment_paths_check_a_block_alike():
+    sector = m_sector(couple(DIPOS, CouplingTree.like_pairs(DIPOS)), 1.0)
+    builds = (lambda entries: MomentMatrix(sector, entries),
+              lambda entries: MomentMatrix._from_blocks(
+                  sector, [(np.arange(4), entries)]))
+    for build in builds:
+        # one-sided entries below and above the tolerance, 1e-12 |mu0|
+        within = np.diag([1.0, -1.0, 0.5, 0.0])
+        within[2, 0] = 5e-13
+        assert build(within).entries[2, 0] == 5e-13
+        beyond = np.diag([1.0, -1.0, 0.5, 0.0])
+        beyond[2, 0] = 1e-6
+        with pytest.raises(ValueError, match=(
+                r"^moment matrix deviates from symmetric by 1\.000e-06$")):
+            build(beyond)
 
 
 @pytest.mark.parametrize("shape", ["atom", "ep"])

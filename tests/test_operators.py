@@ -1,4 +1,4 @@
-"""Product-space operators: Pauli embeddings, total spin, magnetic moment."""
+"""Dense reference operators: Pauli embeddings, total spin, magnetic moment."""
 
 import itertools
 import math
@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from spinzeeman import (
+from spinzeeman import Species, SpinSystem
+
+from dense_operators import (
     Operator,
     ProductState,
-    Species,
-    SpinSystem,
     hermitian_eigen,
     magnetic_moment_z,
     matrix_element,

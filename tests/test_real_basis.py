@@ -141,16 +141,18 @@ def test_basis_transforms_are_real_and_read_only():
         assert not block.matrix.flags.writeable
     full = blocks[0]
     assert np.array_equal(full.matrix, [s.vector for s in states])
-    # the product states are frozen, so one tuple per N serves every call
-    assert full_transform(states).column_states is full.column_states
+    # the columns are the product indices, in index order
+    assert full.columns.dtype == np.int64
+    assert not full.columns.flags.writeable
+    assert np.array_equal(full.columns, np.arange(16))
     # complex amplitudes with zero imaginary parts are accepted as real
-    copy = BasisTransform(full.states, full.column_states,
+    copy = BasisTransform(full.states, full.columns,
                           full.matrix.astype(complex), DIPOS)
     assert copy.matrix.dtype == np.float64
     assert np.array_equal(copy.matrix, full.matrix)
     # a writeable input is copied, so changing it later changes nothing
     source = np.array(full.matrix)
-    kept = BasisTransform(full.states, full.column_states, source, DIPOS)
+    kept = BasisTransform(full.states, full.columns, source, DIPOS)
     source[0, 0] = 5.0
     assert kept.matrix[0, 0] == full.matrix[0, 0]
 
@@ -221,6 +223,31 @@ def test_couple_checks_every_norm_at_once(monkeypatch):
         with pytest.raises(ValueError,
                            match=r"^state vector norm 1\.00\d+ deviates from 1$"):
             couple(system, CouplingTree.positronium_pairs(system))
+
+
+def test_couple_rejects_a_nan_cg_table(monkeypatch):
+    table = coupling._cg_table
+    monkeypatch.setattr(coupling, "_cg_table", lambda j1, j2, jj: np.full_like(
+        table(j1, j2, jj), np.nan))
+    for system in (POSITRONIUM, DIPOS):
+        # every vector is NaN, so every norm is; a NaN norm fails the check
+        with pytest.raises(ValueError,
+                           match=r"^state vector norm nan deviates from 1$"):
+            couple(system, CouplingTree.positronium_pairs(system))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_basis_constructors_reject_non_finite_amplitudes(bad):
+    with pytest.raises(ValueError,
+                       match="^state vector amplitudes must be finite$"):
+        CoupledState(0.0, 0.0, (), [bad, 0.0, 0.0, 0.0], "|0,0⟩", POSITRONIUM)
+    full = full_transform(couple(DIPOS, CouplingTree.like_pairs(DIPOS)))
+    amplitudes = np.array(full.matrix)
+    amplitudes[3, 5] = bad
+    for given in (amplitudes, amplitudes.astype(complex)):
+        with pytest.raises(ValueError,
+                           match="^basis amplitudes must be finite$"):
+            BasisTransform(full.states, full.columns, given, DIPOS)
 
 
 def test_cg_tables_are_kept_read_only():

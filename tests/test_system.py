@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
-from spinzeeman import ParticleSpec, ProductState, Species, SpinSystem
+from spinzeeman import BasisTransform, ParticleSpec, Species, SpinSystem
+from spinzeeman.system import _bit_table, _projections
 
 
 def test_dipositronium_preset():
@@ -42,34 +44,39 @@ def test_size_cap():
     SpinSystem.from_species((Species.ELECTRON,) * 12)  # boundary accepted
 
 
+def _columns(indices, n=4):
+    """A row-less basis block over the given product indices."""
+    system = SpinSystem.from_species((Species.ELECTRON,) * n)
+    return BasisTransform((), indices, np.zeros((0, len(indices))), system)
+
+
 def test_product_state_ordering():
     # leftmost particle is the most significant bit; bit 1 means down
-    state = ProductState.from_index(1, 4)
-    assert state.bits == (0, 0, 0, 1)
-    assert state.label == "|↑↑↑↓⟩"
-    assert state.m == 1.0
-    assert state.index == 1
+    assert _bit_table(4)[1].tolist() == [0, 0, 0, 1]
+    assert _columns([1]).column_labels == ("|↑↑↑↓⟩",)
+    assert _projections(4)[1] == 1.0
 
-    state = ProductState.from_index(8, 4)
-    assert state.bits == (1, 0, 0, 0)
-    assert state.m == 1.0
+    assert _bit_table(4)[8].tolist() == [1, 0, 0, 0]
+    assert _columns([8]).column_labels == ("|↓↑↑↑⟩",)
+    assert _projections(4)[8] == 1.0
 
 
 @pytest.mark.parametrize("index", range(16))
 def test_product_state_round_trip(index):
-    state = ProductState.from_index(index, 4)
-    assert state.index == index
-    assert ProductState(state.bits).index == index
+    bits = _bit_table(4)[index]
+    assert int(bits @ [8, 4, 2, 1]) == index
+    arrows = "".join("↓" if b else "↑" for b in bits.tolist())
+    assert _columns([index]).column_labels == (f"|{arrows}⟩",)
 
 
 def test_product_state_m_counts():
-    assert ProductState((1, 0, 1, 0)).m == 0.0
-    assert ProductState((1, 1, 1, 1)).m == -2.0
-    assert ProductState((0,) * 3).m == 1.5
+    assert _projections(4)[0b1010] == 0.0
+    assert _projections(4)[0b1111] == -2.0
+    assert _projections(3)[0b000] == 1.5
 
 
 def test_bad_product_state():
-    with pytest.raises(ValueError):
-        ProductState((0, 2))
-    with pytest.raises(ValueError):
-        ProductState.from_index(16, 4)
+    # a column must be a product index of the system
+    for columns in ([16], [-1], [[0, 1]]):
+        with pytest.raises(ValueError, match="product indices below 16"):
+            _columns(columns)

@@ -17,11 +17,12 @@ from spinzeeman import (
     full_transform,
     level_curves,
     m_sector,
-    magnetic_moment_z,
     moment_diagonal,
     moment_matrix,
     quadratic_coefficients,
 )
+
+from dense_operators import magnetic_moment_z
 
 DIPOS = SpinSystem.dipositronium()
 LIKE = CouplingTree.like_pairs(DIPOS)
@@ -66,8 +67,7 @@ def pos_states():
 def _oracle_entries(block):
     """Independent route: conjugate the dense product-basis operator."""
     mu = magnetic_moment_z(block.system).matrix
-    cols = [c.index for c in block.column_states]
-    restricted = mu[np.ix_(cols, cols)]
+    restricted = mu[np.ix_(block.columns, block.columns)]
     return block.matrix.conj() @ restricted @ block.matrix.T
 
 
@@ -133,7 +133,7 @@ def test_moment_matrix_rejects_non_orthonormal(like_states):
     sector = m_sector(like_states, 1.0)
     bad = np.array(sector.matrix)
     bad[1] = bad[0]
-    block = BasisTransform(sector.states, sector.column_states, bad, sector.system)
+    block = BasisTransform(sector.states, sector.columns, bad, sector.system)
     with pytest.raises(ValueError, match="orthonormal"):
         moment_matrix(block)
 
@@ -270,7 +270,7 @@ def test_verdicts_stable_under_rephasing(like_states):
     flipped = np.array(sector.matrix)
     flipped[4] = -flipped[4]
     block = BasisTransform(
-        sector.states, sector.column_states, flipped, sector.system
+        sector.states, sector.columns, flipped, sector.system
     )
     base = classify(moment_matrix(sector), DegeneracySpec.isolated(6))
     rephased = classify(moment_matrix(block), DegeneracySpec.isolated(6))
