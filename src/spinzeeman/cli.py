@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 
 import numpy as np
@@ -282,6 +283,11 @@ def _cmd_sweep(args) -> str:
     spec = _degeneracy(args, block.states)
     if args.steps < 1:
         raise ValueError("steps must be at least 1")
+    if args.steps == 1 and args.bmin != args.bmax:
+        raise ValueError(
+            "one step samples only --bmin; give --bmax equal to --bmin or "
+            "at least 2 steps"
+        )
     # an infinite end gives NaN steps, which level_curves rejects
     with np.errstate(invalid="ignore"):
         grid = np.linspace(args.bmin, args.bmax, args.steps)
@@ -410,9 +416,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Options whose value may be negative in any numeric form.
+_SIGNED_OPTIONS = frozenset(("--mu0", "--bmin", "--bmax", "--m"))
+_NEGATIVE = re.compile(r"-[\d.]")
+
+
+def _attach_negative_values(argv: "list[str]") -> "list[str]":
+    """Rewrite ``--mu0 -9.274e-24`` as ``--mu0=-9.274e-24``.
+
+    argparse takes a spaced value that starts with '-' for an option flag
+    unless it looks like ``-1`` or ``-0.5``, so scientific and fraction
+    forms such as ``-1e-3`` and ``-1/2`` would be usage errors.
+    """
+    out: "list[str]" = []
+    for token in argv:
+        if out and out[-1] in _SIGNED_OPTIONS and _NEGATIVE.match(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: "list[str] | None" = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         output = _COMMANDS[args.command](args)
     except ValueError as exc:

@@ -49,6 +49,19 @@ def test_golden_snapshots_byte_identical():
             ("classify", "--system", "dipositronium", "--scheme", "like-pairs"),
             "classify_like.txt",
         ),
+        # the curve labels come from level tracking's assignments
+        (
+            ("sweep", "--system", "dipositronium", "--scheme",
+             "positronium-pairs", "--bmin", "-0.5", "--bmax", "0.5",
+             "--steps", "5"),
+            "sweep_pospairs.txt",
+        ),
+        (
+            ("sweep", "--system", "dipositronium", "--scheme", "like-pairs",
+             "--bmin", "-1", "--bmax", "1", "--steps", "11", "--format",
+             "csv"),
+            "sweep_like.csv",
+        ),
     ]
     for args, golden in cases:
         proc = subprocess.run(
@@ -137,6 +150,67 @@ def test_sweep_non_finite_field_is_domain_error(capsys, bmin, bmax):
     assert code == 1
     assert out == ""
     assert err == "error: field grid must be finite\n"
+
+
+@pytest.mark.parametrize("args, option, value", [
+    (("classify", "--system", "dipositronium"), "--mu0", "-9.274e-24"),
+    (("sweep", "--system", "positronium", "--bmax", "1e-3", "--steps", "3"),
+     "--bmin", "-1e-3"),
+    (("sweep", "--system", "positronium", "--bmin", "-2", "--steps", "3"),
+     "--bmax", "-1E+0"),
+    (("basis", "--system", "e,p,e", "--scheme", "((e1,p1),e2)"),
+     "--m", "-1/2"),
+    (("moment", "--system", "e,p,e", "--scheme", "((e1,p1),e2)"),
+     "--m", "-.5"),
+])
+def test_spaced_negative_value_matches_attached_form(capsys, args, option,
+                                                     value):
+    spaced = run_cli(capsys, *args, option, value)
+    attached = run_cli(capsys, *args, f"{option}={value}")
+    assert spaced[0] == 0, spaced[2]
+    assert spaced == attached
+
+
+def test_negative_si_mu0_negates_the_census_slopes(capsys):
+    reports = {}
+    for mu0 in ("9.274e-24", "-9.274e-24"):
+        code, out, err = run_cli(
+            capsys, "classify", "--system", "dipositronium", "--scheme",
+            "like-pairs", "--mu0", mu0, "--format", "json",
+        )
+        assert code == 0, err
+        reports[mu0] = json.loads(out)["states"]
+    negated = reports["-9.274e-24"]
+    classes = [s["classification"] for s in negated]
+    assert [classes.count(c) for c in ("LINEAR", "QUADRATIC", "NONE")] == [
+        4, 7, 5]
+    for pos, neg in zip(reports["9.274e-24"], negated):
+        assert neg["label"] == pos["label"]
+        assert neg["classification"] == pos["classification"]
+        assert neg["linear_slope"] == -pos["linear_slope"]
+    assert any(s["linear_slope"] != 0 for s in negated)
+
+
+def test_one_step_over_a_field_range_is_domain_error(capsys):
+    code, out, err = run_cli(
+        capsys, "sweep", "--system", "dipositronium", "--bmin", "0",
+        "--bmax", "1", "--steps", "1",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_one_step_at_a_single_field_is_valid(capsys):
+    code, out, err = run_cli(
+        capsys, "sweep", "--system", "dipositronium", "--bmin", "0",
+        "--bmax", "0", "--steps", "1", "--format", "csv",
+    )
+    assert code == 0, err
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["B", "label", "energy"]
+    assert len(rows) == 1 + 16
+    assert {row[0] for row in rows[1:]} == {"0"}
 
 
 @pytest.mark.parametrize("args, m", [

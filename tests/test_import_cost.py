@@ -1,9 +1,10 @@
-"""scipy is imported only by the commands that solve an assignment.
+"""No command imports the ``scipy.optimize`` package.
 
 Group rotation and level tracking call ``zeeman.linear_sum_assignment``,
-which imports scipy's solver on first use.  Every other command, and the
-package import itself, must leave scipy unloaded: importing it costs about
-half a second per CLI run.
+which on first use loads only scipy's compiled solver module, not the
+package around it: importing ``scipy.optimize`` costs about 0.4 s and 45 MB
+per CLI run.  Every command that solves no assignment, and the package
+import itself, must leave scipy unloaded altogether.
 """
 
 import json
@@ -28,12 +29,27 @@ STEPS = {
     "overlap": ["overlap", *DIPOS, "--scheme2", "positronium-pairs"],
     "classify-like": ["classify", *DIPOS, "--scheme", "like-pairs"],
     "classify-pairs": ["classify", *DIPOS, "--scheme", "positronium-pairs"],
+}
+# Steps that solve assignments, run after those above: a classification
+# whose degenerate group is rotated (the fixture appends the energies file),
+# then a sweep.
+ASSIGNING = {
+    "classify-grouped": ["classify", *DIPOS, "--scheme", "like-pairs",
+                         "--energies"],
     "sweep": ["sweep", "--system", "positronium", "--bmin", "-1",
               "--bmax", "1", "--steps", "5"],
 }
+TIE_MATRICES = (
+    # rows 0 and 1 tie on every column; the solver's own tie-break decides
+    np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [3.0, 1.0, 2.0]]),
+    -np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [3.0, 1.0, 2.0]]),
+    np.zeros((2, 2)),
+)
 
 # Runs in a fresh interpreter: after the import and after each command in
-# turn, records the scipy modules loaded so far.
+# turn, records the scipy modules loaded so far and whether the solver has
+# been loaded.  Then imports scipy.optimize, which must still work normally
+# and hand out the very function the commands used.
 PROBE = """
 import contextlib, io, json, sys
 
@@ -41,41 +57,102 @@ def scipy_modules():
     return sorted(k for k in sys.modules if k.split(".")[0] == "scipy")
 
 import spinzeeman, spinzeeman.cli
-loaded = {"import": scipy_modules()}
+from spinzeeman import zeeman
+
+def state():
+    return [scipy_modules(), zeeman._solver is not None]
+
+loaded = {"import": state()}
 for name, argv in json.loads(sys.argv[1]).items():
     with contextlib.redirect_stdout(io.StringIO()):
         code = spinzeeman.cli.main(argv)
-    loaded[name] = scipy_modules() if code == 0 else f"exit {code}"
+    loaded[name] = state() if code == 0 else f"exit {code}"
+import scipy.optimize
+loaded["after"] = {
+    "has_lsap": hasattr(scipy.optimize, "_lsap"),
+    "same_solver": scipy.optimize.linear_sum_assignment is zeeman._solver,
+    "lsap_solver": scipy.optimize._lsap.linear_sum_assignment
+                   is zeeman._solver,
+}
 print(json.dumps(loaded))
 """
 
 
-@pytest.fixture(scope="module")
-def loaded():
+def run_probe(probe, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     run = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(STEPS)],
+        [sys.executable, "-c", probe, *args],
         capture_output=True, text=True, env=env, check=True, timeout=120,
     )
     return json.loads(run.stdout)
 
 
-@pytest.mark.parametrize("step", ["import", *list(STEPS)[:-1]])
+@pytest.fixture(scope="module")
+def loaded(tmp_path_factory):
+    energies = tmp_path_factory.mktemp("energies") / "one_level.csv"
+    energies.write_text("|2,2[2,2]⟩,1.0\n", encoding="utf-8")
+    steps = {**STEPS, **ASSIGNING}
+    steps["classify-grouped"] = [*steps["classify-grouped"], str(energies)]
+    return run_probe(PROBE, json.dumps(steps))
+
+
+@pytest.mark.parametrize("step", ["import", *STEPS])
 def test_step_leaves_scipy_unloaded(loaded, step):
-    assert loaded[step] == []
+    assert loaded[step] == [[], False]
 
 
-def test_sweep_loads_scipy_optimize(loaded):
-    assert "scipy.optimize" in loaded["sweep"]
+@pytest.mark.parametrize("step", list(ASSIGNING))
+def test_assigning_step_leaves_scipy_optimize_unloaded(loaded, step):
+    assert isinstance(loaded[step], list), loaded[step]
+    modules, solver_loaded = loaded[step]
+    assert solver_loaded
+    assert not [k for k in modules
+                if k == "scipy.optimize" or k.startswith("scipy.optimize.")]
+
+
+def test_scipy_optimize_imports_normally_after_the_solver(loaded):
+    assert loaded["after"] == {
+        "has_lsap": True, "same_solver": True, "lsap_solver": True}
 
 
 def test_deferred_solver_matches_scipy():
-    # rows 0 and 1 tie on every column; the solver's own tie-break decides
-    cost = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [3.0, 1.0, 2.0]])
-    for matrix in (cost, -cost, np.zeros((2, 2))):
+    for matrix in TIE_MATRICES:
         rows, cols = zeeman.linear_sum_assignment(matrix)
         ref_rows, ref_cols = linear_sum_assignment(matrix)
         assert np.array_equal(rows, ref_rows)
         assert np.array_equal(cols, ref_cols)
+
+
+def test_solver_reuses_an_imported_scipy_optimize(monkeypatch):
+    # this process has imported scipy.optimize; its modules stay as they are
+    import scipy.optimize._lsap as lsap
+
+    monkeypatch.setattr(zeeman, "_solver", None)
+    zeeman.linear_sum_assignment(np.zeros((1, 1)))
+    assert sys.modules.get("scipy.optimize._lsap") is lsap
+    assert zeeman._solver is linear_sum_assignment
+
+
+# Solves TIE_MATRICES in a fresh interpreter whose extension lookup finds
+# nothing, as on a scipy that ships the solver module as Python.
+FALLBACK_PROBE = """
+import json, sys
+import numpy as np
+from spinzeeman import zeeman
+zeeman._lsap_path = lambda: None
+out = [[a.tolist() for a in zeeman.linear_sum_assignment(np.array(m))]
+       for m in json.loads(sys.argv[1])]
+print(json.dumps({"solved": out, "optimize": "scipy.optimize" in sys.modules}))
+"""
+
+
+def test_fallback_without_the_compiled_module_matches():
+    found = run_probe(FALLBACK_PROBE,
+                      json.dumps([m.tolist() for m in TIE_MATRICES]))
+    assert found["optimize"]  # the public import ran
+    for matrix, (rows, cols) in zip(TIE_MATRICES, found["solved"]):
+        ref_rows, ref_cols = linear_sum_assignment(matrix)
+        assert rows == ref_rows.tolist()
+        assert cols == ref_cols.tolist()
