@@ -416,21 +416,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Options whose value may be negative in any numeric form.
-_SIGNED_OPTIONS = frozenset(("--mu0", "--bmin", "--bmax", "--m"))
-_NEGATIVE = re.compile(r"-[\d.]")
+# Options whose value may be negative in any numeric form.  No other option
+# begins with --mu, --bmi or --bma, so an abbreviation that names only one
+# of these is one that argparse resolves to it.
+_SIGNED_OPTIONS = ("--mu0", "--bmin", "--bmax", "--m")
+# a negative number in any form ``float`` reads, -inf and -nan included
+_NEGATIVE = re.compile(r"-(?:[\d.]|inf|nan)", re.IGNORECASE)
+
+
+def _signed(flag: str) -> bool:
+    """Whether ``flag`` names a signed option, in full or abbreviated."""
+    if flag in _SIGNED_OPTIONS:
+        return True
+    named = [option for option in _SIGNED_OPTIONS if option.startswith(flag)]
+    return len(flag) > 2 and len(named) == 1
 
 
 def _attach_negative_values(argv: "list[str]") -> "list[str]":
     """Rewrite ``--mu0 -9.274e-24`` as ``--mu0=-9.274e-24``.
 
     argparse takes a spaced value that starts with '-' for an option flag
-    unless it looks like ``-1`` or ``-0.5``, so scientific and fraction
-    forms such as ``-1e-3`` and ``-1/2`` would be usage errors.
+    unless it looks like ``-1`` or ``-0.5``, so scientific, fraction and
+    infinite forms such as ``-1e-3``, ``-1/2`` and ``-inf`` would be usage
+    errors.  An abbreviated flag such as ``--mu`` is rewritten too.
     """
     out: "list[str]" = []
     for token in argv:
-        if out and out[-1] in _SIGNED_OPTIONS and _NEGATIVE.match(token):
+        if out and _signed(out[-1]) and _NEGATIVE.match(token):
             out[-1] += "=" + token
         else:
             out.append(token)

@@ -191,9 +191,8 @@ def _read_only_real(array, what: str) -> np.ndarray:
 
     A nonzero imaginary part raises ``ValueError("<what> must be real")``
     and a NaN or infinite value ``ValueError("<what> must be finite")``.  A
-    read-only float64 input, such as a row of ``couple``'s basis, is kept
-    without a copy; any other input is copied, so later changes to it
-    change nothing.
+    read-only float64 input is kept without a copy; any other input is
+    copied, so later changes to it change nothing.
     """
     arr = np.asarray(array)
     if np.iscomplexobj(arr):
@@ -210,34 +209,51 @@ def _read_only_real(array, what: str) -> np.ndarray:
 
 def _unchecked(cls, **fields):
     """An instance of the frozen dataclass ``cls`` with ``fields`` set as
-    given, without running ``__post_init__``.  For callers that have
-    already checked the fields in bulk."""
+    given, without running the checks of its constructor.  For callers that
+    have already checked the fields in bulk."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class CoupledState:
     """A |S, M, intermediates> basis vector expressed in the product basis.
 
     ``intermediates`` records ``(sites, spin)`` for each internal tree node
-    except the root (whose spin is ``total_s``), in post-order.
+    except the root (whose spin is ``total_s``), in post-order.  A state
+    from ``couple`` is row ``_row`` of its M sector's read-only ``_block``,
+    whose columns are the sector's product indices ``_columns`` in
+    ascending order; ``vector``, the amplitudes on all 2^N product states,
+    is built from that row on each read.  A state built directly keeps the
+    vector it was given.
     """
 
     total_s: float
     m: float
     intermediates: tuple[tuple[tuple[int, ...], float], ...]
-    vector: np.ndarray
     label: str
     system: SpinSystem
 
-    def __post_init__(self) -> None:
-        vec = _read_only_real(self.vector, "state vector amplitudes")
+    def __init__(self, total_s: float, m: float, intermediates,
+                 vector, label: str, system: SpinSystem) -> None:
+        vec = _read_only_real(vector, "state vector amplitudes")
         norm = np.linalg.norm(vec)
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state vector norm {norm} deviates from 1")
-        object.__setattr__(self, "vector", vec)
+        self.__dict__.update(total_s=total_s, m=m, intermediates=intermediates,
+                             label=label, system=system, _vector=vec,
+                             _columns=None, _block=None, _row=None)
+
+    @property
+    def vector(self) -> np.ndarray:
+        """Read-only float64 amplitudes over the product basis."""
+        if self._block is None:
+            return self._vector
+        vector = np.zeros(self.system.dimension)
+        vector[self._columns] = self._block[self._row]
+        vector.setflags(write=False)
+        return vector
 
     @property
     def intermediate_spins(self) -> tuple[float, ...]:
@@ -277,35 +293,92 @@ def _cg_table(j1: float, j2: float, jj: float) -> np.ndarray:
     return table
 
 
-def _node_states(node):
-    """Couple a subtree; returns (site order, entries).
+# a single site: sector 2m = +1 is |↑⟩ (partial index 0), 2m = -1 is |↓⟩
+_LEAF = {two_m: (np.array([[1.0], [0.0]]), np.array([index]), np.array([0]))
+         for two_m, index in ((1, 0), (-1, 1))}
 
-    Each entry is ``(j, intermediates, amplitudes)``: row r of the
-    ``(2j+1, 2^k)`` float64 array is the m = j - r vector over the subtree's
-    partial space, the k-th listed site being the most significant bit.
-    ``intermediates`` includes this node itself as its last element.
+
+def _node_states(node):
+    """Couple a subtree one M sector at a time; returns (site order,
+    multiplets, sectors).
+
+    ``multiplets`` lists ``(2j, intermediates)``, ``intermediates`` ending
+    with this node itself.  ``sectors`` maps 2m to ``(block, columns,
+    rows)``: the float64 ``block`` holds the m vectors of the multiplets
+    with j >= |m|, in list order, over the partial indices ``columns`` (the
+    k-th listed site being the most significant bit), and then a row of
+    zeros; ``rows`` gives each multiplet's row, the zero row for the
+    others.
+
+    A pair of child multiplets at m1 and m - m1 fills the columns of that
+    (m1, m - m1) slot: its m vector there is the kron of the children's
+    rows times one CG value, the one nonzero term of the CG sum.
     """
     if isinstance(node, int):
-        return [node], [(0.5, (), np.eye(2))]  # rows: up, down
-    sites_l, entries_l = _node_states(node[0])
-    sites_r, entries_r = _node_states(node[1])
+        return [node], [(1, ())], _LEAF
+    sites_l, mults_l, sectors_l = _node_states(node[0])
+    sites_r, mults_r, sectors_r = _node_states(node[1])
     sites = sites_l + sites_r
     site_key = tuple(sites)
-    entries = []
-    for j1, inter1, amps1 in entries_l:
-        for j2, inter2, amps2 in entries_r:
-            # row (m1, m2), m1 major: kron of the two multiplets' rows
-            pairs = amps1[:, None, :, None] * amps2[None, :, None, :]
-            pairs = pairs.reshape(-1, 1 << len(sites))
-            two_j_max = int(round(2 * (j1 + j2)))
-            two_j_min = int(round(2 * abs(j1 - j2)))
-            for two_j in range(two_j_max, two_j_min - 1, -2):
-                jj = two_j / 2.0
-                entries.append(
-                    (jj, inter1 + inter2 + ((site_key, jj),),
-                     _cg_table(j1, j2, jj) @ pairs)
-                )
-    return sites, entries
+    mults, pairs = [], []
+    for a, (two_ja, inter_a) in enumerate(mults_l):
+        for b, (two_jb, inter_b) in enumerate(mults_r):
+            for two_j in range(two_ja + two_jb, abs(two_ja - two_jb) - 1, -2):
+                mults.append(
+                    (two_j, inter_a + inter_b + ((site_key, two_j / 2.0),)))
+                pairs.append((a, b))
+    qa, qb = np.array(pairs).T
+    two_j = np.array([t for t, _inter in mults])
+    two_ja = np.array([t for t, _inter in mults_l])[qa]
+    two_jb = np.array([t for t, _inter in mults_r])[qb]
+    # every multiplet's CG table, flattened into one array at ``base``
+    keys = list(zip((two_ja / 2.0).tolist(), (two_jb / 2.0).tolist(),
+                    (two_j / 2.0).tolist()))
+    tables = {key: _cg_table(*key) for key in dict.fromkeys(keys)}
+    sizes = [table.size for table in tables.values()]
+    starts = dict(zip(tables, np.cumsum([0] + sizes).tolist()))
+    flat = np.concatenate([t.ravel() for t in tables.values()])
+    base = np.array([starts[key] for key in keys])
+    # The entry for (M, m1, M - m1) is at base + (J - M) w + (j_a - m1) d
+    # + (j_b - M + m1), with d = 2 j_b + 1 and w = (2 j_a + 1) d.  In
+    # doubled spins that is (twice_base - 2M (w + 1) - 2m1 (2 j_b)) / 2.
+    twice_base = (2 * base + two_j * (two_ja + 1) * (two_jb + 1)
+                  + two_ja * (two_jb + 1) + two_jb)
+    shift = len(sites_r)
+    sectors = {}
+    top = int(two_j.max())
+    for two_m in range(top, -top - 1, -2):
+        order = np.flatnonzero(two_j >= abs(two_m))
+        a, b, jb = qa[order], qb[order], two_jb[order]
+        twice = (twice_base[order]
+                 - two_m * ((two_ja[order] + 1) * (jb + 1) + 1))
+        slots = [(m1, two_m - m1) for m1 in sectors_l
+                 if two_m - m1 in sectors_r]
+        widths = [sectors_l[m1][1].size * sectors_r[m2][1].size
+                  for m1, m2 in slots]
+        block = np.empty((order.size + 1, sum(widths)))
+        block[-1] = 0.0
+        columns = np.empty(sum(widths), dtype=np.int64)
+        start = 0
+        for (two_m1, two_m2), width in zip(slots, widths):
+            left, cols_l, rows_l = sectors_l[two_m1]
+            right, cols_r, rows_r = sectors_r[two_m2]
+            # a pair without states at m1 and M - m1 reads a zero row, so
+            # the table value it gets, clipped into range, multiplies 0
+            cg = flat.take((twice - two_m1 * jb) // 2, mode="clip")
+            stop = start + width
+            view = block[:order.size, start:stop].reshape(
+                order.size, cols_l.size, cols_r.size)
+            np.multiply(left[rows_l[a]][:, :, None],
+                        right[rows_r[b]][:, None, :], out=view)
+            view *= cg[:, None, None]
+            columns[start:stop] = ((cols_l[:, None] << shift)
+                                   | cols_r[None, :]).ravel()
+            start = stop
+        rows = np.full(len(mults), order.size)
+        rows[order] = np.arange(order.size)
+        sectors[two_m] = (block, columns, rows)
+    return sites, mults, sectors
 
 
 def _site_permutation(sites: list[int], n: int) -> np.ndarray:
@@ -335,84 +408,134 @@ def couple(system: SpinSystem, tree: CouplingTree) -> list[CoupledState]:
     Returns 2^N orthonormal simultaneous S^2/S_z eigenstates, ordered by
     descending M and, within each M sector, by descending total spin and
     then descending intermediate spins (presets may override a sector's
-    order to match the conventional presentation).  The vectors are
-    read-only float64 rows of one 2^N x 2^N array.
+    order to match the conventional presentation).  The states of one M
+    sector are the rows of one read-only float64 block over that sector's
+    product states; no 2^N-wide array is built.
     """
     tree.validate_for(system)
-    sites, entries = _node_states(tree.root)
-    partial = np.concatenate([amps for _j, _inter, amps in entries])
-    if partial.shape[0] != system.dimension:
+    sites, mults, sectors = _node_states(tree.root)
+    count = sum(len(block) - 1 for block, _cols, _rows in sectors.values())
+    if count != system.dimension:
         raise RuntimeError(
-            f"coupling produced {partial.shape[0]} states for dimension "
+            f"coupling produced {count} states for dimension "
             f"{system.dimension}"
         )
-    # column perm[k] of the basis is column k of partial: gather, not scatter
-    order = np.argsort(_site_permutation(sites, system.n))
-    basis = np.take(partial, order, axis=1)
-    basis.setflags(write=False)
-    # every row at once, so the states below skip CoupledState's own check;
-    # written so that a NaN norm fails it
-    norms = np.sqrt(np.einsum("ij,ij->i", basis, basis))
-    off = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))
-    if off.size:
-        raise ValueError(f"state vector norm {norms[off[0]]} deviates from 1")
+    inner = [inter[:-1] for _two_j, inter in mults]  # without the root
+    spins = [tuple(spin for _sites, spin in nodes) for nodes in inner]
+    heads = [f"|{format_spin(two_j / 2)}," for two_j, _inter in mults]
+    decorations = [_decoration(tree, inter_spins) for inter_spins in spins]
+    # within a sector: descending S, then descending intermediate spins,
+    # unless the tree fixes that sector's order
+    plain = sorted(range(len(mults)), key=lambda k: (
+        -mults[k][0], tuple(-spin for spin in spins[k])))
+    rank = np.empty(len(mults), dtype=np.int64)
+    rank[plain] = np.arange(len(mults))
+    permutation = _site_permutation(sites, system.n)
     states = []
-    keys = []
-    for total_s, inter, amps in entries:
-        inner = inter[:-1]  # the root's spin is the total spin itself
-        inter_spins = tuple(spin for _sites, spin in inner)
-        decoration = _decoration(tree, inter_spins)
-        head = f"|{format_spin(total_s)},"
-        # within a sector: descending S, then descending intermediate spins,
-        # unless the tree fixes that sector's order
-        plain = (-total_s, tuple(-s for s in inter_spins))
-        for step in range(amps.shape[0]):
-            mm = total_s - step
-            fixed = tree.sector_orders.get(mm) if tree.sector_orders else None
-            keys.append((-mm, plain if fixed is None
-                         else (fixed.index((total_s, inter_spins)),)))
+    for two_m in sorted(sectors, reverse=True):
+        block, partial, rows = sectors[two_m]
+        order = np.flatnonzero(rows < len(block) - 1)
+        mm = two_m / 2
+        fixed = tree.sector_orders.get(mm) if tree.sector_orders else None
+        if fixed is None:
+            by_key = np.argsort(rank[order])
+        else:
+            by_key = np.argsort([fixed.index((mults[k][0] / 2, spins[k]))
+                                 for k in order.tolist()])
+        product = permutation[partial]
+        by_index = np.argsort(product)
+        columns = product[by_index]
+        columns.setflags(write=False)
+        # a product with a zero row or a zero CG value may be -0.0; adding
+        # 0.0 makes it 0.0, as the sum over the CG table did
+        block = np.take(np.take(block, by_key, axis=0), by_index, axis=1)
+        block += 0.0
+        block.setflags(write=False)
+        # written so that a NaN norm fails it
+        norms = np.sqrt(np.einsum("ij,ij->i", block, block))
+        off = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))
+        if off.size:
+            raise ValueError(f"state vector norm {norms[off[0]]} deviates from 1")
+        tail = format_spin(mm)
+        for row, k in enumerate(order[by_key].tolist()):
             states.append(_unchecked(
                 CoupledState,
-                total_s=total_s,
+                total_s=mults[k][0] / 2,
                 m=mm,
-                intermediates=inner,
-                vector=basis[len(states)],
-                label=f"{head}{format_spin(mm)}{decoration}⟩",
+                intermediates=inner[k],
+                label=f"{heads[k]}{tail}{decorations[k]}⟩",
                 system=system,
+                _vector=None,
+                _columns=columns,
+                _block=block,
+                _row=row,
             ))
-    return [states[k] for k in sorted(range(len(states)), key=keys.__getitem__)]
+    return states
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class BasisTransform:
     """Rectangular block of coupled-state amplitudes over product states.
 
     ``columns`` holds the product index of each column as a read-only int64
     array; ``matrix`` is a read-only float64 array, coupled amplitudes being
-    real.
+    real.  A transform from ``m_sector`` or ``full_transform`` keeps one
+    block per M sector and builds ``matrix`` from them on each read; one
+    built directly keeps the matrix it was given.
     """
 
     states: tuple[CoupledState, ...]
     columns: np.ndarray
-    matrix: np.ndarray
     system: SpinSystem
 
-    def __post_init__(self) -> None:
-        cols = np.asarray(self.columns)
+    def __init__(self, states, columns, matrix, system: SpinSystem) -> None:
+        cols = np.asarray(columns)
         if cols.dtype != np.int64 or cols.flags.writeable:
             cols = cols.astype(np.int64)
             cols.setflags(write=False)
-        dim = self.system.dimension
+        dim = system.dimension
         if cols.ndim != 1 or np.any((cols < 0) | (cols >= dim)):
             raise ValueError(f"columns must be product indices below {dim}")
-        mat = _read_only_real(self.matrix, "basis amplitudes")
-        expected = (len(self.states), cols.size)
+        mat = _read_only_real(matrix, "basis amplitudes")
+        expected = (len(states), cols.size)
         if mat.shape != expected and mat.size > 0:
             raise ValueError(f"matrix shape {mat.shape} does not match {expected}")
         mat = mat.reshape(expected)
         mat.setflags(write=False)
-        object.__setattr__(self, "columns", cols)
-        object.__setattr__(self, "matrix", mat)
+        self.__dict__.update(states=tuple(states), columns=cols, system=system,
+                             _matrix=mat, _sectors=None)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is not None:
+            return self._matrix
+        matrix = np.zeros((len(self.states), self.columns.size))
+        for rows, cols, block in self._sectors:
+            matrix[np.ix_(rows, cols)] = block
+        matrix.setflags(write=False)
+        return matrix
+
+    def _sector_blocks(self, tol: float) -> tuple:
+        """``(rows, columns, block)`` per M sector of the rows, in ascending
+        M, as ``_m_sectors`` gives them.  A matrix given to the constructor
+        is split on the first call, which raises ``ValueError`` for an
+        amplitude above ``tol`` outside its row's sector."""
+        if self._sectors is None:
+            row_m = np.array([s.m for s in self.states])
+            col_m = _projections(self.system.n)[self.columns]
+            self.__dict__["_sectors"] = tuple(_m_sectors(
+                self._matrix.__getitem__, row_m, col_m, tol).values())
+        return self._sectors
+
+    @classmethod
+    def _from_sectors(cls, states: tuple, columns: np.ndarray, sectors,
+                      system: SpinSystem) -> "BasisTransform":
+        """The transform made of per-M ``(rows, columns, block)`` triples,
+        the column indices counting into ``columns``.  The blocks come from
+        ``couple``, which has checked them."""
+        columns.setflags(write=False)
+        return _unchecked(cls, states=states, columns=columns, system=system,
+                          _matrix=None, _sectors=tuple(sectors))
 
     @property
     def row_labels(self) -> tuple[str, ...]:
@@ -426,6 +549,30 @@ class BasisTransform:
         return tuple(f"|{''.join(row)}⟩" for row in arrows.tolist())
 
 
+def _state_sectors(states) -> "dict | None":
+    """``{M: (rows, columns, block)}`` in ascending M from the blocks behind
+    ``states``: the positions of the states of M, the product indices of M
+    and the states' rows of amplitudes on them.  None if some state holds a
+    vector of its own.  A sector's block is shared when the states are all
+    of it, in its order."""
+    blocks = [s._block for s in states]
+    if any(block is None for block in blocks):
+        return None
+    row_m = np.array([s.m for s in states])
+    row_of = np.array([s._row for s in states], dtype=np.int64)
+    found = {}
+    for m in _unique(row_m):
+        rows = np.flatnonzero(row_m == m)
+        block = blocks[rows[0]]
+        if (rows.size != len(block)
+                or not np.array_equal(row_of[rows], np.arange(rows.size))
+                or any(blocks[k] is not block for k in rows.tolist())):
+            block = np.array([blocks[k][row_of[k]] for k in rows.tolist()])
+            block.setflags(write=False)
+        found[m] = (rows, states[rows[0]]._columns, block)
+    return found
+
+
 def m_sector(states: "list[CoupledState]", m: float) -> BasisTransform:
     """Sub-block of the basis transform for one spin projection.
 
@@ -436,9 +583,13 @@ def m_sector(states: "list[CoupledState]", m: float) -> BasisTransform:
     system = states[0].system
     selected = tuple(s for s in states if s.m == m)
     columns = product_states_with_m(system.n, m)
-    matrix = np.array([s.vector[columns] for s in selected])
-    matrix.setflags(write=False)
-    return BasisTransform(selected, columns, matrix, system)
+    found = _state_sectors(selected)
+    if found is None:
+        matrix = np.array([s.vector[columns] for s in selected])
+        return BasisTransform(selected, columns, matrix, system)
+    sectors = [(rows, np.arange(columns.size), block)
+               for rows, _cols, block in found.values()]
+    return BasisTransform._from_sectors(selected, columns, sectors, system)
 
 
 def full_transform(states: "list[CoupledState]") -> BasisTransform:
@@ -446,10 +597,22 @@ def full_transform(states: "list[CoupledState]") -> BasisTransform:
     if not states:
         raise ValueError("no coupled states supplied")
     system = states[0].system
-    matrix = np.array([s.vector for s in states])
-    matrix.setflags(write=False)
-    return BasisTransform(tuple(states), np.arange(system.dimension), matrix,
-                          system)
+    columns = np.arange(system.dimension)
+    found = _state_sectors(states)
+    if found is None:
+        matrix = np.array([s.vector for s in states])
+        return BasisTransform(tuple(states), columns, matrix, system)
+    return BasisTransform._from_sectors(tuple(states), columns,
+                                        found.values(), system)
+
+
+def _unique(values: np.ndarray) -> np.ndarray:
+    """The distinct values in ascending order, as ``np.unique`` gives them
+    without importing ``numpy.ma``."""
+    ordered = np.sort(values)
+    first = np.ones(ordered.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return ordered[first]
 
 
 def _m_sectors(rows_of, row_m: np.ndarray, col_m: np.ndarray,
@@ -464,7 +627,7 @@ def _m_sectors(rows_of, row_m: np.ndarray, col_m: np.ndarray,
     largest leak.
     """
     sectors = {}
-    for m in np.unique(row_m):
+    for m in _unique(row_m):
         rows = np.flatnonzero(row_m == m)
         cols = np.flatnonzero(col_m == m)
         slab = rows_of(rows)
@@ -486,8 +649,9 @@ def scheme_overlap(basis_a: "list[CoupledState]",
     """Overlap matrix <a_i|b_j> between two complete coupled bases.
 
     Both bases conserve M, so the real matrix is assembled from one product
-    per M sector, and entries between different M are exact zeros.  Each
-    basis is gathered one M sector at a time, never as a whole.
+    of the two bases' blocks per M sector, and entries between different M
+    are exact zeros.  A state that holds a vector of its own is checked to
+    lie in its M sector.
     """
     if not basis_a or not basis_b:
         raise ValueError("empty basis")
@@ -500,15 +664,22 @@ def scheme_overlap(basis_a: "list[CoupledState]",
     col_m = _projections(basis_a[0].system.n)
 
     def sectors(basis):
-        return _m_sectors(
-            lambda rows: np.array([basis[k].vector for k in rows]),
-            np.array([s.m for s in basis]), col_m, NORM_TOL)
+        found = _state_sectors(basis)
+        if found is None:
+            found = _m_sectors(
+                lambda rows: np.array([basis[k].vector for k in rows]),
+                np.array([s.m for s in basis]), col_m, NORM_TOL)
+        return found
 
     sectors_b = sectors(basis_b)
     overlap = np.zeros(shape_a)
     for m, (rows, _cols, block) in sectors(basis_a).items():
         if m in sectors_b:
             rows_b, _cols, block_b = sectors_b[m]
+            if block_b is block:
+                # numpy takes the symmetric BLAS product for one buffer
+                # times its transpose; that rounds unlike the general one
+                block_b = block_b.copy()
             overlap[np.ix_(rows, rows_b)] = block @ block_b.T
     return overlap
 
@@ -534,12 +705,13 @@ def classify_exchange(states: "list[CoupledState]",
     permutations = [_swap_permutation(n, i, j) for i, j in pairs]
     results = []
     for state in states:
+        vector = state.vector
         row = []
         for perm in permutations:
-            swapped = state.vector[perm]
-            if np.max(np.abs(swapped - state.vector)) <= EXCHANGE_TOL:
+            swapped = vector[perm]
+            if np.max(np.abs(swapped - vector)) <= EXCHANGE_TOL:
                 row.append(+1)
-            elif np.max(np.abs(swapped + state.vector)) <= EXCHANGE_TOL:
+            elif np.max(np.abs(swapped + vector)) <= EXCHANGE_TOL:
                 row.append(-1)
             else:
                 row.append("mixed")

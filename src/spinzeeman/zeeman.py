@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coupling import BasisTransform, _m_sectors, _read_only_real, _unchecked
-from .system import _projections, moment_diagonal
+from .coupling import BasisTransform, _read_only_real, _unchecked, _unique
+from .system import moment_diagonal
 
 ZERO_TOL = 1e-10
 MOMENT_ORACLE_TOL = 1e-12
@@ -64,7 +64,7 @@ class MomentMatrix:
         # mu_z conserves M; group rotations act within one M sector
         row_m = np.array([s.m for s in self.basis.states])
         blocks = []
-        for m in np.unique(row_m):
+        for m in _unique(row_m):
             sector = np.flatnonzero(row_m == m)
             block = mat[np.ix_(sector, sector)]
             _check_block(block, block.T, tol)
@@ -126,16 +126,14 @@ def moment_matrix(basis: BasisTransform) -> MomentMatrix:
     """Moment matrix for a basis block; mu_z is diagonal over the columns.
 
     mu_z conserves M, so the matrix is assembled from one real product per
-    M sector of the rows.  The basis must be real, orthonormal, and keep
-    each row inside its own M sector.  Entries below ``CHOP_TOL`` times the
+    M sector of the rows, taken on the basis's block for that sector.  The
+    basis must be real, orthonormal, and keep each row inside its own M
+    sector.  Entries below ``CHOP_TOL`` times the
     matrix scale are set to exact zero.
     """
-    row_m = np.array([s.m for s in basis.states])
-    col_m = _projections(basis.system.n)[basis.columns]
     diag = moment_diagonal(basis.system)[basis.columns]
     products = []
-    for rows, cols, block in _m_sectors(basis.matrix.__getitem__, row_m,
-                                        col_m, ZERO_TOL).values():
+    for rows, cols, block in basis._sector_blocks(ZERO_TOL):
         dev = np.max(np.abs(block @ block.T - np.eye(rows.size)))
         if dev > ZERO_TOL:
             raise ValueError(f"basis rows are not orthonormal (deviation {dev:.3e})")
@@ -375,7 +373,7 @@ def _rotate_groups(matrix: MomentMatrix, spec: DegeneracySpec):
             continue
         group = np.asarray(group)
         group_sector = sector_of[group]
-        for k in np.unique(group_sector):  # ascending M
+        for k in _unique(group_sector):  # ascending M
             idx = group[group_sector == k]
             if idx.size == 1:
                 continue

@@ -171,6 +171,45 @@ def test_spaced_negative_value_matches_attached_form(capsys, args, option,
     assert spaced == attached
 
 
+@pytest.mark.parametrize("bmin, bmax", [
+    ("-inf", "1"), ("-INF", "1"), ("-Infinity", "1"), ("-1", "-nan"),
+    ("-1", "-NaN"),
+])
+def test_spaced_non_finite_field_is_domain_error(capsys, bmin, bmax):
+    code, out, err = run_cli(
+        capsys, "sweep", "--system", "positronium", "--bmin", bmin,
+        "--bmax", bmax, "--steps", "3",
+    )
+    assert (code, out, err) == (1, "", "error: field grid must be finite\n")
+
+
+@pytest.mark.parametrize("args, flag, value, option", [
+    (("classify", "--system", "dipositronium"), "--mu", "-1e-3", "--mu0"),
+    (("classify", "--system", "dipositronium"), "--mu0", "-1e-3", "--mu0"),
+    (("sweep", "--system", "positronium", "--bmax", "1", "--steps", "3"),
+     "--bmi", "-1e-3", "--bmin"),
+    (("sweep", "--system", "positronium", "--bmin", "-2", "--steps", "3"),
+     "--bma", "-1e-3", "--bmax"),
+    (("sweep", "--system", "positronium", "--bmax", "1", "--steps", "3"),
+     "--bmi", "-inf", "--bmin"),
+])
+def test_abbreviated_signed_option_takes_a_spaced_negative_value(
+        capsys, args, flag, value, option):
+    spaced = run_cli(capsys, *args, flag, value)
+    attached = run_cli(capsys, *args, f"{option}={value}")
+    assert spaced == attached
+    assert spaced[0] == (1 if value == "-inf" else 0), spaced[2]
+
+
+def test_ambiguous_abbreviation_is_usage_error(capsys):
+    for value in ("1", "-1e-3"):
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--system", "positronium", "--bm", value,
+                  "--bmax", "1", "--steps", "3"])
+        assert info.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
 def test_negative_si_mu0_negates_the_census_slopes(capsys):
     reports = {}
     for mu0 in ("9.274e-24", "-9.274e-24"):

@@ -4,7 +4,8 @@ Group rotation and level tracking call ``zeeman.linear_sum_assignment``,
 which on first use loads only scipy's compiled solver module, not the
 package around it: importing ``scipy.optimize`` costs about 0.4 s and 45 MB
 per CLI run.  Every command that solves no assignment, and the package
-import itself, must leave scipy unloaded altogether.
+import itself, must leave scipy unloaded altogether.  No command imports
+``numpy.ma`` either, which ``np.unique`` does on its first call in numpy 2.
 """
 
 import json
@@ -48,8 +49,9 @@ TIE_MATRICES = (
 
 # Runs in a fresh interpreter: after the import and after each command in
 # turn, records the scipy modules loaded so far and whether the solver has
-# been loaded.  Then imports scipy.optimize, which must still work normally
-# and hand out the very function the commands used.
+# been loaded, and apart from those whether numpy.ma has been.  Then
+# imports scipy.optimize, which must still work normally and hand out the
+# very function the commands used.
 PROBE = """
 import contextlib, io, json, sys
 
@@ -63,10 +65,13 @@ def state():
     return [scipy_modules(), zeeman._solver is not None]
 
 loaded = {"import": state()}
+masked = {"import": "numpy.ma" in sys.modules}
 for name, argv in json.loads(sys.argv[1]).items():
     with contextlib.redirect_stdout(io.StringIO()):
         code = spinzeeman.cli.main(argv)
     loaded[name] = state() if code == 0 else f"exit {code}"
+    masked[name] = "numpy.ma" in sys.modules
+loaded["numpy.ma"] = masked
 import scipy.optimize
 loaded["after"] = {
     "has_lsap": hasattr(scipy.optimize, "_lsap"),
@@ -110,6 +115,12 @@ def test_assigning_step_leaves_scipy_optimize_unloaded(loaded, step):
     assert solver_loaded
     assert not [k for k in modules
                 if k == "scipy.optimize" or k.startswith("scipy.optimize.")]
+
+
+@pytest.mark.parametrize("step", ["import", *STEPS, *ASSIGNING])
+def test_step_leaves_numpy_ma_unloaded(loaded, step):
+    assert isinstance(loaded[step], list), loaded[step]
+    assert loaded["numpy.ma"][step] is False
 
 
 def test_scipy_optimize_imports_normally_after_the_solver(loaded):

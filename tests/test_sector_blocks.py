@@ -1,0 +1,336 @@
+"""Coupled bases stored as one block per M sector, against the dense code
+they replaced, and the memory a census takes with them.
+
+The references below are kept only here: the former ``couple``, which
+built every multiplet over the whole partial space with one CG-table
+product, concatenated the multiplets and permuted the columns into one
+2^N x 2^N array; the former ``moment_matrix``, which split that array into
+M sectors with ``_m_sectors``; and the former ``scheme_overlap``, which
+stacked both bases' vectors before splitting them the same way.  Blocks,
+the dense views built from them, moment entries and overlaps must be
+bit-identical to these.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from spinzeeman import (
+    BasisTransform,
+    CoupledState,
+    CouplingTree,
+    DegeneracySpec,
+    SpinSystem,
+    classify,
+    couple,
+    full_transform,
+    m_sector,
+    moment_diagonal,
+    moment_matrix,
+    quadratic_coefficients,
+    scheme_overlap,
+)
+from spinzeeman import coupling, zeeman
+from spinzeeman.coupling import _site_permutation
+from spinzeeman.system import _projections, product_states_with_m
+from test_moment_sectors import ALTERNATING, _spin_grouped, _trees
+
+DIPOS = SpinSystem.dipositronium()
+
+
+def _former_node_states(node):
+    """Former ``_node_states``: each multiplet's rows over the whole partial
+    space, one CG-table product per multiplet."""
+    if isinstance(node, int):
+        return [node], [(0.5, (), np.eye(2))]
+    sites_l, entries_l = _former_node_states(node[0])
+    sites_r, entries_r = _former_node_states(node[1])
+    sites = sites_l + sites_r
+    site_key = tuple(sites)
+    entries = []
+    for j1, inter1, amps1 in entries_l:
+        for j2, inter2, amps2 in entries_r:
+            pairs = amps1[:, None, :, None] * amps2[None, :, None, :]
+            pairs = pairs.reshape(-1, 1 << len(sites))
+            two_j_max = int(round(2 * (j1 + j2)))
+            two_j_min = int(round(2 * abs(j1 - j2)))
+            for two_j in range(two_j_max, two_j_min - 1, -2):
+                jj = two_j / 2.0
+                entries.append((jj, inter1 + inter2 + ((site_key, jj),),
+                                coupling._cg_table(j1, j2, jj) @ pairs))
+    return sites, entries
+
+
+def _former_couple(system, tree):
+    """Former ``couple``: ``(S, M, intermediates)`` of every state in
+    ``couple``'s order, and the 2^N x 2^N array of their vectors."""
+    sites, entries = _former_node_states(tree.root)
+    partial = np.concatenate([amps for _j, _inter, amps in entries])
+    basis = np.take(partial, np.argsort(_site_permutation(sites, system.n)),
+                    axis=1)
+    quantum_numbers, keys = [], []
+    for total_s, inter, amps in entries:
+        inner = inter[:-1]
+        inter_spins = tuple(spin for _sites, spin in inner)
+        plain = (-total_s, tuple(-s for s in inter_spins))
+        for step in range(amps.shape[0]):
+            mm = total_s - step
+            fixed = tree.sector_orders.get(mm) if tree.sector_orders else None
+            keys.append((-mm, plain if fixed is None
+                         else (fixed.index((total_s, inter_spins)),)))
+            quantum_numbers.append((total_s, mm, inner))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return [quantum_numbers[k] for k in order], basis[order]
+
+
+def _former_moment(system, row_m, columns, matrix):
+    """Former ``moment_matrix`` of the rows of ``matrix`` over the product
+    states ``columns``: split by ``_m_sectors``, one product per sector,
+    then the chop."""
+    col_m = _projections(system.n)[columns]
+    diag = moment_diagonal(system)[columns]
+    products = [
+        (rows, (block * diag[cols]) @ block.T)
+        for rows, cols, block in coupling._m_sectors(
+            matrix.__getitem__, row_m, col_m, zeeman.ZERO_TOL).values()
+    ]
+    scale = max((np.max(np.abs(p)) for _rows, p in products if p.size),
+                default=0.0)
+    entries = np.zeros((len(row_m),) * 2)
+    for rows, product in products:
+        product[np.abs(product) < zeeman.CHOP_TOL * scale] = 0.0
+        entries[np.ix_(rows, rows)] = product
+    return entries
+
+
+def _former_overlap(system, m_a, matrix_a, m_b, matrix_b):
+    """Former ``scheme_overlap``: both bases stacked, split per M sector."""
+    col_m = _projections(system.n)
+
+    def sectors(row_m, matrix):
+        return coupling._m_sectors(lambda rows: matrix[rows], row_m, col_m,
+                                   coupling.NORM_TOL)
+
+    sectors_b = sectors(m_b, matrix_b)
+    overlap = np.zeros(matrix_a.shape)
+    for m, (rows, _cols, block) in sectors(m_a, matrix_a).items():
+        if m in sectors_b:
+            rows_b, _cols, block_b = sectors_b[m]
+            overlap[np.ix_(rows, rows_b)] = block @ block_b.T
+    return overlap
+
+
+def _orders(n):
+    """Alternating sites, and one shuffled order of the same species."""
+    shuffled = [ALTERNATING[k] for k in
+                np.random.default_rng(n).permutation(n)]
+    return {"alt": ALTERNATING[:n], "mix": shuffled}
+
+
+def _cases():
+    for n in range(2, 9):
+        for order, species in _orders(n).items():
+            system = SpinSystem.from_species(species)
+            for shape, tree in _trees(species).items():
+                yield f"n{n}-{order}-{shape}", system, tree
+    yield "like-pairs", DIPOS, CouplingTree.like_pairs(DIPOS)
+    yield "positronium-pairs", DIPOS, CouplingTree.positronium_pairs(DIPOS)
+
+
+def _pairs():
+    for n in range(2, 9):
+        for order, species in _orders(n).items():
+            trees = _trees(species)
+            yield (f"n{n}-{order}", SpinSystem.from_species(species),
+                   trees["atom"], trees["ep"])
+    yield ("presets", DIPOS, CouplingTree.like_pairs(DIPOS),
+           CouplingTree.positronium_pairs(DIPOS))
+
+
+def _same_bits(array, expected):
+    """Read-only float64, and the same bytes as ``expected``."""
+    assert array.dtype == np.float64
+    assert not array.flags.writeable
+    assert array.shape == expected.shape
+    assert array.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+@pytest.mark.parametrize("name, system, tree", list(_cases()),
+                         ids=[c[0] for c in _cases()])
+def test_blocks_match_the_former_dense_basis(name, system, tree):
+    states = couple(system, tree)
+    quantum_numbers, dense = _former_couple(system, tree)
+    assert [(s.total_s, s.m, s.intermediates) for s in states] == \
+        quantum_numbers
+    for state, expected in zip(states, dense):
+        _same_bits(state.vector, expected)
+    row_m = np.array([s.m for s in states])
+    full = full_transform(states)
+    _same_bits(full.matrix, dense)
+    everything = np.arange(system.dimension)
+    assert moment_matrix(full).entries.tobytes() == _former_moment(
+        system, row_m, everything, dense).tobytes()
+    for m in np.arange(system.n, -system.n - 1, -2) / 2:
+        block = m_sector(states, m)
+        columns = product_states_with_m(system.n, m)
+        expected = dense[row_m == m][:, columns]
+        assert np.array_equal(block.columns, columns)
+        _same_bits(block.matrix, expected)
+        assert moment_matrix(block).entries.tobytes() == _former_moment(
+            system, row_m[row_m == m], columns, expected).tobytes()
+
+
+@pytest.mark.parametrize("name, system, tree_a, tree_b", list(_pairs()),
+                         ids=[p[0] for p in _pairs()])
+def test_overlap_matches_the_former_stacked_overlap(name, system, tree_a,
+                                                    tree_b):
+    bases = [couple(system, tree_a), couple(system, tree_b)]
+    dense = [_former_couple(system, tree)[1] for tree in (tree_a, tree_b)]
+    m = [np.array([s.m for s in basis]) for basis in bases]
+    for a, b in ((0, 1), (1, 0), (0, 0)):
+        overlap = scheme_overlap(bases[a], bases[b])
+        expected = _former_overlap(system, m[a], dense[a], m[b], dense[b])
+        assert overlap.dtype == np.float64
+        assert overlap.tobytes() == expected.tobytes()
+
+
+def _dense_copies(states):
+    """The same states, each built from its dense vector."""
+    return [CoupledState(s.total_s, s.m, s.intermediates, s.vector, s.label,
+                         s.system) for s in states]
+
+
+@pytest.mark.parametrize("shape", ["atom", "ep"])
+def test_dense_inputs_give_the_same_results(shape):
+    species = ALTERNATING[:6]
+    system = SpinSystem.from_species(species)
+    trees = _trees(species)
+    states = couple(system, trees[shape])
+    other = couple(system, trees["ep" if shape == "atom" else "atom"])
+    copies = _dense_copies(states)
+    full, copied = full_transform(states), full_transform(copies)
+    assert copied.matrix.tobytes() == full.matrix.tobytes()
+    assert moment_matrix(copied).entries.tobytes() == \
+        moment_matrix(full).entries.tobytes()
+    given = BasisTransform(full.states, full.columns, full.matrix, system)
+    assert moment_matrix(given).entries.tobytes() == \
+        moment_matrix(full).entries.tobytes()
+    assert scheme_overlap(copies, other).tobytes() == \
+        scheme_overlap(states, other).tobytes()
+    for m in (1.0, 0.0):
+        assert m_sector(copies, m).matrix.tobytes() == \
+            m_sector(states, m).matrix.tobytes()
+
+
+def test_reordered_and_mixed_states_are_gathered_from_their_blocks():
+    species = ALTERNATING[:6]
+    system = SpinSystem.from_species(species)
+    trees = _trees(species)
+    atom, ep = couple(system, trees["atom"]), couple(system, trees["ep"])
+    _numbers, dense = _former_couple(system, trees["atom"])
+    # reversed: every sector's rows come out in the opposite order
+    backwards = full_transform(atom[::-1])
+    _same_bits(backwards.matrix, dense[::-1])
+    row_m = np.array([s.m for s in atom[::-1]])
+    assert moment_matrix(backwards).entries.tobytes() == _former_moment(
+        system, row_m, np.arange(system.dimension), dense[::-1]).tobytes()
+    # states of one M from two bases
+    mixed = [s for s in atom if s.m == 1.0][::2] + \
+        [s for s in ep if s.m == 1.0][1::2]
+    block = m_sector(mixed, 1.0)
+    expected = np.array([s.vector[block.columns] for s in mixed])
+    _same_bits(block.matrix, expected)
+
+
+def test_a_basis_from_couple_is_wrapped_not_copied():
+    states = couple(DIPOS, CouplingTree.like_pairs(DIPOS))
+    for rows, cols, block in full_transform(states)._sector_blocks(
+            zeeman.ZERO_TOL):
+        state = states[rows[0]]
+        assert block is state._block
+        assert cols is state._columns
+        assert np.array_equal(rows, np.arange(rows[0], rows[0] + rows.size))
+    (_rows, _cols, block), = m_sector(states, 0.0)._sector_blocks(
+        zeeman.ZERO_TOL)
+    assert block is next(s for s in states if s.m == 0.0)._block
+
+
+def test_the_leak_scan_runs_only_on_dense_input(monkeypatch):
+    calls = []
+    split = coupling._m_sectors
+    monkeypatch.setattr(coupling, "_m_sectors",
+                        lambda *args: calls.append(1) or split(*args))
+    species = ALTERNATING[:6]
+    system = SpinSystem.from_species(species)
+    trees = _trees(species)
+    atom, ep = couple(system, trees["atom"]), couple(system, trees["ep"])
+    scheme_overlap(atom, ep)
+    basis = full_transform(ep)
+    moment_matrix(basis)
+    moment_matrix(m_sector(ep, 1.0))
+    assert calls == []
+    # a given matrix is split once, however often it is used
+    given = BasisTransform(basis.states, basis.columns, basis.matrix, system)
+    moment_matrix(given)
+    moment_matrix(given)
+    assert len(calls) == 1
+    # states built from vectors are split once per basis that holds them
+    scheme_overlap(atom, _dense_copies(ep))
+    assert len(calls) == 2
+
+
+N_MEMORY = 8
+DENSE_BYTES = 4 ** N_MEMORY * 8  # one 2^N x 2^N float64 array
+
+
+def _census_peaks(system, tree, partner):
+    """The census task on ``tree``, step by step; per step, the most memory
+    it held above what was in use when it began, and for the whole task the
+    most above what was in use before it, in 2^N x 2^N float64 arrays."""
+    peaks, highest = {}, []
+
+    def step(name, run):
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        result = run()
+        peak = tracemalloc.get_traced_memory()[1]
+        peaks[name] = (peak - start) / DENSE_BYTES
+        highest.append(peak)
+        return result
+
+    tracemalloc.start()
+    try:
+        first = tracemalloc.get_traced_memory()[0]
+        states = step("couple", lambda: couple(system, tree))
+        basis = step("full_transform", lambda: full_transform(states))
+        step("scheme_overlap", lambda: scheme_overlap(partner, states))
+        moments = step("moment_matrix", lambda: moment_matrix(basis))
+        spec = _spin_grouped(states)
+        step("classify", lambda: classify(
+            moments, DegeneracySpec.isolated(len(states))))
+        step("classify grouped", lambda: classify(moments, spec))
+        step("quadratic_coefficients",
+             lambda: quadratic_coefficients(moments, spec))
+    finally:
+        tracemalloc.stop()
+    return peaks, (max(highest) - first) / DENSE_BYTES
+
+
+@pytest.mark.parametrize("shape", ["atom", "ep"])
+def test_census_task_allocates_only_the_moment_and_overlap_arrays(shape):
+    species = ALTERNATING[:N_MEMORY]
+    system = SpinSystem.from_species(species)
+    trees = _trees(species)
+    partner = couple(system, trees["ep" if shape == "atom" else "atom"])
+    couple(system, trees[shape])  # the CG tables are kept per process
+    peaks, task = _census_peaks(system, trees[shape], partner)
+    # couple keeps C(2N, N) amplitudes, about a fifth of 4^N at N = 8;
+    # scheme_overlap returns one dense array and moment_matrix keeps one.
+    # The task peaks near 2.2 arrays (4.2 when the bases were dense), so one
+    # more dense array anywhere exceeds its bound of 3.
+    bounds = {"couple": 1.0, "full_transform": 0.25, "scheme_overlap": 1.5,
+              "moment_matrix": 1.5, "classify": 0.5, "classify grouped": 0.5,
+              "quadratic_coefficients": 0.5}
+    assert {k: peaks[k] for k in bounds if peaks[k] >= bounds[k]} == {}
+    assert task < 3.0, task
