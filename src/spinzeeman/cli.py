@@ -160,6 +160,9 @@ def _parse_m(text: str) -> float:
         raise argparse.ArgumentTypeError(
             f"invalid spin projection {text!r}; use forms like 1, -2, 1/2"
         ) from None
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"spin projection must be finite, got {text!r}")
     if abs(2 * value - round(2 * value)) > 1e-9:
         raise argparse.ArgumentTypeError(
             f"spin projection must be an integer or half-integer, got {text!r}"

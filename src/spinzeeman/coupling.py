@@ -207,26 +207,16 @@ def _read_only_real(array, what: str) -> np.ndarray:
     return arr
 
 
-def _unchecked(cls, **fields):
-    """An instance of the frozen dataclass ``cls`` with ``fields`` set as
-    given, without running the checks of its constructor.  For callers that
-    have already checked the fields in bulk."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
-
-
 @dataclass(frozen=True, eq=False, init=False)
 class CoupledState:
     """A |S, M, intermediates> basis vector expressed in the product basis.
 
     ``intermediates`` records ``(sites, spin)`` for each internal tree node
-    except the root (whose spin is ``total_s``), in post-order.  A state
-    from ``couple`` is row ``_row`` of its M sector's read-only ``_block``,
-    whose columns are the sector's product indices ``_columns`` in
-    ascending order; ``vector``, the amplitudes on all 2^N product states,
-    is built from that row on each read.  A state built directly keeps the
-    vector it was given.
+    except the root (whose spin is ``total_s``), in post-order.  Only
+    ``couple`` builds states.  A state is row ``_row`` of its M sector's
+    read-only ``_block``, whose columns are the sector's product indices
+    ``_columns`` in ascending order; ``vector``, the amplitudes on all 2^N
+    product states, is built from that row on each read.
     """
 
     total_s: float
@@ -235,21 +225,12 @@ class CoupledState:
     label: str
     system: SpinSystem
 
-    def __init__(self, total_s: float, m: float, intermediates,
-                 vector, label: str, system: SpinSystem) -> None:
-        vec = _read_only_real(vector, "state vector amplitudes")
-        norm = np.linalg.norm(vec)
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state vector norm {norm} deviates from 1")
-        self.__dict__.update(total_s=total_s, m=m, intermediates=intermediates,
-                             label=label, system=system, _vector=vec,
-                             _columns=None, _block=None, _row=None)
+    def __init__(self, *args, **kwargs) -> None:
+        raise TypeError("coupled states are built by couple()")
 
     @property
     def vector(self) -> np.ndarray:
         """Read-only float64 amplitudes over the product basis."""
-        if self._block is None:
-            return self._vector
         vector = np.zeros(self.system.dimension)
         vector[self._columns] = self._block[self._row]
         vector.setflags(write=False)
@@ -458,18 +439,19 @@ def couple(system: SpinSystem, tree: CouplingTree) -> list[CoupledState]:
             raise ValueError(f"state vector norm {norms[off[0]]} deviates from 1")
         tail = format_spin(mm)
         for row, k in enumerate(order[by_key].tolist()):
-            states.append(_unchecked(
-                CoupledState,
+            # CoupledState has no constructor to run: the fields are set here
+            state = object.__new__(CoupledState)
+            state.__dict__.update(
                 total_s=mults[k][0] / 2,
                 m=mm,
                 intermediates=inner[k],
                 label=f"{heads[k]}{tail}{decorations[k]}⟩",
                 system=system,
-                _vector=None,
                 _columns=columns,
                 _block=block,
                 _row=row,
-            ))
+            )
+            states.append(state)
     return states
 
 
@@ -478,17 +460,20 @@ class BasisTransform:
     """Rectangular block of coupled-state amplitudes over product states.
 
     ``columns`` holds the product index of each column as a read-only int64
-    array; ``matrix`` is a read-only float64 array, coupled amplitudes being
-    real.  A transform from ``m_sector`` or ``full_transform`` keeps one
-    block per M sector and builds ``matrix`` from them on each read; one
-    built directly keeps the matrix it was given.
+    array.  The amplitudes are given as one ``(rows, cols, block)`` triple
+    per M sector of the rows: ``block`` holds the real amplitudes of the
+    states at positions ``rows`` on the columns at positions ``cols``, all
+    of which have the M of those states, and every other amplitude is zero.
+    ``matrix``, a read-only float64 array, is built from the blocks on each
+    read.
     """
 
     states: tuple[CoupledState, ...]
     columns: np.ndarray
     system: SpinSystem
 
-    def __init__(self, states, columns, matrix, system: SpinSystem) -> None:
+    def __init__(self, states, columns, sectors, system: SpinSystem) -> None:
+        states = tuple(states)
         cols = np.asarray(columns)
         if cols.dtype != np.int64 or cols.flags.writeable:
             cols = cols.astype(np.int64)
@@ -496,46 +481,37 @@ class BasisTransform:
         dim = system.dimension
         if cols.ndim != 1 or np.any((cols < 0) | (cols >= dim)):
             raise ValueError(f"columns must be product indices below {dim}")
-        mat = _read_only_real(matrix, "basis amplitudes")
-        expected = (len(states), cols.size)
-        if mat.shape != expected and mat.size > 0:
-            raise ValueError(f"matrix shape {mat.shape} does not match {expected}")
-        mat = mat.reshape(expected)
-        mat.setflags(write=False)
-        self.__dict__.update(states=tuple(states), columns=cols, system=system,
-                             _matrix=mat, _sectors=None)
+        row_m = np.array([s.m for s in states])
+        col_m = _projections(system.n)[cols]
+        checked = []
+        for rows, at, block in sectors:
+            rows = np.asarray(rows, dtype=np.int64)
+            at = np.asarray(at, dtype=np.int64)
+            block = _read_only_real(block, "basis amplitudes")
+            if block.shape != (rows.size, at.size):
+                raise ValueError(f"block shape {block.shape} does not match "
+                                 f"{(rows.size, at.size)}")
+            found = _unique(np.concatenate((row_m[rows], col_m[at])))
+            if found.size > 1:
+                raise ValueError("a sector's rows and columns must share one "
+                                 f"M, not M={found[0]:g} and M={found[1]:g}")
+            checked.append((rows, at, block))
+        held = np.sort(np.concatenate([np.empty(0, dtype=np.int64)]
+                                      + [rows for rows, _at, _b in checked]))
+        if (len(checked) != _unique(row_m).size
+                or not np.array_equal(held, np.arange(len(states)))):
+            raise ValueError("the sectors must hold each state once, in one "
+                             "block per M")
+        self.__dict__.update(states=states, columns=cols, system=system,
+                             _sectors=tuple(checked))
 
     @property
     def matrix(self) -> np.ndarray:
-        if self._matrix is not None:
-            return self._matrix
         matrix = np.zeros((len(self.states), self.columns.size))
         for rows, cols, block in self._sectors:
             matrix[np.ix_(rows, cols)] = block
         matrix.setflags(write=False)
         return matrix
-
-    def _sector_blocks(self, tol: float) -> tuple:
-        """``(rows, columns, block)`` per M sector of the rows, in ascending
-        M, as ``_m_sectors`` gives them.  A matrix given to the constructor
-        is split on the first call, which raises ``ValueError`` for an
-        amplitude above ``tol`` outside its row's sector."""
-        if self._sectors is None:
-            row_m = np.array([s.m for s in self.states])
-            col_m = _projections(self.system.n)[self.columns]
-            self.__dict__["_sectors"] = tuple(_m_sectors(
-                self._matrix.__getitem__, row_m, col_m, tol).values())
-        return self._sectors
-
-    @classmethod
-    def _from_sectors(cls, states: tuple, columns: np.ndarray, sectors,
-                      system: SpinSystem) -> "BasisTransform":
-        """The transform made of per-M ``(rows, columns, block)`` triples,
-        the column indices counting into ``columns``.  The blocks come from
-        ``couple``, which has checked them."""
-        columns.setflags(write=False)
-        return _unchecked(cls, states=states, columns=columns, system=system,
-                          _matrix=None, _sectors=tuple(sectors))
 
     @property
     def row_labels(self) -> tuple[str, ...]:
@@ -549,25 +525,22 @@ class BasisTransform:
         return tuple(f"|{''.join(row)}⟩" for row in arrows.tolist())
 
 
-def _state_sectors(states) -> "dict | None":
+def _state_sectors(states) -> dict:
     """``{M: (rows, columns, block)}`` in ascending M from the blocks behind
     ``states``: the positions of the states of M, the product indices of M
-    and the states' rows of amplitudes on them.  None if some state holds a
-    vector of its own.  A sector's block is shared when the states are all
-    of it, in its order."""
-    blocks = [s._block for s in states]
-    if any(block is None for block in blocks):
-        return None
+    and the states' rows of amplitudes on them.  A sector's block is shared
+    when the states are all of it, in its order."""
     row_m = np.array([s.m for s in states])
     row_of = np.array([s._row for s in states], dtype=np.int64)
     found = {}
     for m in _unique(row_m):
         rows = np.flatnonzero(row_m == m)
-        block = blocks[rows[0]]
+        block = states[rows[0]]._block
         if (rows.size != len(block)
                 or not np.array_equal(row_of[rows], np.arange(rows.size))
-                or any(blocks[k] is not block for k in rows.tolist())):
-            block = np.array([blocks[k][row_of[k]] for k in rows.tolist()])
+                or any(states[k]._block is not block for k in rows.tolist())):
+            block = np.array([states[k]._block[row_of[k]]
+                              for k in rows.tolist()])
             block.setflags(write=False)
         found[m] = (rows, states[rows[0]]._columns, block)
     return found
@@ -583,13 +556,9 @@ def m_sector(states: "list[CoupledState]", m: float) -> BasisTransform:
     system = states[0].system
     selected = tuple(s for s in states if s.m == m)
     columns = product_states_with_m(system.n, m)
-    found = _state_sectors(selected)
-    if found is None:
-        matrix = np.array([s.vector[columns] for s in selected])
-        return BasisTransform(selected, columns, matrix, system)
     sectors = [(rows, np.arange(columns.size), block)
-               for rows, _cols, block in found.values()]
-    return BasisTransform._from_sectors(selected, columns, sectors, system)
+               for rows, _cols, block in _state_sectors(selected).values()]
+    return BasisTransform(selected, columns, sectors, system)
 
 
 def full_transform(states: "list[CoupledState]") -> BasisTransform:
@@ -597,13 +566,8 @@ def full_transform(states: "list[CoupledState]") -> BasisTransform:
     if not states:
         raise ValueError("no coupled states supplied")
     system = states[0].system
-    columns = np.arange(system.dimension)
-    found = _state_sectors(states)
-    if found is None:
-        matrix = np.array([s.vector for s in states])
-        return BasisTransform(tuple(states), columns, matrix, system)
-    return BasisTransform._from_sectors(tuple(states), columns,
-                                        found.values(), system)
+    return BasisTransform(states, np.arange(system.dimension),
+                          _state_sectors(states).values(), system)
 
 
 def _unique(values: np.ndarray) -> np.ndarray:
@@ -615,65 +579,25 @@ def _unique(values: np.ndarray) -> np.ndarray:
     return ordered[first]
 
 
-def _m_sectors(rows_of, row_m: np.ndarray, col_m: np.ndarray,
-               tol: float) -> dict:
-    """Split a basis by the M of its rows, one slab of rows per sector.
-
-    ``rows_of(rows)`` returns the amplitudes of the given rows on every
-    column.  Returns ``{M: (rows, columns, block)}`` in ascending M: the row
-    and column indices of the sector and the amplitudes of those rows on
-    those columns.  An amplitude above ``tol`` outside its row's sector
-    raises ``ValueError`` naming the lowest such M and that sector's
-    largest leak.
-    """
-    sectors = {}
-    for m in _unique(row_m):
-        rows = np.flatnonzero(row_m == m)
-        cols = np.flatnonzero(col_m == m)
-        slab = rows_of(rows)
-        # largest |amplitude| per column; fmax skips NaN, as ``>`` does
-        peak = np.fmax(np.fmax.reduce(slab, axis=0),
-                       -np.fmin.reduce(slab, axis=0))
-        leak = np.fmax.reduce(peak[col_m != m], initial=0.0)
-        if leak > tol:
-            raise ValueError(
-                f"basis rows of M={m:g} leave their M sector (amplitude "
-                f"{leak:.3e})"
-            )
-        sectors[m] = (rows, cols, np.take(slab, cols, axis=1))
-    return sectors
-
-
 def scheme_overlap(basis_a: "list[CoupledState]",
                    basis_b: "list[CoupledState]") -> np.ndarray:
     """Overlap matrix <a_i|b_j> between two complete coupled bases.
 
     Both bases conserve M, so the real matrix is assembled from one product
     of the two bases' blocks per M sector, and entries between different M
-    are exact zeros.  A state that holds a vector of its own is checked to
-    lie in its M sector.
+    are exact zeros.
     """
     if not basis_a or not basis_b:
         raise ValueError("empty basis")
-    shape_a = (len(basis_a), basis_a[0].vector.size)
-    shape_b = (len(basis_b), basis_b[0].vector.size)
+    shape_a = (len(basis_a), basis_a[0].system.dimension)
+    shape_b = (len(basis_b), basis_b[0].system.dimension)
     if shape_a != shape_b:
         raise ValueError(f"basis dimensions differ: {shape_a} vs {shape_b}")
     if shape_a[0] != shape_a[1]:
         raise ValueError("both bases must be complete (square transforms)")
-    col_m = _projections(basis_a[0].system.n)
-
-    def sectors(basis):
-        found = _state_sectors(basis)
-        if found is None:
-            found = _m_sectors(
-                lambda rows: np.array([basis[k].vector for k in rows]),
-                np.array([s.m for s in basis]), col_m, NORM_TOL)
-        return found
-
-    sectors_b = sectors(basis_b)
+    sectors_b = _state_sectors(basis_b)
     overlap = np.zeros(shape_a)
-    for m, (rows, _cols, block) in sectors(basis_a).items():
+    for m, (rows, _cols, block) in _state_sectors(basis_a).items():
         if m in sectors_b:
             rows_b, _cols, block_b = sectors_b[m]
             if block_b is block:
@@ -698,24 +622,24 @@ def _swap_permutation(n: int, i: int, j: int) -> np.ndarray:
 
 def classify_exchange(states: "list[CoupledState]",
                       pairs: "list[tuple[int, int]]"):
-    """Exchange eigenvalue (+1, -1, or 'mixed') per state per site pair."""
+    """Exchange eigenvalue (+1, -1, or 'mixed') per state per site pair.
+
+    A site swap keeps M, so it maps each M sector's columns onto
+    themselves, and each sector's block is compared with its swapped copy.
+    """
     if not states:
         raise ValueError("no coupled states supplied")
     n = states[0].system.n
     permutations = [_swap_permutation(n, i, j) for i, j in pairs]
-    results = []
-    for state in states:
-        vector = state.vector
-        row = []
+    results = [[] for _state in states]
+    for rows, cols, block in _state_sectors(states).values():
         for perm in permutations:
-            swapped = vector[perm]
-            if np.max(np.abs(swapped - vector)) <= EXCHANGE_TOL:
-                row.append(+1)
-            elif np.max(np.abs(swapped + vector)) <= EXCHANGE_TOL:
-                row.append(-1)
-            else:
-                row.append("mixed")
-        results.append(row)
+            swapped = block[:, np.searchsorted(cols, perm[cols])]
+            even = np.max(np.abs(swapped - block), axis=1) <= EXCHANGE_TOL
+            odd = np.max(np.abs(swapped + block), axis=1) <= EXCHANGE_TOL
+            for k, plus, minus in zip(rows.tolist(), even.tolist(),
+                                      odd.tolist()):
+                results[k].append(+1 if plus else -1 if minus else "mixed")
     return results
 
 

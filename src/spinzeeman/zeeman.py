@@ -19,11 +19,11 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import BasisTransform, _read_only_real, _unchecked, _unique
+from .coupling import BasisTransform, _read_only_real, _unique
 from .system import moment_diagonal
 
 ZERO_TOL = 1e-10
@@ -38,70 +38,45 @@ ENERGY_GAP_TOL = 1e-9
 CHOP_TOL = 1e-14
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class MomentMatrix:
     """Real symmetric matrix of <row| mu_z |col> over a coupled basis block.
 
-    mu_z conserves M, so the matrix is kept as one block per M sector of the
-    rows; ``entries`` is the same matrix as a read-only dense array.
+    mu_z conserves M, so the matrix is given as one ``(rows, block)`` pair
+    per M sector of the rows, in ascending M, and is zero between them;
+    ``entries`` is the same matrix as a read-only dense array.
     """
 
     basis: BasisTransform
     entries: np.ndarray
-    # ``(rows, block)`` per M sector of the rows, in ascending M; the blocks
-    # are read-only and every entry between two sectors is zero
-    _blocks: tuple = field(default=(), init=False, repr=False)
-    # ``_partners`` results by DegeneracySpec, computed on first use
-    _partners_by_spec: dict = field(default_factory=dict, init=False,
-                                    repr=False)
 
-    def __post_init__(self) -> None:
-        mat = _read_only_real(self.entries, "moment matrix entries")
-        n = len(self.basis.states)
-        mat = mat.reshape((n, n))
-        mat.setflags(write=False)
-        tol = MOMENT_ORACLE_TOL * _unit(self)
-        # mu_z conserves M; group rotations act within one M sector
-        row_m = np.array([s.m for s in self.basis.states])
-        blocks = []
-        for m in _unique(row_m):
-            sector = np.flatnonzero(row_m == m)
-            block = mat[np.ix_(sector, sector)]
-            _check_block(block, block.T, tol)
-            block.setflags(write=False)
-            blocks.append((sector, block))
-        # between sectors a one-sided entry is an asymmetry, and any entry
-        # above the tolerance a coupling across M
-        rows, cols = np.nonzero(mat != 0.0)  # bool nonzero is the fast one
-        cross = row_m[rows] != row_m[cols]
-        rows, cols = rows[cross], cols[cross]
-        _check_block(mat[rows, cols], mat[cols, rows], tol)
-        leak = np.max(np.abs(mat[rows, cols]), initial=0.0)
-        if leak > tol:
-            raise ValueError(
-                f"moment matrix couples states of different M (entry {leak:.3e})"
-            )
-        object.__setattr__(self, "entries", mat)
-        object.__setattr__(self, "_blocks", tuple(blocks))
-
-    @classmethod
-    def _from_blocks(cls, basis: BasisTransform, blocks) -> "MomentMatrix":
-        """The matrix made of per-M ``(rows, block)`` pairs, in ascending M,
-        and zero between them.
-
-        Entries between different M are zero by construction, so only each
-        block is checked, as the constructor checks it.
-        """
+    def __init__(self, basis: BasisTransform, blocks) -> None:
         n = len(basis.states)
+        row_m = np.array([s.m for s in basis.states])
         tol = MOMENT_ORACLE_TOL * abs(basis.system.mu0)
         entries = np.zeros((n, n))
+        checked = []
         for rows, block in blocks:
-            _check_block(block, block.T, tol)
-            block.setflags(write=False)
+            rows = np.asarray(rows, dtype=np.int64)
+            found = _unique(row_m[rows])
+            if found.size > 1:
+                raise ValueError("moment matrix couples states of different "
+                                 f"M, M={found[0]:g} and M={found[1]:g}")
+            block = _read_only_real(block, "moment matrix entries")
+            if block.shape != (rows.size, rows.size):
+                raise ValueError(f"moment block shape {block.shape} does not "
+                                 f"match {(rows.size, rows.size)}")
+            dev = np.max(np.abs(block - block.T), initial=0.0)
+            if dev > tol:
+                raise ValueError(
+                    f"moment matrix deviates from symmetric by {dev:.3e}")
             entries[np.ix_(rows, rows)] = block
+            checked.append((rows, block))
         entries.setflags(write=False)
-        return _unchecked(cls, basis=basis, entries=entries,
-                          _blocks=tuple(blocks), _partners_by_spec={})
+        # _partners_by_spec keeps the ``_partners`` result of each
+        # DegeneracySpec, computed on first use
+        self.__dict__.update(basis=basis, entries=entries,
+                             _blocks=tuple(checked), _partners_by_spec={})
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -112,28 +87,17 @@ class MomentMatrix:
         return len(self.basis.states)
 
 
-def _check_block(entries: np.ndarray, mirror: np.ndarray, tol: float) -> None:
-    """Raise ``ValueError`` unless moment ``entries`` are finite and within
-    ``tol`` of ``mirror``, the entries at their transposed positions."""
-    if not np.all(np.isfinite(entries)):
-        raise ValueError("moment matrix entries must be finite")
-    dev = np.max(np.abs(entries - mirror), initial=0.0)
-    if dev > tol:
-        raise ValueError(f"moment matrix deviates from symmetric by {dev:.3e}")
-
-
 def moment_matrix(basis: BasisTransform) -> MomentMatrix:
     """Moment matrix for a basis block; mu_z is diagonal over the columns.
 
     mu_z conserves M, so the matrix is assembled from one real product per
     M sector of the rows, taken on the basis's block for that sector.  The
-    basis must be real, orthonormal, and keep each row inside its own M
-    sector.  Entries below ``CHOP_TOL`` times the
-    matrix scale are set to exact zero.
+    rows of each block must be orthonormal.  Entries below ``CHOP_TOL``
+    times the matrix scale are set to exact zero.
     """
     diag = moment_diagonal(basis.system)[basis.columns]
     products = []
-    for rows, cols, block in basis._sector_blocks(ZERO_TOL):
+    for rows, cols, block in basis._sectors:
         dev = np.max(np.abs(block @ block.T - np.eye(rows.size)))
         if dev > ZERO_TOL:
             raise ValueError(f"basis rows are not orthonormal (deviation {dev:.3e})")
@@ -142,7 +106,8 @@ def moment_matrix(basis: BasisTransform) -> MomentMatrix:
                 default=0.0)
     for _rows, product in products:
         product[np.abs(product) < CHOP_TOL * scale] = 0.0
-    return MomentMatrix._from_blocks(basis, products)
+        product.setflags(write=False)
+    return MomentMatrix(basis, products)
 
 
 def _near_equal(energies) -> "tuple[float, float] | None":

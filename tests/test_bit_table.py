@@ -21,12 +21,13 @@ from spinzeeman import (
     moment_diagonal,
     moment_matrix,
 )
-from spinzeeman import coupling, zeeman
+from spinzeeman import zeeman
 from spinzeeman.coupling import _site_permutation, _swap_permutation
 from spinzeeman.system import product_states_with_m
 
 from dense_operators import ProductState
 from test_moment_sectors import ALTERNATING, _trees
+from test_sector_blocks import _former_m_sectors
 
 SIZES = range(1, 7)
 
@@ -128,8 +129,8 @@ def _per_object_moment(basis):
     entries = np.zeros((len(basis.states),) * 2)
     products = [
         (rows, (block * diag[cols]) @ block.T)
-        for rows, cols, block in coupling._m_sectors(
-            basis.matrix.__getitem__, row_m, col_m, zeeman.ZERO_TOL).values()
+        for rows, cols, block in _former_m_sectors(
+            basis.matrix, row_m, col_m).values()
     ]
     scale = max((np.max(np.abs(p)) for _rows, p in products if p.size),
                 default=0.0)

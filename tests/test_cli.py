@@ -267,6 +267,16 @@ def test_m_without_states_is_domain_error(capsys, args, m):
     assert err == f"error: no states with M={m} for 4 particles\n"
 
 
+@pytest.mark.parametrize("m", ["inf", "-inf", "1e400", "nan"])
+def test_non_finite_m_is_usage_error(capsys, m):
+    with pytest.raises(SystemExit) as info:
+        main(["basis", "--system", "dipositronium", "--m", m])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument --m: spin projection must be "
+                        f"finite, got {m!r}\n")
+
+
 @pytest.mark.parametrize("bmin, bmax, steps",
                          [(-1.0, 1.0, 20), (-0.3, 0.7, 11)])
 def test_sweep_grid_without_zero_matches_inserted_origin(capsys, bmin, bmax,

@@ -6,9 +6,8 @@ The references below are kept only here: one complex 2^N x 2^N product for
 the moment matrix, one block-diagonal rotation R^T E R for the within-group
 diagonalization (per (group, M) sub-block, and per whole group as it was
 first done), the former dense ``_rotate_groups`` and ``_partners``, which
-rotated and masked the whole 2^N x 2^N matrix, the former one-copy-per-M
-leak check of ``_m_sectors``, a Python pair loop for the quadratic
-coefficients, and a Python (row, column) loop for the tie scan of
+rotated and masked the whole 2^N x 2^N matrix, a Python pair loop for the
+quadratic coefficients, and a Python (row, column) loop for the tie scan of
 ``level_curves``.
 """
 
@@ -37,9 +36,7 @@ from spinzeeman import (
     moment_matrix,
     quadratic_coefficients,
 )
-from spinzeeman import coupling, zeeman
-
-from dense_operators import ProductState
+from spinzeeman import zeeman
 
 ALTERNATING = [Species.ELECTRON, Species.POSITRON] * 4
 DIPOS = SpinSystem.dipositronium()
@@ -203,124 +200,108 @@ def test_sector_products_match_dense_product(n, shape, mu0):
 
 def test_rejects_row_leaking_across_sectors():
     basis = full_transform(couple(DIPOS, CouplingTree.like_pairs(DIPOS)))
-    i, j = 1, 5
-    assert basis.states[i].m != basis.states[j].m
-    mixed = np.array(basis.matrix)
-    mixed[[i, j]] = (mixed[i] + np.array([[1], [-1]]) * mixed[j]) / np.sqrt(2)
-    # still orthonormal: only the sector check can reject it
-    assert np.max(np.abs(mixed @ mixed.conj().T - np.eye(16))) <= 1e-12
-    leaky = BasisTransform(basis.states, basis.columns, mixed, DIPOS)
-    with pytest.raises(ValueError, match="M sector"):
-        moment_matrix(leaky)
+    sectors = list(basis._sectors)
+    rows, cols, block = sectors[3]  # M=1
+    mirror = sectors[1][1]  # the product states of M=-1
+    assert cols.size == mirror.size
+    # the M=1 rows placed on the M=-1 product states
+    sectors[3] = (rows, mirror, block)
+    with pytest.raises(ValueError, match=(
+            r"^a sector's rows and columns must share one M, "
+            r"not M=-1 and M=1$")):
+        BasisTransform(basis.states, basis.columns, sectors, DIPOS)
+    # one column of another M is enough
+    moved = np.array(cols)
+    moved[-1] = sectors[2][1][0]  # a product state of M=0
+    sectors[3] = (rows, moved, block)
+    with pytest.raises(ValueError, match="not M=0 and M=1$"):
+        BasisTransform(basis.states, basis.columns, sectors, DIPOS)
+
+
+def test_rejects_sectors_that_miss_or_repeat_a_state():
+    basis = full_transform(couple(DIPOS, CouplingTree.like_pairs(DIPOS)))
+    sectors = list(basis._sectors)
+    message = "^the sectors must hold each state once, in one block per M$"
+    for given in (sectors[:-1], sectors + sectors[-1:]):
+        with pytest.raises(ValueError, match=message):
+            BasisTransform(basis.states, basis.columns, given, DIPOS)
+    # two blocks of one M, each with half of its states
+    rows, cols, block = sectors[2]
+    halves = [(rows[:3], cols, block[:3]), (rows[3:], cols, block[3:])]
+    with pytest.raises(ValueError, match=message):
+        BasisTransform(basis.states, basis.columns,
+                       sectors[:2] + halves + sectors[3:], DIPOS)
 
 
 def test_rejects_complex_basis():
     sector = m_sector(couple(DIPOS, CouplingTree.like_pairs(DIPOS)), 1.0)
-    phased = sector.matrix.astype(complex)
+    (rows, cols, block), = sector._sectors
+    phased = block.astype(complex)
     phased[2] *= 1j
     with pytest.raises(ValueError, match="real"):
-        BasisTransform(sector.states, sector.columns, phased, DIPOS)
+        BasisTransform(sector.states, sector.columns, [(rows, cols, phased)],
+                       DIPOS)
     with pytest.raises(ValueError, match="real"):
-        MomentMatrix(sector, 1j * np.eye(4))
-
-
-def _former_m_sectors_error(matrix, row_m, col_m, tol):
-    """Former leak check of ``_m_sectors``: one off-sector copy per M, in
-    ascending M; the message it raised, or None."""
-    for m in np.unique(row_m):
-        rows = np.flatnonzero(row_m == m)
-        leak = np.max(np.abs(matrix[np.ix_(rows, col_m != m)]), initial=0.0)
-        if leak > tol:
-            return (f"basis rows of M={m:g} leave their M sector (amplitude "
-                    f"{leak:.3e})")
-    return None
-
-
-def test_sector_leak_error_names_lowest_sector_and_its_largest_leak():
-    basis = full_transform(couple(DIPOS, CouplingTree.like_pairs(DIPOS)))
-    row_m = np.array([s.m for s in basis.states])
-    col_m = np.array([ProductState.from_index(c, DIPOS.n).m
-                      for c in basis.columns])
-    leaky = np.array(basis.matrix)
-    # M=1 leaks twice, the larger one second; M=0 leaks more than either
-    top = np.flatnonzero(row_m == 1.0)
-    middle = np.flatnonzero(row_m == 0.0)
-    leaky[top[0], np.flatnonzero(col_m == 0.0)[0]] = 3e-3
-    leaky[top[2], np.flatnonzero(col_m == -1.0)[1]] = -7e-3
-    leaky[middle[1], np.flatnonzero(col_m == 2.0)[0]] = 0.5
-    expected = _former_m_sectors_error(leaky, row_m, col_m, 1e-12)
-    assert expected == ("basis rows of M=0 leave their M sector "
-                        "(amplitude 5.000e-01)")
-    with pytest.raises(ValueError) as caught:
-        coupling._m_sectors(leaky.__getitem__, row_m, col_m, 1e-12)
-    assert str(caught.value) == expected
-    leaky[middle[1]] = basis.matrix[middle[1]]
-    expected = _former_m_sectors_error(leaky, row_m, col_m, 1e-12)
-    assert expected.endswith("M=1 leave their M sector (amplitude 7.000e-03)")
-    with pytest.raises(ValueError) as caught:
-        coupling._m_sectors(leaky.__getitem__, row_m, col_m, 1e-12)
-    assert str(caught.value) == expected
-    # a NaN amplitude outside the sector hides no leak in its column
-    leaky[top[1], np.flatnonzero(col_m == -1.0)[1]] = np.nan
-    with pytest.raises(ValueError) as caught:
-        coupling._m_sectors(leaky.__getitem__, row_m, col_m, 1e-12)
-    assert str(caught.value) == expected
-
-
-def test_moment_matrix_rejects_coupling_across_m():
-    sector_states = m_sector(couple(DIPOS, CouplingTree.like_pairs(DIPOS)),
-                             1.0).states
-    zero = m_sector(couple(DIPOS, CouplingTree.like_pairs(DIPOS)), 0.0)
-    states = sector_states[:2] + zero.states[:2]
-    both = BasisTransform(states, (), np.zeros((4, 0)), DIPOS)
-    symmetric = np.diag([1.0, -1.0, 0.5, 0.0])
-    MomentMatrix(both, symmetric)  # within-M couplings are accepted
-    symmetric[0, 1] = symmetric[1, 0] = 0.25
-    MomentMatrix(both, symmetric)
-    symmetric[1, 2] = symmetric[2, 1] = 1e-6
-    with pytest.raises(ValueError, match="different M"):
-        MomentMatrix(both, symmetric)
-    # one-sided entries show on the nonzero pattern, within M or across it
-    for i, j in ((0, 1), (1, 0), (3, 0)):
-        one_sided = np.diag([1.0, -1.0, 0.5, 0.0])
-        one_sided[i, j] = 1e-6
-        with pytest.raises(ValueError, match="deviates from symmetric"):
-            MomentMatrix(both, one_sided)
+        MomentMatrix(sector, [(rows, 1j * np.eye(4))])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_moment_matrix_rejects_non_finite_entries(bad):
     sector = m_sector(couple(DIPOS, CouplingTree.like_pairs(DIPOS)), 1.0)
+    (rows, cols, block), = sector._sectors
     finite = "^moment matrix entries must be finite$"
     with pytest.raises(ValueError, match=finite):
-        MomentMatrix(sector, np.diag([1.0, bad, 0.0, 0.0]))
-    # the per-sector construction of moment_matrix checks its blocks too
-    with pytest.raises(ValueError, match=finite):
-        MomentMatrix._from_blocks(
-            sector, [(np.arange(4), np.diag([1.0, bad, 0.0, 0.0]))])
-    # a NaN amplitude, which would pass the sector and orthonormality
-    # checks of moment_matrix, is rejected by the basis itself
-    amplitudes = np.array(sector.matrix)
+        MomentMatrix(sector, [(rows, np.diag([1.0, bad, 0.0, 0.0]))])
+    # a NaN amplitude, which would pass the orthonormality check of
+    # moment_matrix, is rejected by the basis itself
+    amplitudes = np.array(block)
     amplitudes[1, 2] = np.nan
     with pytest.raises(ValueError, match="^basis amplitudes must be finite$"):
-        BasisTransform(sector.states, sector.columns, amplitudes, DIPOS)
+        BasisTransform(sector.states, sector.columns,
+                       [(rows, cols, amplitudes)], DIPOS)
 
 
-def test_both_moment_paths_check_a_block_alike():
+def test_moment_matrix_rejects_coupling_across_m():
+    like = couple(DIPOS, CouplingTree.like_pairs(DIPOS))
+    states = [s for s in like if s.m == 1.0][:2] + \
+        [s for s in like if s.m == 0.0][:2]
+    both = full_transform(states)
+    upper, lower = np.arange(2), np.arange(2, 4)
+    symmetric = np.diag([1.0, -1.0, 0.5, 0.0])
+
+    def per_m(entries):
+        return [(lower, entries[2:, 2:]), (upper, entries[:2, :2])]
+
+    MomentMatrix(both, per_m(symmetric))  # within-M couplings are accepted
+    symmetric[0, 1] = symmetric[1, 0] = 0.25
+    assert MomentMatrix(both, per_m(symmetric)).entries[0, 1] == 0.25
+    # a block over rows of two M would couple them
+    symmetric[1, 2] = symmetric[2, 1] = 1e-6
+    with pytest.raises(ValueError, match=(
+            "^moment matrix couples states of different M, M=0 and M=1$")):
+        MomentMatrix(both, [(np.arange(4), symmetric)])
+    # a one-sided entry within M is an asymmetry
+    for i, j in ((0, 1), (1, 0), (3, 2)):
+        one_sided = np.diag([1.0, -1.0, 0.5, 0.0])
+        one_sided[i, j] = 1e-6
+        with pytest.raises(ValueError, match="deviates from symmetric"):
+            MomentMatrix(both, per_m(one_sided))
+
+
+def test_moment_blocks_are_checked_for_symmetry():
     sector = m_sector(couple(DIPOS, CouplingTree.like_pairs(DIPOS)), 1.0)
-    builds = (lambda entries: MomentMatrix(sector, entries),
-              lambda entries: MomentMatrix._from_blocks(
-                  sector, [(np.arange(4), entries)]))
-    for build in builds:
-        # one-sided entries below and above the tolerance, 1e-12 |mu0|
-        within = np.diag([1.0, -1.0, 0.5, 0.0])
-        within[2, 0] = 5e-13
-        assert build(within).entries[2, 0] == 5e-13
-        beyond = np.diag([1.0, -1.0, 0.5, 0.0])
-        beyond[2, 0] = 1e-6
-        with pytest.raises(ValueError, match=(
-                r"^moment matrix deviates from symmetric by 1\.000e-06$")):
-            build(beyond)
+    rows = np.arange(4)
+    # one-sided entries below and above the tolerance, 1e-12 |mu0|
+    within = np.diag([1.0, -1.0, 0.5, 0.0])
+    within[2, 0] = 5e-13
+    assert MomentMatrix(sector, [(rows, within)]).entries[2, 0] == 5e-13
+    beyond = np.diag([1.0, -1.0, 0.5, 0.0])
+    beyond[2, 0] = 1e-6
+    with pytest.raises(ValueError, match=(
+            r"^moment matrix deviates from symmetric by 1\.000e-06$")):
+        MomentMatrix(sector, [(rows, beyond)])
+    with pytest.raises(ValueError, match=r"^moment block shape \(4, 3\)"):
+        MomentMatrix(sector, [(rows, within[:, :3])])
 
 
 @pytest.mark.parametrize("shape", ["atom", "ep"])

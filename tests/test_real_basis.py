@@ -14,7 +14,6 @@ import pytest
 
 from spinzeeman import (
     BasisTransform,
-    CoupledState,
     CouplingTree,
     DegeneracySpec,
     SpinSystem,
@@ -146,14 +145,16 @@ def test_basis_transforms_are_real_and_read_only():
     assert not full.columns.flags.writeable
     assert np.array_equal(full.columns, np.arange(16))
     # complex amplitudes with zero imaginary parts are accepted as real
-    copy = BasisTransform(full.states, full.columns,
-                          full.matrix.astype(complex), DIPOS)
+    complex_blocks = [(rows, cols, block.astype(complex))
+                      for rows, cols, block in full._sectors]
+    copy = BasisTransform(full.states, full.columns, complex_blocks, DIPOS)
     assert copy.matrix.dtype == np.float64
     assert np.array_equal(copy.matrix, full.matrix)
     # a writeable input is copied, so changing it later changes nothing
-    source = np.array(full.matrix)
-    kept = BasisTransform(full.states, full.columns, source, DIPOS)
-    source[0, 0] = 5.0
+    sources = [(rows, cols, np.array(block))
+               for rows, cols, block in full._sectors]
+    kept = BasisTransform(full.states, full.columns, sources, DIPOS)
+    sources[-1][2][0, 0] = 5.0
     assert kept.matrix[0, 0] == full.matrix[0, 0]
 
 
@@ -201,17 +202,8 @@ def test_coupled_vectors_are_real_and_read_only():
     for state in states:
         assert state.vector.dtype == np.float64
         assert not state.vector.flags.writeable
-    # a writeable input is copied, so changing it later changes nothing
-    source = np.array([0.0, 1.0, 0.0, 0.0])
-    state = CoupledState(0.0, 0.0, (), source, "|0,0⟩", POSITRONIUM)
-    assert state.vector.dtype == np.float64
-    assert not state.vector.flags.writeable
-    source[1] = 5.0
-    assert state.vector[1] == 1.0
-    # complex input with zero imaginary parts is accepted as real
-    state = CoupledState(0.0, 0.0, (), source.astype(complex) / 5.0,
-                         "|0,0⟩", POSITRONIUM)
-    assert state.vector.dtype == np.float64
+    with pytest.raises(ValueError, match="read-only"):
+        states[0].vector[0] = 5.0
 
 
 def test_couple_checks_every_norm_at_once(monkeypatch):
@@ -238,16 +230,16 @@ def test_couple_rejects_a_nan_cg_table(monkeypatch):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_basis_constructors_reject_non_finite_amplitudes(bad):
-    with pytest.raises(ValueError,
-                       match="^state vector amplitudes must be finite$"):
-        CoupledState(0.0, 0.0, (), [bad, 0.0, 0.0, 0.0], "|0,0⟩", POSITRONIUM)
     full = full_transform(couple(DIPOS, CouplingTree.like_pairs(DIPOS)))
-    amplitudes = np.array(full.matrix)
+    sectors = list(full._sectors)
+    rows, cols, block = sectors[2]  # M=0
+    amplitudes = np.array(block)
     amplitudes[3, 5] = bad
     for given in (amplitudes, amplitudes.astype(complex)):
+        sectors[2] = (rows, cols, given)
         with pytest.raises(ValueError,
                            match="^basis amplitudes must be finite$"):
-            BasisTransform(full.states, full.columns, given, DIPOS)
+            BasisTransform(full.states, full.columns, sectors, DIPOS)
 
 
 def test_cg_tables_are_kept_read_only():
@@ -278,22 +270,15 @@ def test_cg_tables_follow_a_replaced_coefficient(monkeypatch):
 
 
 def test_coupled_state_rejects_imaginary_amplitudes():
-    vector = np.array([0.0, 1.0, 1.0j, 0.0]) / np.sqrt(2.0)
+    # the M=0 states of positronium, given over |↑↓⟩ and |↓↑⟩
+    sector = m_sector(couple(POSITRONIUM,
+                             CouplingTree.positronium_pairs(POSITRONIUM)), 0.0)
+    (rows, cols, block), = sector._sectors
+    phased = block.astype(complex)
+    phased[0, 1] *= 1j
     with pytest.raises(ValueError, match="must be real"):
-        CoupledState(0.0, 0.0, (), vector, "|0,0⟩", POSITRONIUM)
-
-
-def test_scheme_overlap_rejects_state_outside_its_sector():
-    states = couple(POSITRONIUM, CouplingTree.positronium_pairs(POSITRONIUM))
-    top = next(k for k, s in enumerate(states) if s.m == 1.0)
-    # labelled M=1 but half of it lies on |↑↓⟩, an M=0 product state
-    leaky = CoupledState(1.0, 1.0, (), np.array([1.0, 1.0, 0.0, 0.0])
-                         / np.sqrt(2.0), "|1,1⟩", POSITRONIUM)
-    mixed = list(states)
-    mixed[top] = leaky
-    for pair in ((mixed, states), (states, mixed)):
-        with pytest.raises(ValueError, match="M=1 leave their M sector"):
-            scheme_overlap(*pair)
+        BasisTransform(sector.states, sector.columns, [(rows, cols, phased)],
+                       POSITRONIUM)
 
 
 @pytest.mark.parametrize("name", ["like-pairs", "n6-atom", "n6-ep"])

@@ -4,13 +4,16 @@ they replaced, and the memory a census takes with them.
 The references below are kept only here: the former ``couple``, which
 built every multiplet over the whole partial space with one CG-table
 product, concatenated the multiplets and permuted the columns into one
-2^N x 2^N array; the former ``moment_matrix``, which split that array into
-M sectors with ``_m_sectors``; and the former ``scheme_overlap``, which
-stacked both bases' vectors before splitting them the same way.  Blocks,
-the dense views built from them, moment entries and overlaps must be
-bit-identical to these.
+2^N x 2^N array; the former ``_m_sectors``, which split such an array into
+M sectors; the former ``moment_matrix``, which took its sectors from that
+split; the former ``scheme_overlap``, which stacked both bases' vectors
+before splitting them the same way; and the former ``classify_exchange``,
+which compared every 2^N vector with its site-swapped copy.  Blocks, the
+dense views built from them, moment entries, overlaps and exchange
+verdicts must be bit-identical to these.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -23,6 +26,7 @@ from spinzeeman import (
     DegeneracySpec,
     SpinSystem,
     classify,
+    classify_exchange,
     couple,
     full_transform,
     m_sector,
@@ -32,7 +36,7 @@ from spinzeeman import (
     scheme_overlap,
 )
 from spinzeeman import coupling, zeeman
-from spinzeeman.coupling import _site_permutation
+from spinzeeman.coupling import _site_permutation, _swap_permutation
 from spinzeeman.system import _projections, product_states_with_m
 from test_moment_sectors import ALTERNATING, _spin_grouped, _trees
 
@@ -84,6 +88,18 @@ def _former_couple(system, tree):
     return [quantum_numbers[k] for k in order], basis[order]
 
 
+def _former_m_sectors(matrix, row_m, col_m):
+    """Former ``_m_sectors``: ``{M: (rows, columns, block)}`` in ascending
+    M, the row and column indices of each M and the amplitudes of those rows
+    of ``matrix`` on those columns."""
+    sectors = {}
+    for m in np.unique(row_m):
+        rows = np.flatnonzero(row_m == m)
+        cols = np.flatnonzero(col_m == m)
+        sectors[m] = (rows, cols, np.take(matrix[rows], cols, axis=1))
+    return sectors
+
+
 def _former_moment(system, row_m, columns, matrix):
     """Former ``moment_matrix`` of the rows of ``matrix`` over the product
     states ``columns``: split by ``_m_sectors``, one product per sector,
@@ -92,8 +108,8 @@ def _former_moment(system, row_m, columns, matrix):
     diag = moment_diagonal(system)[columns]
     products = [
         (rows, (block * diag[cols]) @ block.T)
-        for rows, cols, block in coupling._m_sectors(
-            matrix.__getitem__, row_m, col_m, zeeman.ZERO_TOL).values()
+        for rows, cols, block in _former_m_sectors(
+            matrix, row_m, col_m).values()
     ]
     scale = max((np.max(np.abs(p)) for _rows, p in products if p.size),
                 default=0.0)
@@ -107,18 +123,35 @@ def _former_moment(system, row_m, columns, matrix):
 def _former_overlap(system, m_a, matrix_a, m_b, matrix_b):
     """Former ``scheme_overlap``: both bases stacked, split per M sector."""
     col_m = _projections(system.n)
-
-    def sectors(row_m, matrix):
-        return coupling._m_sectors(lambda rows: matrix[rows], row_m, col_m,
-                                   coupling.NORM_TOL)
-
-    sectors_b = sectors(m_b, matrix_b)
+    sectors_b = _former_m_sectors(matrix_b, m_b, col_m)
     overlap = np.zeros(matrix_a.shape)
-    for m, (rows, _cols, block) in sectors(m_a, matrix_a).items():
+    sectors_a = _former_m_sectors(matrix_a, m_a, col_m)
+    for m, (rows, _cols, block) in sectors_a.items():
         if m in sectors_b:
             rows_b, _cols, block_b = sectors_b[m]
             overlap[np.ix_(rows, rows_b)] = block @ block_b.T
     return overlap
+
+
+def _former_exchange(states, pairs):
+    """Former ``classify_exchange``: each state's 2^N vector against its
+    copy with the bits of two sites swapped."""
+    n = states[0].system.n
+    permutations = [_swap_permutation(n, i, j) for i, j in pairs]
+    results = []
+    for state in states:
+        vector = state.vector
+        row = []
+        for perm in permutations:
+            swapped = vector[perm]
+            if np.max(np.abs(swapped - vector)) <= coupling.EXCHANGE_TOL:
+                row.append(+1)
+            elif np.max(np.abs(swapped + vector)) <= coupling.EXCHANGE_TOL:
+                row.append(-1)
+            else:
+                row.append("mixed")
+        results.append(row)
+    return results
 
 
 def _orders(n):
@@ -195,32 +228,19 @@ def test_overlap_matches_the_former_stacked_overlap(name, system, tree_a,
         assert overlap.tobytes() == expected.tobytes()
 
 
-def _dense_copies(states):
-    """The same states, each built from its dense vector."""
-    return [CoupledState(s.total_s, s.m, s.intermediates, s.vector, s.label,
-                         s.system) for s in states]
-
-
-@pytest.mark.parametrize("shape", ["atom", "ep"])
-def test_dense_inputs_give_the_same_results(shape):
-    species = ALTERNATING[:6]
-    system = SpinSystem.from_species(species)
-    trees = _trees(species)
-    states = couple(system, trees[shape])
-    other = couple(system, trees["ep" if shape == "atom" else "atom"])
-    copies = _dense_copies(states)
-    full, copied = full_transform(states), full_transform(copies)
-    assert copied.matrix.tobytes() == full.matrix.tobytes()
-    assert moment_matrix(copied).entries.tobytes() == \
-        moment_matrix(full).entries.tobytes()
-    given = BasisTransform(full.states, full.columns, full.matrix, system)
-    assert moment_matrix(given).entries.tobytes() == \
-        moment_matrix(full).entries.tobytes()
-    assert scheme_overlap(copies, other).tobytes() == \
-        scheme_overlap(states, other).tobytes()
-    for m in (1.0, 0.0):
-        assert m_sector(copies, m).matrix.tobytes() == \
-            m_sector(states, m).matrix.tobytes()
+@pytest.mark.parametrize("name, system, tree", list(_cases()),
+                         ids=[c[0] for c in _cases()])
+def test_exchange_matches_the_former_vector_comparison(name, system, tree):
+    states = couple(system, tree)
+    # every site pair: like species, and electron-positron swaps
+    pairs = list(itertools.combinations(range(system.n), 2))
+    verdicts = classify_exchange(states, pairs)
+    expected = _former_exchange(states, pairs)
+    assert verdicts == expected
+    # +1 and -1 stay Python ints, not numpy or bool values
+    assert repr(verdicts) == repr(expected)
+    # a reversed basis gathers its rows, and keeps its order
+    assert classify_exchange(states[::-1], pairs) == verdicts[::-1]
 
 
 def test_reordered_and_mixed_states_are_gathered_from_their_blocks():
@@ -245,39 +265,38 @@ def test_reordered_and_mixed_states_are_gathered_from_their_blocks():
 
 def test_a_basis_from_couple_is_wrapped_not_copied():
     states = couple(DIPOS, CouplingTree.like_pairs(DIPOS))
-    for rows, cols, block in full_transform(states)._sector_blocks(
-            zeeman.ZERO_TOL):
+    for rows, cols, block in full_transform(states)._sectors:
         state = states[rows[0]]
         assert block is state._block
         assert cols is state._columns
         assert np.array_equal(rows, np.arange(rows[0], rows[0] + rows.size))
-    (_rows, _cols, block), = m_sector(states, 0.0)._sector_blocks(
-        zeeman.ZERO_TOL)
+    (_rows, _cols, block), = m_sector(states, 0.0)._sectors
     assert block is next(s for s in states if s.m == 0.0)._block
 
 
-def test_the_leak_scan_runs_only_on_dense_input(monkeypatch):
-    calls = []
-    split = coupling._m_sectors
-    monkeypatch.setattr(coupling, "_m_sectors",
-                        lambda *args: calls.append(1) or split(*args))
+def _refuse(self):
+    raise AssertionError("a dense view was built")
+
+
+@pytest.mark.parametrize("shape", ["atom", "ep"])
+def test_census_path_builds_no_dense_vector_or_matrix(shape, monkeypatch):
     species = ALTERNATING[:6]
     system = SpinSystem.from_species(species)
     trees = _trees(species)
-    atom, ep = couple(system, trees["atom"]), couple(system, trees["ep"])
-    scheme_overlap(atom, ep)
-    basis = full_transform(ep)
-    moment_matrix(basis)
-    moment_matrix(m_sector(ep, 1.0))
-    assert calls == []
-    # a given matrix is split once, however often it is used
-    given = BasisTransform(basis.states, basis.columns, basis.matrix, system)
-    moment_matrix(given)
-    moment_matrix(given)
-    assert len(calls) == 1
-    # states built from vectors are split once per basis that holds them
-    scheme_overlap(atom, _dense_copies(ep))
-    assert len(calls) == 2
+    partner = couple(system, trees["ep" if shape == "atom" else "atom"])
+    monkeypatch.setattr(CoupledState, "vector", property(_refuse))
+    monkeypatch.setattr(BasisTransform, "matrix", property(_refuse))
+    states = couple(system, trees[shape])
+    basis = full_transform(states)
+    scheme_overlap(partner, states)
+    moments = moment_matrix(basis)
+    spec = _spin_grouped(states)
+    classify(moments, DegeneracySpec.isolated(len(states)))
+    classify(moments, spec)
+    quadratic_coefficients(moments, spec)
+    classify_exchange(states, list(itertools.combinations(range(6), 2)))
+    with pytest.raises(AssertionError, match="dense view"):
+        states[0].vector
 
 
 N_MEMORY = 8
