@@ -9,6 +9,7 @@ as the most significant bit, bit 0 meaning spin up.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -133,10 +134,14 @@ class SpinSystem:
         return cls.from_species((Species.ELECTRON, Species.POSITRON), mu0)
 
 
+@functools.lru_cache(maxsize=None)
 def _bit_table(n: int) -> np.ndarray:
     """Bits of every product index: row i holds the n bits of index i, the
-    leftmost particle (most significant bit) in column 0."""
-    return (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    leftmost particle (most significant bit) in column 0.  Built once per n
+    and read-only."""
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    bits.setflags(write=False)
+    return bits
 
 
 def _projections(n: int) -> np.ndarray:

@@ -44,17 +44,15 @@ class MomentMatrix:
 
     mu_z conserves M, so the matrix is given as one ``(rows, block)`` pair
     per M sector of the rows, in ascending M, and is zero between them;
-    ``entries`` is the same matrix as a read-only dense array.
+    ``entries``, the same matrix as a read-only dense array, is built from
+    the blocks on each read.
     """
 
     basis: BasisTransform
-    entries: np.ndarray
 
     def __init__(self, basis: BasisTransform, blocks) -> None:
-        n = len(basis.states)
         row_m = np.array([s.m for s in basis.states])
         tol = MOMENT_ORACLE_TOL * abs(basis.system.mu0)
-        entries = np.zeros((n, n))
         checked = []
         for rows, block in blocks:
             rows = np.asarray(rows, dtype=np.int64)
@@ -70,13 +68,20 @@ class MomentMatrix:
             if dev > tol:
                 raise ValueError(
                     f"moment matrix deviates from symmetric by {dev:.3e}")
-            entries[np.ix_(rows, rows)] = block
             checked.append((rows, block))
-        entries.setflags(write=False)
         # _partners_by_spec keeps the ``_partners`` result of each
         # DegeneracySpec, computed on first use
-        self.__dict__.update(basis=basis, entries=entries,
-                             _blocks=tuple(checked), _partners_by_spec={})
+        self.__dict__.update(basis=basis, _blocks=tuple(checked),
+                             _partners_by_spec={})
+
+    @property
+    def entries(self) -> np.ndarray:
+        """Read-only float64 dense matrix, built from the blocks."""
+        entries = np.zeros((self.size, self.size))
+        for rows, block in self._blocks:
+            entries[np.ix_(rows, rows)] = block
+        entries.setflags(write=False)
+        return entries
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -327,10 +332,11 @@ def _rotate_groups(matrix: MomentMatrix, spec: DegeneracySpec):
     is copied before its first rotation.
     """
     blocks = list(matrix._blocks)
-    moments = np.diag(matrix.entries).copy()
+    moments = np.zeros(matrix.size)
     sector_of = np.empty(matrix.size, dtype=int)
     position = np.empty(matrix.size, dtype=int)
-    for k, (rows, _block) in enumerate(blocks):
+    for k, (rows, block) in enumerate(blocks):
+        moments[rows] = np.diag(block)
         sector_of[rows] = k
         position[rows] = np.arange(rows.size)
     for group in spec.groups:
@@ -422,15 +428,13 @@ def classify(matrix: MomentMatrix, spec: DegeneracySpec) -> ZeemanReport:
             kind = Classification.QUADRATIC
         else:
             kind = Classification.NONE
-        reports.append(
-            StateReport(
-                label=label,
-                classification=kind,
-                moment=moment,
-                linear_slope=slope,
-                quadratic_partners=partners,
-            )
-        )
+        # StateReport's frozen constructor only sets the fields, one
+        # object.__setattr__ each; they are set here in one update
+        report = object.__new__(StateReport)
+        report.__dict__.update(label=label, classification=kind,
+                               moment=moment, linear_slope=slope,
+                               quadratic_partners=partners)
+        reports.append(report)
     return ZeemanReport(tuple(reports))
 
 
@@ -476,13 +480,14 @@ def level_curves(matrix: MomentMatrix, spec: DegeneracySpec,
     h0 = np.diag(spec.state_energies().astype(complex))
     energies = np.empty((grid.size, n))
     energies[origin] = spec.state_energies()
+    moment = matrix.entries
     labels = matrix.labels
     flagged: list[tuple[float, str]] = []
 
     def march(indices) -> None:
         previous = np.eye(n, dtype=complex)
         for i in indices:
-            w, v = np.linalg.eigh(h0 - grid[i] * matrix.entries)
+            w, v = np.linalg.eigh(h0 - grid[i] * moment)
             overlap = np.abs(previous.conj().T @ v)
             rows, cols = linear_sum_assignment(-(overlap**2))
             # row r ties with column c when c's overlap comes within the

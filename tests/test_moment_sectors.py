@@ -130,7 +130,8 @@ def _dense_rotate_groups(matrix, spec):
     """Former ``_rotate_groups``: each (group, M) sub-block rotated inside
     a copy of the whole dense matrix."""
     unit = abs(matrix.basis.system.mu0)
-    rotated = matrix.entries  # copied before the first rotation
+    entries = matrix.entries  # built on each read, so read once
+    rotated = entries  # copied before the first rotation
     moments = np.diag(rotated).copy()
     row_m = np.array([s.m for s in matrix.basis.states])
     for group in spec.groups:
@@ -142,14 +143,14 @@ def _dense_rotate_groups(matrix, spec):
             idx = group[group_m == m]
             if idx.size == 1:
                 continue
-            block = matrix.entries[np.ix_(idx, idx)]
+            block = entries[np.ix_(idx, idx)]
             off = block - np.diag(np.diag(block))
             if np.max(np.abs(off)) <= 1e-15 * unit:
                 continue
             w, v = np.linalg.eigh(block)
             _rows, cols = linear_sum_assignment(-(v * v))
             v = v[:, cols]
-            if rotated is matrix.entries:
+            if rotated is entries:
                 rotated = np.array(rotated)
             sector = np.flatnonzero(row_m == m)
             rows = np.ix_(idx, sector)

@@ -24,11 +24,13 @@ from spinzeeman import (
     CoupledState,
     CouplingTree,
     DegeneracySpec,
+    MomentMatrix,
     SpinSystem,
     classify,
     classify_exchange,
     couple,
     full_transform,
+    level_curves,
     m_sector,
     moment_diagonal,
     moment_matrix,
@@ -286,6 +288,7 @@ def test_census_path_builds_no_dense_vector_or_matrix(shape, monkeypatch):
     partner = couple(system, trees["ep" if shape == "atom" else "atom"])
     monkeypatch.setattr(CoupledState, "vector", property(_refuse))
     monkeypatch.setattr(BasisTransform, "matrix", property(_refuse))
+    monkeypatch.setattr(MomentMatrix, "entries", property(_refuse))
     states = couple(system, trees[shape])
     basis = full_transform(states)
     scheme_overlap(partner, states)
@@ -297,6 +300,39 @@ def test_census_path_builds_no_dense_vector_or_matrix(shape, monkeypatch):
     classify_exchange(states, list(itertools.combinations(range(6), 2)))
     with pytest.raises(AssertionError, match="dense view"):
         states[0].vector
+    with pytest.raises(AssertionError, match="dense view"):
+        moments.entries
+
+
+@pytest.mark.parametrize("shape", ["atom", "ep"])
+def test_moment_entries_are_built_from_the_blocks_on_each_read(shape,
+                                                              monkeypatch):
+    species = ALTERNATING[:6]
+    system = SpinSystem.from_species(species)
+    states = couple(system, _trees(species)[shape])
+    _numbers, dense = _former_couple(system, _trees(species)[shape])
+    row_m = np.array([s.m for s in states])
+    matrix = moment_matrix(full_transform(states))
+    entries = matrix.entries
+    assert entries.dtype == np.float64
+    assert not entries.flags.writeable
+    assert entries.tobytes() == _former_moment(
+        system, row_m, np.arange(system.dimension), dense).tobytes()
+    again = matrix.entries
+    assert again is not entries and not np.shares_memory(again, entries)
+    assert again.tobytes() == entries.tobytes()
+    # level_curves builds the dense matrix once per call, not per step
+    reads = []
+    built = MomentMatrix.entries.fget
+
+    def counted(self):
+        reads.append(self)
+        return built(self)
+
+    monkeypatch.setattr(MomentMatrix, "entries", property(counted))
+    level_curves(matrix, DegeneracySpec.isolated(matrix.size),
+                 np.linspace(-1.0, 1.0, 21))
+    assert reads == [matrix]
 
 
 N_MEMORY = 8
@@ -337,7 +373,7 @@ def _census_peaks(system, tree, partner):
 
 
 @pytest.mark.parametrize("shape", ["atom", "ep"])
-def test_census_task_allocates_only_the_moment_and_overlap_arrays(shape):
+def test_census_task_allocates_only_the_overlap_array(shape):
     species = ALTERNATING[:N_MEMORY]
     system = SpinSystem.from_species(species)
     trees = _trees(species)
@@ -345,11 +381,12 @@ def test_census_task_allocates_only_the_moment_and_overlap_arrays(shape):
     couple(system, trees[shape])  # the CG tables are kept per process
     peaks, task = _census_peaks(system, trees[shape], partner)
     # couple keeps C(2N, N) amplitudes, about a fifth of 4^N at N = 8;
-    # scheme_overlap returns one dense array and moment_matrix keeps one.
-    # The task peaks near 2.2 arrays (4.2 when the bases were dense), so one
-    # more dense array anywhere exceeds its bound of 3.
+    # scheme_overlap returns one dense array, and moment_matrix keeps only
+    # its per-M blocks.  The task peaks near 1.7 arrays (2.2 while the
+    # moment matrix kept a dense copy, 4.2 when the bases were dense), so
+    # one more dense array anywhere exceeds its bound of 2.
     bounds = {"couple": 1.0, "full_transform": 0.25, "scheme_overlap": 1.5,
-              "moment_matrix": 1.5, "classify": 0.5, "classify grouped": 0.5,
+              "moment_matrix": 0.5, "classify": 0.5, "classify grouped": 0.5,
               "quadratic_coefficients": 0.5}
     assert {k: peaks[k] for k in bounds if peaks[k] >= bounds[k]} == {}
-    assert task < 3.0, task
+    assert task < 2.0, task

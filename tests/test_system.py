@@ -74,6 +74,15 @@ def test_product_state_m_counts():
     assert _projections(3)[0b000] == 1.5
 
 
+def test_bit_table_is_built_once_per_n_and_read_only():
+    table = _bit_table(5)
+    assert _bit_table(5) is table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 1
+    assert _bit_table(5)[0].tolist() == [0] * 5
+
+
 def test_bad_product_state():
     # a column must be a product index of the system
     for columns in ([16], [-1], [[0, 1]]):
