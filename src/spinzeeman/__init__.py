@@ -22,7 +22,6 @@ from .coupling import (
 )
 from .system import (
     MAX_PARTICLES,
-    ParticleSpec,
     Species,
     SpinSystem,
     moment_diagonal,
@@ -52,7 +51,6 @@ __all__ = [
     "LevelCurves",
     "MAX_PARTICLES",
     "MomentMatrix",
-    "ParticleSpec",
     "Species",
     "SpinSystem",
     "StateReport",

@@ -13,7 +13,7 @@ presets are:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,22 +57,21 @@ def _leaves(node) -> list[int]:
 class CouplingTree:
     """Binary tree over particle indices prescribing pairwise coupling.
 
-    ``brackets`` selects the delimiter pair used around intermediate spins in
-    state labels.  ``intermediate_labels`` may override the rendered text for
-    specific intermediate-spin combinations, and ``sector_orders`` may fix an
-    explicit row order for chosen M sectors (both are used by the
-    dipositronium presets to match the conventional presentation).
+    State labels write the intermediate spins in parentheses, and each M
+    sector is in ``couple``'s plain order.  The like-pairs preset writes
+    them its own way (``_LikePairsTree``).
     """
 
     root: tuple
-    brackets: str = "()"
-    intermediate_labels: "dict[tuple, str] | None" = field(default=None)
-    sector_orders: "dict[float, tuple] | None" = field(default=None)
+
+    # the delimiters around the intermediate spins, the text written for
+    # chosen intermediate spins, and the row order of chosen M sectors
+    _brackets = "()"
+    _labels = {}
+    _orders = {}
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "root", _normalize_node(self.root))
-        if len(self.brackets) != 2:
-            raise ValueError("brackets must be a two-character string")
 
     def leaves(self) -> tuple[int, ...]:
         return tuple(_leaves(self.root))
@@ -85,17 +84,15 @@ class CouplingTree:
             )
 
     @classmethod
-    def from_nested(cls, nested, brackets: str = "()") -> "CouplingTree":
-        return cls(_normalize_node(nested), brackets=brackets)
+    def from_nested(cls, nested) -> "CouplingTree":
+        return cls(nested)
 
     @classmethod
     def like_pairs(cls, system: SpinSystem) -> "CouplingTree":
         """Couple the electrons together, then the positrons, then both pairs.
 
-        Requires exactly two electrons and two positrons.  Intermediate
-        labels follow the conventional multiplet tags for this scheme: the
-        triplet-triplet block is written [2,2] (doubled pair spins), the
-        remaining combinations keep plain pair spins [1,0], [0,1], [0,0].
+        Requires exactly two electrons and two positrons.  The labels are
+        written as ``_LikePairsTree`` sets out.
         """
         electrons = system.species_indices(Species.ELECTRON)
         positrons = system.species_indices(Species.POSITRON)
@@ -103,22 +100,7 @@ class CouplingTree:
             raise ValueError(
                 "like-pairs coupling needs exactly two electrons and two positrons"
             )
-        order = {
-            0.0: (
-                (1.0, (0.0, 1.0)),
-                (0.0, (0.0, 0.0)),
-                (1.0, (1.0, 0.0)),
-                (2.0, (1.0, 1.0)),
-                (1.0, (1.0, 1.0)),
-                (0.0, (1.0, 1.0)),
-            )
-        }
-        return cls(
-            (tuple(electrons), tuple(positrons)),
-            brackets="[]",
-            intermediate_labels={(1.0, 1.0): "2,2"},
-            sector_orders=order,
-        )
+        return _LikePairsTree((electrons, positrons))
 
     @classmethod
     def positronium_pairs(cls, system: SpinSystem) -> "CouplingTree":
@@ -134,7 +116,7 @@ class CouplingTree:
         node = atoms[0]
         for atom in atoms[1:]:
             node = (node, atom)
-        return cls(node, brackets="()")
+        return cls(node)
 
     @classmethod
     def parse(cls, text: str, system: SpinSystem) -> "CouplingTree":
@@ -184,6 +166,29 @@ class CouplingTree:
         tree = cls(root)
         tree.validate_for(system)
         return tree
+
+
+class _LikePairsTree(CouplingTree):
+    """The like-pairs preset, labelled by the conventional multiplet tags.
+
+    The intermediate spins go in square brackets.  The triplet-triplet
+    block is written [2,2] (doubled pair spins), and the remaining
+    combinations keep plain pair spins [1,0], [0,1], [0,0].  The M=0
+    sector is in the conventional order, by (S, intermediate spins).
+    """
+
+    _brackets = "[]"
+    _labels = {(1.0, 1.0): "2,2"}
+    _orders = {
+        0.0: (
+            (1.0, (0.0, 1.0)),
+            (0.0, (0.0, 0.0)),
+            (1.0, (1.0, 0.0)),
+            (2.0, (1.0, 1.0)),
+            (1.0, (1.0, 1.0)),
+            (0.0, (1.0, 1.0)),
+        )
+    }
 
 
 def _read_only_real(array, what: str) -> np.ndarray:
@@ -375,12 +380,10 @@ def _decoration(tree: CouplingTree, inter_spins: tuple[float, ...]) -> str:
     """The bracketed intermediate spins of a multiplet's labels."""
     if not inter_spins:
         return ""
-    text = None
-    if tree.intermediate_labels:
-        text = tree.intermediate_labels.get(inter_spins)
+    text = tree._labels.get(inter_spins)
     if text is None:
         text = ",".join(format_spin(s) for s in inter_spins)
-    return tree.brackets[0] + text + tree.brackets[1]
+    return tree._brackets[0] + text + tree._brackets[1]
 
 
 def couple(system: SpinSystem, tree: CouplingTree) -> list[CoupledState]:
@@ -417,7 +420,7 @@ def couple(system: SpinSystem, tree: CouplingTree) -> list[CoupledState]:
         block, partial, rows = sectors[two_m]
         order = np.flatnonzero(rows < len(block) - 1)
         mm = two_m / 2
-        fixed = tree.sector_orders.get(mm) if tree.sector_orders else None
+        fixed = tree._orders.get(mm)
         if fixed is None:
             by_key = np.argsort(rank[order])
         else:
@@ -460,19 +463,18 @@ class BasisTransform:
     """Rectangular block of coupled-state amplitudes over product states.
 
     ``columns`` holds the product index of each column as a read-only int64
-    array.  The amplitudes are given as one ``(rows, cols, block)`` triple
-    per M sector of the rows: ``block`` holds the real amplitudes of the
-    states at positions ``rows`` on the columns at positions ``cols``, all
-    of which have the M of those states, and every other amplitude is zero.
-    ``matrix``, a read-only float64 array, is built from the blocks on each
-    read.
+    array.  The amplitudes are given as one real block per M of the states,
+    in ascending M: the block of M holds the amplitudes of the states of
+    that M on the columns of that M, each in the order of ``states`` and
+    ``columns``, and every other amplitude is zero.  ``matrix``, a
+    read-only float64 array, is built from the blocks on each read.
     """
 
     states: tuple[CoupledState, ...]
     columns: np.ndarray
     system: SpinSystem
 
-    def __init__(self, states, columns, sectors, system: SpinSystem) -> None:
+    def __init__(self, states, columns, blocks, system: SpinSystem) -> None:
         states = tuple(states)
         cols = np.asarray(columns)
         if cols.dtype != np.int64 or cols.flags.writeable:
@@ -483,27 +485,21 @@ class BasisTransform:
             raise ValueError(f"columns must be product indices below {dim}")
         row_m = np.array([s.m for s in states])
         col_m = _projections(system.n)[cols]
-        checked = []
-        for rows, at, block in sectors:
-            rows = np.asarray(rows, dtype=np.int64)
-            at = np.asarray(at, dtype=np.int64)
+        blocks = tuple(blocks)
+        ms = _unique(row_m)
+        if len(blocks) != ms.size:
+            raise ValueError(f"need one block per M of the states, {ms.size}, "
+                             f"not {len(blocks)}")
+        sectors = []
+        for m, block in zip(ms, blocks):
+            rows, at = np.flatnonzero(row_m == m), np.flatnonzero(col_m == m)
             block = _read_only_real(block, "basis amplitudes")
             if block.shape != (rows.size, at.size):
                 raise ValueError(f"block shape {block.shape} does not match "
                                  f"{(rows.size, at.size)}")
-            found = _unique(np.concatenate((row_m[rows], col_m[at])))
-            if found.size > 1:
-                raise ValueError("a sector's rows and columns must share one "
-                                 f"M, not M={found[0]:g} and M={found[1]:g}")
-            checked.append((rows, at, block))
-        held = np.sort(np.concatenate([np.empty(0, dtype=np.int64)]
-                                      + [rows for rows, _at, _b in checked]))
-        if (len(checked) != _unique(row_m).size
-                or not np.array_equal(held, np.arange(len(states)))):
-            raise ValueError("the sectors must hold each state once, in one "
-                             "block per M")
+            sectors.append((rows, at, block))
         self.__dict__.update(states=states, columns=cols, system=system,
-                             _sectors=tuple(checked))
+                             _sectors=tuple(sectors))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -555,10 +551,10 @@ def m_sector(states: "list[CoupledState]", m: float) -> BasisTransform:
         raise ValueError("no coupled states supplied")
     system = states[0].system
     selected = tuple(s for s in states if s.m == m)
-    columns = product_states_with_m(system.n, m)
-    sectors = [(rows, np.arange(columns.size), block)
-               for rows, _cols, block in _state_sectors(selected).values()]
-    return BasisTransform(selected, columns, sectors, system)
+    blocks = [block for _rows, _cols, block
+              in _state_sectors(selected).values()]
+    return BasisTransform(selected, product_states_with_m(system.n, m),
+                          blocks, system)
 
 
 def full_transform(states: "list[CoupledState]") -> BasisTransform:
@@ -566,8 +562,8 @@ def full_transform(states: "list[CoupledState]") -> BasisTransform:
     if not states:
         raise ValueError("no coupled states supplied")
     system = states[0].system
-    return BasisTransform(states, np.arange(system.dimension),
-                          _state_sectors(states).values(), system)
+    blocks = [block for _rows, _cols, block in _state_sectors(states).values()]
+    return BasisTransform(states, np.arange(system.dimension), blocks, system)
 
 
 def _unique(values: np.ndarray) -> np.ndarray:

@@ -51,49 +51,34 @@ def species_from_name(name: str) -> Species:
 
 
 @dataclass(frozen=True)
-class ParticleSpec:
-    """One spin-1/2 site: its position in the product ordering and species."""
-
-    index: int
-    species: Species
-
-    @property
-    def moment_sign(self) -> int:
-        return self.species.moment_sign
-
-
-@dataclass(frozen=True)
 class SpinSystem:
     """Ordered collection of spin-1/2 particles sharing a moment unit.
 
     Args:
-        particles: sites in product-basis order; ``particles[k].index`` must
-            equal ``k``.
+        species: the species of each site, in product-basis order.
         mu0: magnetic-moment unit (energy per field unit).
     """
 
-    particles: tuple[ParticleSpec, ...]
+    species: tuple[Species, ...]
     mu0: float = 1.0
 
     def __post_init__(self) -> None:
-        n = len(self.particles)
+        n = len(self.species)
         if not 1 <= n <= MAX_PARTICLES:
             raise ValueError(
                 f"need between 1 and {MAX_PARTICLES} particles, got {n}; "
                 f"dense matrices beyond 2^{MAX_PARTICLES} are not supported"
             )
-        for k, p in enumerate(self.particles):
-            if p.index != k:
-                raise ValueError(
-                    f"particle at position {k} carries index {p.index}; "
-                    "indices must run 0..N-1 in order"
-                )
+        for site in self.species:
+            if not isinstance(site, Species):
+                raise ValueError(f"site {site!r} is not a Species; read "
+                                 "names with species_from_name")
         if not math.isfinite(self.mu0):
             raise ValueError("mu0 must be finite")
 
     @property
     def n(self) -> int:
-        return len(self.particles)
+        return len(self.species)
 
     @property
     def dimension(self) -> int:
@@ -104,22 +89,22 @@ class SpinSystem:
         """Per-species names in site order: e1, p1, e2, ... ."""
         counts = {Species.ELECTRON: 0, Species.POSITRON: 0}
         names = []
-        for p in self.particles:
-            counts[p.species] += 1
-            names.append(f"{p.species.code}{counts[p.species]}")
+        for site in self.species:
+            counts[site] += 1
+            names.append(f"{site.code}{counts[site]}")
         return tuple(names)
 
     def moment_signs(self) -> tuple[int, ...]:
-        return tuple(p.moment_sign for p in self.particles)
+        return tuple(site.moment_sign for site in self.species)
 
     def species_indices(self, species: Species) -> tuple[int, ...]:
-        return tuple(p.index for p in self.particles if p.species is species)
+        return tuple(k for k, site in enumerate(self.species)
+                     if site is species)
 
     @classmethod
     def from_species(cls, species: "list[Species] | tuple[Species, ...]",
                      mu0: float = 1.0) -> "SpinSystem":
-        parts = tuple(ParticleSpec(k, s) for k, s in enumerate(species))
-        return cls(parts, mu0)
+        return cls(tuple(species), mu0)
 
     @classmethod
     def dipositronium(cls, mu0: float = 1.0) -> "SpinSystem":

@@ -42,24 +42,22 @@ CHOP_TOL = 1e-14
 class MomentMatrix:
     """Real symmetric matrix of <row| mu_z |col> over a coupled basis block.
 
-    mu_z conserves M, so the matrix is given as one ``(rows, block)`` pair
-    per M sector of the rows, in ascending M, and is zero between them;
-    ``entries``, the same matrix as a read-only dense array, is built from
-    the blocks on each read.
+    mu_z conserves M, so the matrix is given as one square block per M
+    sector of the basis, in ascending M, over the states of that M in basis
+    order, and is zero between them; ``entries``, the same matrix as a
+    read-only dense array, is built from the blocks on each read.
     """
 
     basis: BasisTransform
 
     def __init__(self, basis: BasisTransform, blocks) -> None:
-        row_m = np.array([s.m for s in basis.states])
         tol = MOMENT_ORACLE_TOL * abs(basis.system.mu0)
+        blocks, sectors = tuple(blocks), basis._sectors
+        if len(blocks) != len(sectors):
+            raise ValueError("need one moment block per M sector of the "
+                             f"basis, {len(sectors)}, not {len(blocks)}")
         checked = []
-        for rows, block in blocks:
-            rows = np.asarray(rows, dtype=np.int64)
-            found = _unique(row_m[rows])
-            if found.size > 1:
-                raise ValueError("moment matrix couples states of different "
-                                 f"M, M={found[0]:g} and M={found[1]:g}")
+        for (rows, _cols, _amplitudes), block in zip(sectors, blocks):
             block = _read_only_real(block, "moment matrix entries")
             if block.shape != (rows.size, rows.size):
                 raise ValueError(f"moment block shape {block.shape} does not "
@@ -106,10 +104,9 @@ def moment_matrix(basis: BasisTransform) -> MomentMatrix:
         dev = np.max(np.abs(block @ block.T - np.eye(rows.size)))
         if dev > ZERO_TOL:
             raise ValueError(f"basis rows are not orthonormal (deviation {dev:.3e})")
-        products.append((rows, (block * diag[cols]) @ block.T))
-    scale = max((np.max(np.abs(p)) for _rows, p in products if p.size),
-                default=0.0)
-    for _rows, product in products:
+        products.append((block * diag[cols]) @ block.T)
+    scale = max((np.max(np.abs(p)) for p in products if p.size), default=0.0)
+    for product in products:
         product[np.abs(product) < CHOP_TOL * scale] = 0.0
         product.setflags(write=False)
     return MomentMatrix(basis, products)

@@ -199,67 +199,58 @@ def test_sector_products_match_dense_product(n, shape, mu0):
         assert dev <= 1e-14 * abs(mu0)
 
 
-def test_rejects_row_leaking_across_sectors():
-    basis = full_transform(couple(DIPOS, CouplingTree.like_pairs(DIPOS)))
-    sectors = list(basis._sectors)
-    rows, cols, block = sectors[3]  # M=1
-    mirror = sectors[1][1]  # the product states of M=-1
-    assert cols.size == mirror.size
-    # the M=1 rows placed on the M=-1 product states
-    sectors[3] = (rows, mirror, block)
-    with pytest.raises(ValueError, match=(
-            r"^a sector's rows and columns must share one M, "
-            r"not M=-1 and M=1$")):
-        BasisTransform(basis.states, basis.columns, sectors, DIPOS)
-    # one column of another M is enough
-    moved = np.array(cols)
-    moved[-1] = sectors[2][1][0]  # a product state of M=0
-    sectors[3] = (rows, moved, block)
-    with pytest.raises(ValueError, match="not M=0 and M=1$"):
-        BasisTransform(basis.states, basis.columns, sectors, DIPOS)
-
-
 def test_rejects_sectors_that_miss_or_repeat_a_state():
     basis = full_transform(couple(DIPOS, CouplingTree.like_pairs(DIPOS)))
-    sectors = list(basis._sectors)
-    message = "^the sectors must hold each state once, in one block per M$"
-    for given in (sectors[:-1], sectors + sectors[-1:]):
+    blocks = [block for _rows, _cols, block in basis._sectors]
+    message = "^need one block per M of the states, 5, not [46]$"
+    for given in (blocks[:-1], blocks + blocks[-1:]):
         with pytest.raises(ValueError, match=message):
             BasisTransform(basis.states, basis.columns, given, DIPOS)
     # two blocks of one M, each with half of its states
-    rows, cols, block = sectors[2]
-    halves = [(rows[:3], cols, block[:3]), (rows[3:], cols, block[3:])]
+    halves = [blocks[2][:3], blocks[2][3:]]
     with pytest.raises(ValueError, match=message):
         BasisTransform(basis.states, basis.columns,
-                       sectors[:2] + halves + sectors[3:], DIPOS)
+                       blocks[:2] + halves + blocks[3:], DIPOS)
+
+
+def test_moment_matrix_needs_one_block_per_m():
+    full = full_transform(couple(DIPOS, CouplingTree.like_pairs(DIPOS)))
+    blocks = [block for _rows, block in moment_matrix(full)._blocks]
+    spec = DegeneracySpec.isolated(16)
+    counts = classify(MomentMatrix(full, blocks), spec).counts()
+    assert [counts[c] for c in Classification] == [4, 7, 5]
+    # no blocks would read as a zero moment (16 NONE), and a missing M=1
+    # block as 2 LINEAR, 5 QUADRATIC and 9 NONE
+    message = "^need one moment block per M sector of the basis, 5, not "
+    for given in ([], blocks[:3] + blocks[4:], blocks + blocks[:1]):
+        with pytest.raises(ValueError, match=message):
+            MomentMatrix(full, given)
 
 
 def test_rejects_complex_basis():
     sector = m_sector(couple(DIPOS, CouplingTree.like_pairs(DIPOS)), 1.0)
-    (rows, cols, block), = sector._sectors
+    (_rows, _cols, block), = sector._sectors
     phased = block.astype(complex)
     phased[2] *= 1j
     with pytest.raises(ValueError, match="real"):
-        BasisTransform(sector.states, sector.columns, [(rows, cols, phased)],
-                       DIPOS)
+        BasisTransform(sector.states, sector.columns, [phased], DIPOS)
     with pytest.raises(ValueError, match="real"):
-        MomentMatrix(sector, [(rows, 1j * np.eye(4))])
+        MomentMatrix(sector, [1j * np.eye(4)])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_moment_matrix_rejects_non_finite_entries(bad):
     sector = m_sector(couple(DIPOS, CouplingTree.like_pairs(DIPOS)), 1.0)
-    (rows, cols, block), = sector._sectors
+    (_rows, _cols, block), = sector._sectors
     finite = "^moment matrix entries must be finite$"
     with pytest.raises(ValueError, match=finite):
-        MomentMatrix(sector, [(rows, np.diag([1.0, bad, 0.0, 0.0]))])
+        MomentMatrix(sector, [np.diag([1.0, bad, 0.0, 0.0])])
     # a NaN amplitude, which would pass the orthonormality check of
     # moment_matrix, is rejected by the basis itself
     amplitudes = np.array(block)
     amplitudes[1, 2] = np.nan
     with pytest.raises(ValueError, match="^basis amplitudes must be finite$"):
-        BasisTransform(sector.states, sector.columns,
-                       [(rows, cols, amplitudes)], DIPOS)
+        BasisTransform(sector.states, sector.columns, [amplitudes], DIPOS)
 
 
 def test_moment_matrix_rejects_coupling_across_m():
@@ -267,20 +258,15 @@ def test_moment_matrix_rejects_coupling_across_m():
     states = [s for s in like if s.m == 1.0][:2] + \
         [s for s in like if s.m == 0.0][:2]
     both = full_transform(states)
-    upper, lower = np.arange(2), np.arange(2, 4)
     symmetric = np.diag([1.0, -1.0, 0.5, 0.0])
 
     def per_m(entries):
-        return [(lower, entries[2:, 2:]), (upper, entries[:2, :2])]
+        # one block per M, so no entry can couple the two
+        return [entries[2:, 2:], entries[:2, :2]]
 
     MomentMatrix(both, per_m(symmetric))  # within-M couplings are accepted
     symmetric[0, 1] = symmetric[1, 0] = 0.25
     assert MomentMatrix(both, per_m(symmetric)).entries[0, 1] == 0.25
-    # a block over rows of two M would couple them
-    symmetric[1, 2] = symmetric[2, 1] = 1e-6
-    with pytest.raises(ValueError, match=(
-            "^moment matrix couples states of different M, M=0 and M=1$")):
-        MomentMatrix(both, [(np.arange(4), symmetric)])
     # a one-sided entry within M is an asymmetry
     for i, j in ((0, 1), (1, 0), (3, 2)):
         one_sided = np.diag([1.0, -1.0, 0.5, 0.0])
@@ -291,18 +277,17 @@ def test_moment_matrix_rejects_coupling_across_m():
 
 def test_moment_blocks_are_checked_for_symmetry():
     sector = m_sector(couple(DIPOS, CouplingTree.like_pairs(DIPOS)), 1.0)
-    rows = np.arange(4)
     # one-sided entries below and above the tolerance, 1e-12 |mu0|
     within = np.diag([1.0, -1.0, 0.5, 0.0])
     within[2, 0] = 5e-13
-    assert MomentMatrix(sector, [(rows, within)]).entries[2, 0] == 5e-13
+    assert MomentMatrix(sector, [within]).entries[2, 0] == 5e-13
     beyond = np.diag([1.0, -1.0, 0.5, 0.0])
     beyond[2, 0] = 1e-6
     with pytest.raises(ValueError, match=(
             r"^moment matrix deviates from symmetric by 1\.000e-06$")):
-        MomentMatrix(sector, [(rows, beyond)])
+        MomentMatrix(sector, [beyond])
     with pytest.raises(ValueError, match=r"^moment block shape \(4, 3\)"):
-        MomentMatrix(sector, [(rows, within[:, :3])])
+        MomentMatrix(sector, [within[:, :3]])
 
 
 @pytest.mark.parametrize("shape", ["atom", "ep"])

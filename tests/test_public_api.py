@@ -6,7 +6,9 @@ objects, and a coupled basis is given as per-M blocks, never as a dense
 vector or matrix.
 """
 
+import dataclasses
 import importlib
+import inspect
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from spinzeeman import (
     SpinSystem,
     couple,
     full_transform,
+    moment_matrix,
 )
 from spinzeeman import coupling, zeeman
 
@@ -32,7 +35,6 @@ PUBLIC = [
     "LevelCurves",
     "MAX_PARTICLES",
     "MomentMatrix",
-    "ParticleSpec",
     "Species",
     "SpinSystem",
     "StateReport",
@@ -56,7 +58,7 @@ PUBLIC = [
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC) <= 28
+    assert len(PUBLIC) <= 27
     assert spinzeeman.__all__ == PUBLIC
     for name in PUBLIC:
         assert hasattr(spinzeeman, name), name
@@ -90,3 +92,27 @@ def test_dense_basis_inputs_left_the_library():
     full = full_transform(states)
     with pytest.raises(ValueError):
         BasisTransform(full.states, full.columns, full.matrix, system)
+    # nor (rows, block) pairs, nor per-site index records
+    blocks = moment_matrix(full)._blocks
+    with pytest.raises(ValueError):
+        MomentMatrix(full, blocks)
+    assert not hasattr(spinzeeman, "ParticleSpec")
+    for tree in (CouplingTree.positronium_pairs(system),
+                 CouplingTree.like_pairs(SpinSystem.dipositronium())):
+        for name in ("brackets", "intermediate_labels", "sector_orders"):
+            assert not hasattr(tree, name), name
+
+
+def _parameters(function):
+    return tuple(inspect.signature(function).parameters)
+
+
+def test_constructors_take_only_what_cannot_be_derived():
+    names = [f.name for f in dataclasses.fields(CouplingTree)]
+    assert names == ["root"]
+    names = [f.name for f in dataclasses.fields(SpinSystem)]
+    assert names == ["species", "mu0"]
+    assert _parameters(BasisTransform) == (
+        "states", "columns", "blocks", "system")
+    assert _parameters(MomentMatrix) == ("basis", "blocks")
+    assert _parameters(CouplingTree.from_nested) == ("nested",)

@@ -87,12 +87,10 @@ def _render_label(tree, total_s, m, inter_spins):
     """Former label rendering, run once per state."""
     decoration = ""
     if inter_spins:
-        text = None
-        if tree.intermediate_labels:
-            text = tree.intermediate_labels.get(inter_spins)
+        text = tree._labels.get(inter_spins)
         if text is None:
             text = ",".join(format_spin(s) for s in inter_spins)
-        decoration = tree.brackets[0] + text + tree.brackets[1]
+        decoration = tree._brackets[0] + text + tree._brackets[1]
     return f"|{format_spin(total_s)},{format_spin(m)}{decoration}⟩"
 
 
@@ -145,16 +143,15 @@ def test_basis_transforms_are_real_and_read_only():
     assert not full.columns.flags.writeable
     assert np.array_equal(full.columns, np.arange(16))
     # complex amplitudes with zero imaginary parts are accepted as real
-    complex_blocks = [(rows, cols, block.astype(complex))
-                      for rows, cols, block in full._sectors]
+    complex_blocks = [block.astype(complex)
+                      for _rows, _cols, block in full._sectors]
     copy = BasisTransform(full.states, full.columns, complex_blocks, DIPOS)
     assert copy.matrix.dtype == np.float64
     assert np.array_equal(copy.matrix, full.matrix)
     # a writeable input is copied, so changing it later changes nothing
-    sources = [(rows, cols, np.array(block))
-               for rows, cols, block in full._sectors]
+    sources = [np.array(block) for _rows, _cols, block in full._sectors]
     kept = BasisTransform(full.states, full.columns, sources, DIPOS)
-    sources[-1][2][0, 0] = 5.0
+    sources[-1][0, 0] = 5.0
     assert kept.matrix[0, 0] == full.matrix[0, 0]
 
 
@@ -231,12 +228,11 @@ def test_couple_rejects_a_nan_cg_table(monkeypatch):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_basis_constructors_reject_non_finite_amplitudes(bad):
     full = full_transform(couple(DIPOS, CouplingTree.like_pairs(DIPOS)))
-    sectors = list(full._sectors)
-    rows, cols, block = sectors[2]  # M=0
-    amplitudes = np.array(block)
+    sectors = [block for _rows, _cols, block in full._sectors]
+    amplitudes = np.array(sectors[2])  # M=0
     amplitudes[3, 5] = bad
     for given in (amplitudes, amplitudes.astype(complex)):
-        sectors[2] = (rows, cols, given)
+        sectors[2] = given
         with pytest.raises(ValueError,
                            match="^basis amplitudes must be finite$"):
             BasisTransform(full.states, full.columns, sectors, DIPOS)
@@ -273,12 +269,11 @@ def test_coupled_state_rejects_imaginary_amplitudes():
     # the M=0 states of positronium, given over |↑↓⟩ and |↓↑⟩
     sector = m_sector(couple(POSITRONIUM,
                              CouplingTree.positronium_pairs(POSITRONIUM)), 0.0)
-    (rows, cols, block), = sector._sectors
+    (_rows, _cols, block), = sector._sectors
     phased = block.astype(complex)
     phased[0, 1] *= 1j
     with pytest.raises(ValueError, match="must be real"):
-        BasisTransform(sector.states, sector.columns, [(rows, cols, phased)],
-                       POSITRONIUM)
+        BasisTransform(sector.states, sector.columns, [phased], POSITRONIUM)
 
 
 @pytest.mark.parametrize("name", ["like-pairs", "n6-atom", "n6-ep"])

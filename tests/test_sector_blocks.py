@@ -82,7 +82,7 @@ def _former_couple(system, tree):
         plain = (-total_s, tuple(-s for s in inter_spins))
         for step in range(amps.shape[0]):
             mm = total_s - step
-            fixed = tree.sector_orders.get(mm) if tree.sector_orders else None
+            fixed = tree._orders.get(mm)
             keys.append((-mm, plain if fixed is None
                          else (fixed.index((total_s, inter_spins)),)))
             quantum_numbers.append((total_s, mm, inner))
@@ -270,7 +270,7 @@ def test_a_basis_from_couple_is_wrapped_not_copied():
     for rows, cols, block in full_transform(states)._sectors:
         state = states[rows[0]]
         assert block is state._block
-        assert cols is state._columns
+        assert np.array_equal(cols, state._columns)
         assert np.array_equal(rows, np.arange(rows[0], rows[0] + rows.size))
     (_rows, _cols, block), = m_sector(states, 0.0)._sectors
     assert block is next(s for s in states if s.m == 0.0)._block

@@ -1,6 +1,6 @@
 import pytest
 
-from spinzeeman import BasisTransform, ParticleSpec, Species, SpinSystem
+from spinzeeman import BasisTransform, Species, SpinSystem
 from spinzeeman.system import _bit_table, _projections
 
 
@@ -22,18 +22,23 @@ def test_positronium_preset():
 def test_species_signs():
     assert Species.ELECTRON.moment_sign == -1
     assert Species.POSITRON.moment_sign == +1
-    assert ParticleSpec(0, Species.POSITRON).moment_sign == +1
+    system = SpinSystem((Species.POSITRON, Species.ELECTRON))
+    assert system.moment_signs() == (+1, -1)
+    assert system.species_indices(Species.ELECTRON) == (1,)
 
 
 def test_index_validation():
     with pytest.raises(ValueError):
-        SpinSystem((ParticleSpec(1, Species.ELECTRON),))
-    with pytest.raises(ValueError):
-        SpinSystem(
-            (ParticleSpec(0, Species.ELECTRON), ParticleSpec(0, Species.POSITRON))
-        )
-    with pytest.raises(ValueError):
         SpinSystem(())
+
+
+def test_sites_must_be_species():
+    # a name, not a Species, would otherwise fail only on a later read
+    with pytest.raises(ValueError, match=(
+            "^site 'e' is not a Species; read names with species_from_name$")):
+        SpinSystem.from_species(["e", "p"])
+    with pytest.raises(ValueError, match="^site 1 is not a Species"):
+        SpinSystem((Species.ELECTRON, 1))
 
 
 def test_size_cap():

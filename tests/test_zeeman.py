@@ -131,10 +131,10 @@ def test_moment_scales_with_mu0():
 
 def test_moment_matrix_rejects_non_orthonormal(like_states):
     sector = m_sector(like_states, 1.0)
-    (rows, cols, amplitudes), = sector._sectors
+    (_rows, _cols, amplitudes), = sector._sectors
     bad = np.array(amplitudes)
     bad[1] = bad[0]
-    block = BasisTransform(sector.states, sector.columns, [(rows, cols, bad)],
+    block = BasisTransform(sector.states, sector.columns, [bad],
                            sector.system)
     with pytest.raises(ValueError, match="orthonormal"):
         moment_matrix(block)
@@ -269,11 +269,11 @@ def test_mirror_sector_reports(like_states):
 
 def test_verdicts_stable_under_rephasing(like_states):
     sector = m_sector(like_states, 0.0)
-    (rows, cols, amplitudes), = sector._sectors
+    (_rows, _cols, amplitudes), = sector._sectors
     flipped = np.array(amplitudes)
     flipped[4] = -flipped[4]
     block = BasisTransform(
-        sector.states, sector.columns, [(rows, cols, flipped)], sector.system
+        sector.states, sector.columns, [flipped], sector.system
     )
     base = classify(moment_matrix(sector), DegeneracySpec.isolated(6))
     rephased = classify(moment_matrix(block), DegeneracySpec.isolated(6))
