@@ -22,11 +22,11 @@ from .system import (
     SpinSystem,
     Species,
     _bit_table,
-    _projections,
     product_states_with_m,
 )
 
 NORM_TOL = 1e-12
+ORTHONORMAL_TOL = 1e-10
 EXCHANGE_TOL = 1e-10
 
 
@@ -153,7 +153,7 @@ class CouplingTree:
                 raise ValueError(f"empty leaf in tree expression {text!r}")
             if token in name_map:
                 return name_map[token]
-            if token.isdigit():
+            if token.isdecimal():
                 return int(token)
             raise ValueError(
                 f"unknown particle name {token!r}; valid names: "
@@ -189,27 +189,6 @@ class _LikePairsTree(CouplingTree):
             (0.0, (1.0, 1.0)),
         )
     }
-
-
-def _read_only_real(array, what: str) -> np.ndarray:
-    """``array`` as a read-only, finite float64 array.
-
-    A nonzero imaginary part raises ``ValueError("<what> must be real")``
-    and a NaN or infinite value ``ValueError("<what> must be finite")``.  A
-    read-only float64 input is kept without a copy; any other input is
-    copied, so later changes to it change nothing.
-    """
-    arr = np.asarray(array)
-    if np.iscomplexobj(arr):
-        if np.any(arr.imag):
-            raise ValueError(f"{what} must be real")
-        arr = arr.real
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} must be finite")
-    if arr.dtype != np.float64 or arr.flags.writeable:
-        arr = arr.astype(float)
-        arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -398,12 +377,6 @@ def couple(system: SpinSystem, tree: CouplingTree) -> list[CoupledState]:
     """
     tree.validate_for(system)
     sites, mults, sectors = _node_states(tree.root)
-    count = sum(len(block) - 1 for block, _cols, _rows in sectors.values())
-    if count != system.dimension:
-        raise RuntimeError(
-            f"coupling produced {count} states for dimension "
-            f"{system.dimension}"
-        )
     inner = [inter[:-1] for _two_j, inter in mults]  # without the root
     spins = [tuple(spin for _sites, spin in nodes) for nodes in inner]
     heads = [f"|{format_spin(two_j / 2)}," for two_j, _inter in mults]
@@ -463,49 +436,26 @@ class BasisTransform:
     """Rectangular block of coupled-state amplitudes over product states.
 
     ``columns`` holds the product index of each column as a read-only int64
-    array.  The amplitudes are given as one real block per M of the states,
-    in ascending M: the block of M holds the amplitudes of the states of
-    that M on the columns of that M, each in the order of ``states`` and
-    ``columns``, and every other amplitude is zero.  ``matrix``, a
-    read-only float64 array, is built from the blocks on each read.
+    array.  Only ``m_sector`` and ``full_transform`` build transforms.  The
+    amplitudes are kept as one ``(rows, product indices, block)`` record per
+    M of the states, in ascending M, as ``_state_sectors`` gives them, and
+    every other amplitude is zero.  ``matrix``, a read-only float64 array,
+    is built from the records on each read.
     """
 
     states: tuple[CoupledState, ...]
     columns: np.ndarray
     system: SpinSystem
 
-    def __init__(self, states, columns, blocks, system: SpinSystem) -> None:
-        states = tuple(states)
-        cols = np.asarray(columns)
-        if cols.dtype != np.int64 or cols.flags.writeable:
-            cols = cols.astype(np.int64)
-            cols.setflags(write=False)
-        dim = system.dimension
-        if cols.ndim != 1 or np.any((cols < 0) | (cols >= dim)):
-            raise ValueError(f"columns must be product indices below {dim}")
-        row_m = np.array([s.m for s in states])
-        col_m = _projections(system.n)[cols]
-        blocks = tuple(blocks)
-        ms = _unique(row_m)
-        if len(blocks) != ms.size:
-            raise ValueError(f"need one block per M of the states, {ms.size}, "
-                             f"not {len(blocks)}")
-        sectors = []
-        for m, block in zip(ms, blocks):
-            rows, at = np.flatnonzero(row_m == m), np.flatnonzero(col_m == m)
-            block = _read_only_real(block, "basis amplitudes")
-            if block.shape != (rows.size, at.size):
-                raise ValueError(f"block shape {block.shape} does not match "
-                                 f"{(rows.size, at.size)}")
-            sectors.append((rows, at, block))
-        self.__dict__.update(states=states, columns=cols, system=system,
-                             _sectors=tuple(sectors))
+    def __init__(self, *args, **kwargs) -> None:
+        raise TypeError(
+            "basis transforms are built by m_sector() and full_transform()")
 
     @property
     def matrix(self) -> np.ndarray:
         matrix = np.zeros((len(self.states), self.columns.size))
         for rows, cols, block in self._sectors:
-            matrix[np.ix_(rows, cols)] = block
+            matrix[np.ix_(rows, np.searchsorted(self.columns, cols))] = block
         matrix.setflags(write=False)
         return matrix
 
@@ -523,9 +473,12 @@ class BasisTransform:
 
 def _state_sectors(states) -> dict:
     """``{M: (rows, columns, block)}`` in ascending M from the blocks behind
-    ``states``: the positions of the states of M, the product indices of M
-    and the states' rows of amplitudes on them.  A sector's block is shared
-    when the states are all of it, in its order."""
+    ``states``, all of one system: the positions of the states of M, the
+    product indices of M and the states' rows of amplitudes on them.  A
+    block is shared when the states are all of it, in its order."""
+    system = states[0].system if states else None
+    if any(s.system is not system and s.system != system for s in states):
+        raise ValueError("the states belong to different systems")
     row_m = np.array([s.m for s in states])
     row_of = np.array([s._row for s in states], dtype=np.int64)
     found = {}
@@ -542,6 +495,15 @@ def _state_sectors(states) -> dict:
     return found
 
 
+def _transform(states, columns, system) -> BasisTransform:
+    """The transform of ``states`` over the product indices ``columns``."""
+    columns.setflags(write=False)
+    transform = object.__new__(BasisTransform)
+    transform.__dict__.update(states=states, columns=columns, system=system,
+                              _sectors=tuple(_state_sectors(states).values()))
+    return transform
+
+
 def m_sector(states: "list[CoupledState]", m: float) -> BasisTransform:
     """Sub-block of the basis transform for one spin projection.
 
@@ -549,12 +511,9 @@ def m_sector(states: "list[CoupledState]", m: float) -> BasisTransform:
     """
     if not states:
         raise ValueError("no coupled states supplied")
-    system = states[0].system
     selected = tuple(s for s in states if s.m == m)
-    blocks = [block for _rows, _cols, block
-              in _state_sectors(selected).values()]
-    return BasisTransform(selected, product_states_with_m(system.n, m),
-                          blocks, system)
+    system = (selected or states)[0].system
+    return _transform(selected, product_states_with_m(system.n, m), system)
 
 
 def full_transform(states: "list[CoupledState]") -> BasisTransform:
@@ -562,8 +521,15 @@ def full_transform(states: "list[CoupledState]") -> BasisTransform:
     if not states:
         raise ValueError("no coupled states supplied")
     system = states[0].system
-    blocks = [block for _rows, _cols, block in _state_sectors(states).values()]
-    return BasisTransform(states, np.arange(system.dimension), blocks, system)
+    return _transform(tuple(states), np.arange(system.dimension), system)
+
+
+def _check_orthonormal(block: np.ndarray) -> None:
+    """Raise ``ValueError`` unless the rows of ``block`` are orthonormal."""
+    dev = np.max(np.abs(block @ block.T - np.eye(len(block))))
+    if dev > ORTHONORMAL_TOL:
+        raise ValueError(
+            f"basis rows are not orthonormal (deviation {dev:.3e})")
 
 
 def _unique(values: np.ndarray) -> np.ndarray:
@@ -581,19 +547,26 @@ def scheme_overlap(basis_a: "list[CoupledState]",
 
     Both bases conserve M, so the real matrix is assembled from one product
     of the two bases' blocks per M sector, and entries between different M
-    are exact zeros.
+    are exact zeros.  Both bases must share one species order, and a sector
+    gathered from rows of ``couple``'s blocks must be orthonormal.
     """
     if not basis_a or not basis_b:
         raise ValueError("empty basis")
-    shape_a = (len(basis_a), basis_a[0].system.dimension)
-    shape_b = (len(basis_b), basis_b[0].system.dimension)
-    if shape_a != shape_b:
-        raise ValueError(f"basis dimensions differ: {shape_a} vs {shape_b}")
-    if shape_a[0] != shape_a[1]:
+    system_a, system_b = basis_a[0].system, basis_b[0].system
+    if system_a.species != system_b.species:
+        raise ValueError(
+            f"bases belong to different systems: {','.join(system_a.names)}"
+            f" vs {','.join(system_b.names)}")
+    dim = system_a.dimension
+    if len(basis_a) != dim or len(basis_b) != dim:
         raise ValueError("both bases must be complete (square transforms)")
-    sectors_b = _state_sectors(basis_b)
-    overlap = np.zeros(shape_a)
-    for m, (rows, _cols, block) in _state_sectors(basis_a).items():
+    sectors_a, sectors_b = _state_sectors(basis_a), _state_sectors(basis_b)
+    for basis, sectors in ((basis_a, sectors_a), (basis_b, sectors_b)):
+        for rows, _cols, block in sectors.values():
+            if block is not basis[rows[0]]._block:
+                _check_orthonormal(block)
+    overlap = np.zeros((dim, dim))
+    for m, (rows, _cols, block) in sectors_a.items():
         if m in sectors_b:
             rows_b, _cols, block_b = sectors_b[m]
             if block_b is block:

@@ -63,6 +63,7 @@ class SpinSystem:
     mu0: float = 1.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "species", tuple(self.species))
         n = len(self.species)
         if not 1 <= n <= MAX_PARTICLES:
             raise ValueError(
@@ -104,7 +105,7 @@ class SpinSystem:
     @classmethod
     def from_species(cls, species: "list[Species] | tuple[Species, ...]",
                      mu0: float = 1.0) -> "SpinSystem":
-        return cls(tuple(species), mu0)
+        return cls(species, mu0)
 
     @classmethod
     def dipositronium(cls, mu0: float = 1.0) -> "SpinSystem":

@@ -7,8 +7,8 @@ diagonalized first (degenerate perturbation theory), then states split into
 LINEAR (nonzero slope), QUADRATIC (zero slope but coupled outside the
 group), and NONE (entire moment row zero).
 
-Tolerances on moments and couplings (``ZERO_TOL``, ``MOMENT_ORACLE_TOL``)
-are relative to |mu0|, so a verdict does not depend on the moment unit.
+Tolerances on moments and couplings (``ZERO_TOL``) are relative to |mu0|,
+so a verdict does not depend on the moment unit.
 Unitless checks (basis orthonormality, level tracking) stay absolute.
 """
 
@@ -23,11 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import BasisTransform, _read_only_real, _unique
+from .coupling import BasisTransform, _check_orthonormal, _unique
 from .system import moment_diagonal
 
 ZERO_TOL = 1e-10
-MOMENT_ORACLE_TOL = 1e-12
 TRACK_TIE_TOL = 1e-9
 # Distinct group energies closer than this, relative to max(1, |E|), would
 # put a near-zero gap under a second-order sum.
@@ -42,35 +41,16 @@ CHOP_TOL = 1e-14
 class MomentMatrix:
     """Real symmetric matrix of <row| mu_z |col> over a coupled basis block.
 
-    mu_z conserves M, so the matrix is given as one square block per M
-    sector of the basis, in ascending M, over the states of that M in basis
-    order, and is zero between them; ``entries``, the same matrix as a
-    read-only dense array, is built from the blocks on each read.
+    Only ``moment_matrix`` builds one.  mu_z conserves M, so it keeps a
+    ``(rows, block)`` pair per M sector of the basis, in ascending M, and is
+    zero between them; ``entries``, the same matrix as a read-only dense
+    array, is built from the blocks on each read.
     """
 
     basis: BasisTransform
 
-    def __init__(self, basis: BasisTransform, blocks) -> None:
-        tol = MOMENT_ORACLE_TOL * abs(basis.system.mu0)
-        blocks, sectors = tuple(blocks), basis._sectors
-        if len(blocks) != len(sectors):
-            raise ValueError("need one moment block per M sector of the "
-                             f"basis, {len(sectors)}, not {len(blocks)}")
-        checked = []
-        for (rows, _cols, _amplitudes), block in zip(sectors, blocks):
-            block = _read_only_real(block, "moment matrix entries")
-            if block.shape != (rows.size, rows.size):
-                raise ValueError(f"moment block shape {block.shape} does not "
-                                 f"match {(rows.size, rows.size)}")
-            dev = np.max(np.abs(block - block.T), initial=0.0)
-            if dev > tol:
-                raise ValueError(
-                    f"moment matrix deviates from symmetric by {dev:.3e}")
-            checked.append((rows, block))
-        # _partners_by_spec keeps the ``_partners`` result of each
-        # DegeneracySpec, computed on first use
-        self.__dict__.update(basis=basis, _blocks=tuple(checked),
-                             _partners_by_spec={})
+    def __init__(self, *args, **kwargs) -> None:
+        raise TypeError("moment matrices are built by moment_matrix()")
 
     @property
     def entries(self) -> np.ndarray:
@@ -95,21 +75,29 @@ def moment_matrix(basis: BasisTransform) -> MomentMatrix:
 
     mu_z conserves M, so the matrix is assembled from one real product per
     M sector of the rows, taken on the basis's block for that sector.  The
-    rows of each block must be orthonormal.  Entries below ``CHOP_TOL``
-    times the matrix scale are set to exact zero.
+    rows of each block must be orthonormal, and every product state's
+    moment finite.  Entries below ``CHOP_TOL`` times the matrix scale are
+    set to exact zero.
     """
-    diag = moment_diagonal(basis.system)[basis.columns]
-    products = []
+    diag = moment_diagonal(basis.system)
+    if not np.all(np.isfinite(diag)):
+        # a mu0 near the float range overflows the aligned states' moment
+        raise ValueError("moment matrix entries must be finite")
+    blocks = []
     for rows, cols, block in basis._sectors:
-        dev = np.max(np.abs(block @ block.T - np.eye(rows.size)))
-        if dev > ZERO_TOL:
-            raise ValueError(f"basis rows are not orthonormal (deviation {dev:.3e})")
-        products.append((block * diag[cols]) @ block.T)
-    scale = max((np.max(np.abs(p)) for p in products if p.size), default=0.0)
-    for product in products:
+        _check_orthonormal(block)
+        blocks.append((rows, (block * diag[cols]) @ block.T))
+    scale = max((np.max(np.abs(p)) for _rows, p in blocks if p.size),
+                default=0.0)
+    for _rows, product in blocks:
         product[np.abs(product) < CHOP_TOL * scale] = 0.0
         product.setflags(write=False)
-    return MomentMatrix(basis, products)
+    # MomentMatrix has no constructor to run; _partners_by_spec keeps the
+    # ``_partners`` result of each DegeneracySpec, computed on first use
+    matrix = object.__new__(MomentMatrix)
+    matrix.__dict__.update(basis=basis, _blocks=tuple(blocks),
+                           _partners_by_spec={})
+    return matrix
 
 
 def _near_equal(energies) -> "tuple[float, float] | None":

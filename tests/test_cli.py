@@ -375,6 +375,15 @@ def test_malformed_tree_is_domain_error(capsys):
     assert err.startswith("error:")
 
 
+def test_non_ascii_digit_leaf_is_an_unknown_name(capsys):
+    # '²' is a digit to str.isdigit, but not a site index
+    code, out, err = run_cli(
+        capsys, "classify", "--scheme", "((e1,²),(p1,p2))")
+    assert (code, out) == (1, "")
+    assert err == ("error: unknown particle name '²'; valid names: "
+                   "e1, p1, e2, p2\n")
+
+
 def test_usage_errors_exit_2(capsys):
     for args in ([], ["basis", "--m", "banana"], ["frobnicate"]):
         with pytest.raises(SystemExit) as info:

@@ -20,11 +20,9 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from spinzeeman import (
-    BasisTransform,
     Classification,
     CouplingTree,
     DegeneracySpec,
-    MomentMatrix,
     Species,
     SpinSystem,
     classify,
@@ -35,6 +33,7 @@ from spinzeeman import (
     moment_diagonal,
     moment_matrix,
     quadratic_coefficients,
+    scheme_overlap,
 )
 from spinzeeman import zeeman
 
@@ -199,95 +198,45 @@ def test_sector_products_match_dense_product(n, shape, mu0):
         assert dev <= 1e-14 * abs(mu0)
 
 
+def test_moment_blocks_are_checked_for_symmetry():
+    # each block is B D B^T; an entry and its mirror may round apart
+    for n in range(2, 9):
+        species = ALTERNATING[:n]
+        system = SpinSystem.from_species(species)
+        for tree in _trees(species).values():
+            matrix = moment_matrix(full_transform(couple(system, tree)))
+            for _rows, block in matrix._blocks:
+                assert np.max(np.abs(block - block.T)) <= 1e-14
+
+
 def test_rejects_sectors_that_miss_or_repeat_a_state():
-    basis = full_transform(couple(DIPOS, CouplingTree.like_pairs(DIPOS)))
-    blocks = [block for _rows, _cols, block in basis._sectors]
-    message = "^need one block per M of the states, 5, not [46]$"
-    for given in (blocks[:-1], blocks + blocks[-1:]):
-        with pytest.raises(ValueError, match=message):
-            BasisTransform(basis.states, basis.columns, given, DIPOS)
-    # two blocks of one M, each with half of its states
-    halves = [blocks[2][:3], blocks[2][3:]]
+    like = couple(DIPOS, CouplingTree.like_pairs(DIPOS))
+    pairs = couple(DIPOS, CouplingTree.positronium_pairs(DIPOS))
+    # 16 states, without |2,-2[2,2]⟩ and with |2,2[2,2]⟩ twice
+    states = like[:-1] + like[:1]
+    message = r"^basis rows are not orthonormal \(deviation 1\.000e\+00\)$"
     with pytest.raises(ValueError, match=message):
-        BasisTransform(basis.states, basis.columns,
-                       blocks[:2] + halves + blocks[3:], DIPOS)
-
-
-def test_moment_matrix_needs_one_block_per_m():
-    full = full_transform(couple(DIPOS, CouplingTree.like_pairs(DIPOS)))
-    blocks = [block for _rows, block in moment_matrix(full)._blocks]
-    spec = DegeneracySpec.isolated(16)
-    counts = classify(MomentMatrix(full, blocks), spec).counts()
-    assert [counts[c] for c in Classification] == [4, 7, 5]
-    # no blocks would read as a zero moment (16 NONE), and a missing M=1
-    # block as 2 LINEAR, 5 QUADRATIC and 9 NONE
-    message = "^need one moment block per M sector of the basis, 5, not "
-    for given in ([], blocks[:3] + blocks[4:], blocks + blocks[:1]):
+        moment_matrix(full_transform(states))
+    for basis_a, basis_b in ((states, pairs), (pairs, states)):
         with pytest.raises(ValueError, match=message):
-            MomentMatrix(full, given)
-
-
-def test_rejects_complex_basis():
-    sector = m_sector(couple(DIPOS, CouplingTree.like_pairs(DIPOS)), 1.0)
-    (_rows, _cols, block), = sector._sectors
-    phased = block.astype(complex)
-    phased[2] *= 1j
-    with pytest.raises(ValueError, match="real"):
-        BasisTransform(sector.states, sector.columns, [phased], DIPOS)
-    with pytest.raises(ValueError, match="real"):
-        MomentMatrix(sector, [1j * np.eye(4)])
+            scheme_overlap(basis_a, basis_b)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_moment_matrix_rejects_non_finite_entries(bad):
-    sector = m_sector(couple(DIPOS, CouplingTree.like_pairs(DIPOS)), 1.0)
-    (_rows, _cols, block), = sector._sectors
+def test_moment_matrix_rejects_non_finite_entries(bad, monkeypatch):
     finite = "^moment matrix entries must be finite$"
-    with pytest.raises(ValueError, match=finite):
-        MomentMatrix(sector, [np.diag([1.0, bad, 0.0, 0.0])])
-    # a NaN amplitude, which would pass the orthonormality check of
-    # moment_matrix, is rejected by the basis itself
-    amplitudes = np.array(block)
-    amplitudes[1, 2] = np.nan
-    with pytest.raises(ValueError, match="^basis amplitudes must be finite$"):
-        BasisTransform(sector.states, sector.columns, [amplitudes], DIPOS)
-
-
-def test_moment_matrix_rejects_coupling_across_m():
-    like = couple(DIPOS, CouplingTree.like_pairs(DIPOS))
-    states = [s for s in like if s.m == 1.0][:2] + \
-        [s for s in like if s.m == 0.0][:2]
-    both = full_transform(states)
-    symmetric = np.diag([1.0, -1.0, 0.5, 0.0])
-
-    def per_m(entries):
-        # one block per M, so no entry can couple the two
-        return [entries[2:, 2:], entries[:2, :2]]
-
-    MomentMatrix(both, per_m(symmetric))  # within-M couplings are accepted
-    symmetric[0, 1] = symmetric[1, 0] = 0.25
-    assert MomentMatrix(both, per_m(symmetric)).entries[0, 1] == 0.25
-    # a one-sided entry within M is an asymmetry
-    for i, j in ((0, 1), (1, 0), (3, 2)):
-        one_sided = np.diag([1.0, -1.0, 0.5, 0.0])
-        one_sided[i, j] = 1e-6
-        with pytest.raises(ValueError, match="deviates from symmetric"):
-            MomentMatrix(both, per_m(one_sided))
-
-
-def test_moment_blocks_are_checked_for_symmetry():
+    # 4 mu0, the moment of |↓↑↓↑⟩, overflows
+    system = SpinSystem.dipositronium(mu0=1e308)
+    sector = m_sector(couple(system, CouplingTree.like_pairs(system)), 0.0)
+    with pytest.warns(RuntimeWarning, match="overflow"), \
+            pytest.raises(ValueError, match=finite):
+        moment_matrix(sector)
+    diagonal = moment_diagonal(DIPOS)
+    diagonal[5] = bad
+    monkeypatch.setattr(zeeman, "moment_diagonal", lambda _system: diagonal)
     sector = m_sector(couple(DIPOS, CouplingTree.like_pairs(DIPOS)), 1.0)
-    # one-sided entries below and above the tolerance, 1e-12 |mu0|
-    within = np.diag([1.0, -1.0, 0.5, 0.0])
-    within[2, 0] = 5e-13
-    assert MomentMatrix(sector, [within]).entries[2, 0] == 5e-13
-    beyond = np.diag([1.0, -1.0, 0.5, 0.0])
-    beyond[2, 0] = 1e-6
-    with pytest.raises(ValueError, match=(
-            r"^moment matrix deviates from symmetric by 1\.000e-06$")):
-        MomentMatrix(sector, [beyond])
-    with pytest.raises(ValueError, match=r"^moment block shape \(4, 3\)"):
-        MomentMatrix(sector, [within[:, :3]])
+    with pytest.raises(ValueError, match=finite):
+        moment_matrix(sector)
 
 
 @pytest.mark.parametrize("shape", ["atom", "ep"])

@@ -2,8 +2,8 @@
 
 The dense complex operators are test-side oracles (``dense_operators``), not
 part of the library, the product basis is a bit table, not per-ket
-objects, and a coupled basis is given as per-M blocks, never as a dense
-vector or matrix.
+objects, and only the library builds coupled states, transforms and moment
+matrices, from per-M blocks.
 """
 
 import dataclasses
@@ -88,14 +88,15 @@ def test_dense_basis_inputs_left_the_library():
     with pytest.raises(TypeError, match="couple"):
         CoupledState(0.0, 0.0, (), np.array([0.0, 1.0, 0.0, 0.0]), "|0,0⟩",
                      system)
+    # and only the library's builders make transforms and moment matrices
     states = couple(system, CouplingTree.positronium_pairs(system))
     full = full_transform(states)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError, match=r"m_sector\(\) and full_transform"):
         BasisTransform(full.states, full.columns, full.matrix, system)
-    # nor (rows, block) pairs, nor per-site index records
-    blocks = moment_matrix(full)._blocks
-    with pytest.raises(ValueError):
+    blocks = [block for _rows, block in moment_matrix(full)._blocks]
+    with pytest.raises(TypeError, match=r"moment_matrix\(\)"):
         MomentMatrix(full, blocks)
+    assert not hasattr(coupling, "_read_only_real")
     assert not hasattr(spinzeeman, "ParticleSpec")
     for tree in (CouplingTree.positronium_pairs(system),
                  CouplingTree.like_pairs(SpinSystem.dipositronium())):
@@ -112,7 +113,4 @@ def test_constructors_take_only_what_cannot_be_derived():
     assert names == ["root"]
     names = [f.name for f in dataclasses.fields(SpinSystem)]
     assert names == ["species", "mu0"]
-    assert _parameters(BasisTransform) == (
-        "states", "columns", "blocks", "system")
-    assert _parameters(MomentMatrix) == ("basis", "blocks")
     assert _parameters(CouplingTree.from_nested) == ("nested",)

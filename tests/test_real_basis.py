@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 from spinzeeman import (
-    BasisTransform,
     CouplingTree,
     DegeneracySpec,
+    Species,
     SpinSystem,
     classify,
+    classify_exchange,
     couple,
     full_transform,
     m_sector,
@@ -142,17 +143,6 @@ def test_basis_transforms_are_real_and_read_only():
     assert full.columns.dtype == np.int64
     assert not full.columns.flags.writeable
     assert np.array_equal(full.columns, np.arange(16))
-    # complex amplitudes with zero imaginary parts are accepted as real
-    complex_blocks = [block.astype(complex)
-                      for _rows, _cols, block in full._sectors]
-    copy = BasisTransform(full.states, full.columns, complex_blocks, DIPOS)
-    assert copy.matrix.dtype == np.float64
-    assert np.array_equal(copy.matrix, full.matrix)
-    # a writeable input is copied, so changing it later changes nothing
-    sources = [np.array(block) for _rows, _cols, block in full._sectors]
-    kept = BasisTransform(full.states, full.columns, sources, DIPOS)
-    sources[-1][0, 0] = 5.0
-    assert kept.matrix[0, 0] == full.matrix[0, 0]
 
 
 def _preset_pairs():
@@ -194,6 +184,41 @@ def test_scheme_overlap_per_sector_at_large_n(n):
     assert np.max(np.abs(overlap @ overlap.T - np.eye(1 << n))) <= 1e-12
 
 
+def test_scheme_overlap_rejects_bases_of_two_systems():
+    # product index k puts other particles on other sites in the two
+    like = couple(DIPOS, CouplingTree.like_pairs(DIPOS))
+    grouped = SpinSystem.from_species([Species.ELECTRON, Species.ELECTRON,
+                                       Species.POSITRON, Species.POSITRON])
+    pairs = couple(grouped, CouplingTree.from_nested(((0, 1), (2, 3))))
+    with pytest.raises(ValueError, match=(
+            "^bases belong to different systems: e1,p1,e2,p2 vs "
+            "e1,e2,p1,p2$")):
+        scheme_overlap(like, pairs)
+
+
+def test_states_of_two_systems_are_rejected():
+    like = couple(DIPOS, CouplingTree.like_pairs(DIPOS))
+    doubled = SpinSystem.dipositronium(mu0=2.0)
+    mixed = couple(doubled, CouplingTree.like_pairs(doubled))[:1] + like[1:]
+    for build in (full_transform, lambda states: scheme_overlap(states, like),
+                  lambda states: classify_exchange(states, [(0, 2)])):
+        with pytest.raises(ValueError, match=(
+                "^the states belong to different systems$")):
+            build(mixed)
+    # a sector belongs to the system of the states it holds
+    atom = couple(POSITRONIUM, CouplingTree.positronium_pairs(POSITRONIUM))
+    assert m_sector(atom + like, 2.0).system is DIPOS
+
+
+def test_scheme_overlap_of_a_reordered_basis_is_permuted():
+    like, pairs = _preset_pairs()["like-pairs"]
+    # every sector of the reversed basis is gathered from its block
+    overlap = scheme_overlap(like[::-1], pairs)
+    assert np.array_equal(overlap, scheme_overlap(like, pairs)[::-1])
+    assert np.array_equal(scheme_overlap(pairs, like[::-1]),
+                          scheme_overlap(pairs, like)[:, ::-1])
+
+
 def test_coupled_vectors_are_real_and_read_only():
     states = couple(DIPOS, CouplingTree.like_pairs(DIPOS))
     for state in states:
@@ -226,16 +251,18 @@ def test_couple_rejects_a_nan_cg_table(monkeypatch):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_basis_constructors_reject_non_finite_amplitudes(bad):
-    full = full_transform(couple(DIPOS, CouplingTree.like_pairs(DIPOS)))
-    sectors = [block for _rows, _cols, block in full._sectors]
-    amplitudes = np.array(sectors[2])  # M=0
-    amplitudes[3, 5] = bad
-    for given in (amplitudes, amplitudes.astype(complex)):
-        sectors[2] = given
-        with pytest.raises(ValueError,
-                           match="^basis amplitudes must be finite$"):
-            BasisTransform(full.states, full.columns, sectors, DIPOS)
+def test_basis_constructors_reject_non_finite_amplitudes(bad, monkeypatch):
+    # couple, the only basis constructor, checks every norm; one
+    # non-finite CG value makes the M=0 triplet's norm non-finite
+    def coefficient(*args):
+        return bad if args == (0.5, 0.5, 0.5, -0.5, 1.0, 0.0) else \
+            cg_coefficient(*args)
+
+    monkeypatch.setattr(coupling, "cg_coefficient", coefficient)
+    tree = CouplingTree.positronium_pairs(POSITRONIUM)
+    with pytest.raises(ValueError, match=(
+            rf"^state vector norm {abs(bad)} deviates from 1$")):
+        couple(POSITRONIUM, tree)
 
 
 def test_cg_tables_are_kept_read_only():
@@ -263,17 +290,6 @@ def test_cg_tables_follow_a_replaced_coefficient(monkeypatch):
     assert len(calls) == 4  # one term for M = 1 and -1, two for M = 0
     assert table is coupling._cg_table(0.5, 0.5, 1.0)
     assert len(calls) == 4
-
-
-def test_coupled_state_rejects_imaginary_amplitudes():
-    # the M=0 states of positronium, given over |↑↓⟩ and |↓↑⟩
-    sector = m_sector(couple(POSITRONIUM,
-                             CouplingTree.positronium_pairs(POSITRONIUM)), 0.0)
-    (_rows, _cols, block), = sector._sectors
-    phased = block.astype(complex)
-    phased[0, 1] *= 1j
-    with pytest.raises(ValueError, match="must be real"):
-        BasisTransform(sector.states, sector.columns, [phased], POSITRONIUM)
 
 
 @pytest.mark.parametrize("name", ["like-pairs", "n6-atom", "n6-ep"])

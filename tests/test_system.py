@@ -1,6 +1,12 @@
 import pytest
 
-from spinzeeman import BasisTransform, Species, SpinSystem
+from spinzeeman import (
+    CouplingTree,
+    Species,
+    SpinSystem,
+    couple,
+    full_transform,
+)
 from spinzeeman.system import _bit_table, _projections
 
 
@@ -41,6 +47,13 @@ def test_sites_must_be_species():
         SpinSystem((Species.ELECTRON, 1))
 
 
+def test_species_are_held_as_a_tuple():
+    listed = SpinSystem([Species.ELECTRON, Species.POSITRON])
+    assert type(listed.species) is tuple
+    assert listed == SpinSystem((Species.ELECTRON, Species.POSITRON))
+    assert hash(listed) == hash(SpinSystem.positronium())
+
+
 def test_size_cap():
     species = (Species.ELECTRON,) * 13
     with pytest.raises(ValueError, match="12"):
@@ -48,20 +61,22 @@ def test_size_cap():
     SpinSystem.from_species((Species.ELECTRON,) * 12)  # boundary accepted
 
 
-def _columns(indices, n=4):
-    """A row-less basis block over the given product indices."""
-    system = SpinSystem.from_species((Species.ELECTRON,) * n)
-    return BasisTransform((), indices, [], system)
+def _columns(indices):
+    """The column labels of the given product indices in a full transform."""
+    system = SpinSystem.from_species((Species.ELECTRON,) * 4)
+    tree = CouplingTree.from_nested(((0, 1), (2, 3)))
+    labels = full_transform(couple(system, tree)).column_labels
+    return tuple(labels[k] for k in indices)
 
 
 def test_product_state_ordering():
     # leftmost particle is the most significant bit; bit 1 means down
     assert _bit_table(4)[1].tolist() == [0, 0, 0, 1]
-    assert _columns([1]).column_labels == ("|↑↑↑↓⟩",)
+    assert _columns([1]) == ("|↑↑↑↓⟩",)
     assert _projections(4)[1] == 1.0
 
     assert _bit_table(4)[8].tolist() == [1, 0, 0, 0]
-    assert _columns([8]).column_labels == ("|↓↑↑↑⟩",)
+    assert _columns([8]) == ("|↓↑↑↑⟩",)
     assert _projections(4)[8] == 1.0
 
 
@@ -70,7 +85,7 @@ def test_product_state_round_trip(index):
     bits = _bit_table(4)[index]
     assert int(bits @ [8, 4, 2, 1]) == index
     arrows = "".join("↓" if b else "↑" for b in bits.tolist())
-    assert _columns([index]).column_labels == (f"|{arrows}⟩",)
+    assert _columns([index]) == (f"|{arrows}⟩",)
 
 
 def test_product_state_m_counts():
@@ -86,10 +101,3 @@ def test_bit_table_is_built_once_per_n_and_read_only():
     with pytest.raises(ValueError, match="read-only"):
         table[0, 0] = 1
     assert _bit_table(5)[0].tolist() == [0] * 5
-
-
-def test_bad_product_state():
-    # a column must be a product index of the system
-    for columns in ([16], [-1], [[0, 1]]):
-        with pytest.raises(ValueError, match="product indices below 16"):
-            _columns(columns)

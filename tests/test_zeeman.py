@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from spinzeeman import (
-    BasisTransform,
     Classification,
     CouplingTree,
     DegeneracySpec,
@@ -129,15 +128,13 @@ def test_moment_scales_with_mu0():
     assert np.max(np.abs(entries - 2.0 * LIKE_M1_MOMENT)) <= 1e-12
 
 
-def test_moment_matrix_rejects_non_orthonormal(like_states):
-    sector = m_sector(like_states, 1.0)
-    (_rows, _cols, amplitudes), = sector._sectors
-    bad = np.array(amplitudes)
-    bad[1] = bad[0]
-    block = BasisTransform(sector.states, sector.columns, [bad],
-                           sector.system)
-    with pytest.raises(ValueError, match="orthonormal"):
-        moment_matrix(block)
+def test_moment_matrix_rejects_non_orthonormal(like_states, pos_states):
+    ones = [s for s in like_states if s.m == 1.0]
+    # a repeated state, and states gathered from two bases
+    mixed = ones[:3] + [s for s in pos_states if s.m == 1.0][:1]
+    for states in (ones + ones[:1], mixed):
+        with pytest.raises(ValueError, match="orthonormal"):
+            moment_matrix(m_sector(states, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -267,17 +264,20 @@ def test_mirror_sector_reports(like_states):
         assert a.linear_slope == pytest.approx(-b.linear_slope, abs=1e-12)
 
 
-def test_verdicts_stable_under_rephasing(like_states):
-    sector = m_sector(like_states, 0.0)
-    (_rows, _cols, amplitudes), = sector._sectors
-    flipped = np.array(amplitudes)
-    flipped[4] = -flipped[4]
-    block = BasisTransform(
-        sector.states, sector.columns, [flipped], sector.system
-    )
-    base = classify(moment_matrix(sector), DegeneracySpec.isolated(6))
-    rephased = classify(moment_matrix(block), DegeneracySpec.isolated(6))
-    for a, b in zip(base.states, rephased.states):
+def test_verdicts_stable_under_rephasing():
+    # swapping the sites of the first pair keeps every label and negates
+    # the states whose first pair is a singlet
+    base, rephased = (
+        full_transform(couple(DIPOS, CouplingTree.from_nested(root)))
+        for root in (((0, 2), (1, 3)), ((2, 0), (1, 3))))
+    assert base.row_labels == rephased.row_labels
+    signs = np.sign(np.sum(base.matrix * rephased.matrix, axis=1))
+    assert np.array_equal(rephased.matrix, signs[:, None] * base.matrix)
+    assert np.sum(signs < 0) == 4
+    spec = DegeneracySpec.isolated(16)
+    before = classify(moment_matrix(base), spec)
+    after = classify(moment_matrix(rephased), spec)
+    for a, b in zip(before.states, after.states):
         assert a.classification is b.classification
 
 
