@@ -111,15 +111,15 @@ def _block(args) -> BasisTransform:
 def parse_energies(path: str, states) -> DegeneracySpec:
     """Read a 'label,energy' file into a degeneracy spec.
 
-    Lines starting with '#' and blank lines are skipped.  The label is
-    everything before the last comma (labels themselves contain commas).
-    Unlisted states form a single zero-energy group.
+    A leading byte-order mark, blank lines and lines starting with '#' are
+    skipped.  The label is everything before the last comma (labels
+    themselves contain commas).  Unlisted states form one zero-energy group.
     """
     labels = [s.label for s in states]
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read energies file {path}: {exc}") from None
     seen: dict[str, float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

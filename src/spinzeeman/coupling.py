@@ -13,6 +13,8 @@ presets are:
 
 from __future__ import annotations
 
+import json
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,47 +125,27 @@ class CouplingTree:
         """Parse a nested-parentheses expression over particle names.
 
         Example: ``((e1,e2),(p1,p2))``.  Bare site indices are also accepted.
+        Names and indices become site indices and parentheses JSON arrays,
+        so anything but pairs nested down to the leaves is malformed.
         """
         name_map = {name: k for k, name in enumerate(system.names)}
-        pos = 0
-        expr = text.replace(" ", "")
 
-        def parse_node():
-            nonlocal pos
-            if pos >= len(expr):
-                raise ValueError(f"unexpected end of tree expression {text!r}")
-            if expr[pos] == "(":
-                pos += 1
-                left = parse_node()
-                if pos >= len(expr) or expr[pos] != ",":
-                    raise ValueError(
-                        f"expected ',' inside tree expression {text!r}"
-                    )
-                pos += 1
-                right = parse_node()
-                if pos >= len(expr) or expr[pos] != ")":
-                    raise ValueError(f"unbalanced parentheses in {text!r}")
-                pos += 1
-                return (left, right)
-            start = pos
-            while pos < len(expr) and expr[pos] not in "(),":
-                pos += 1
-            token = expr[start:pos]
-            if not token:
-                raise ValueError(f"empty leaf in tree expression {text!r}")
+        def leaf(match) -> str:
+            token = match.group()
             if token in name_map:
-                return name_map[token]
+                return str(name_map[token])
             if token.isdecimal():
-                return int(token)
+                return str(int(token))
             raise ValueError(
                 f"unknown particle name {token!r}; valid names: "
                 + ", ".join(system.names)
             )
 
-        root = parse_node()
-        if pos != len(expr):
-            raise ValueError(f"trailing characters in tree expression {text!r}")
-        tree = cls(root)
+        expr = re.sub(r"[^(),]+", leaf, text.replace(" ", ""))
+        try:
+            tree = cls(json.loads(expr.replace("(", "[").replace(")", "]")))
+        except (ValueError, RecursionError):
+            raise ValueError(f"malformed tree expression {text!r}") from None
         tree.validate_for(system)
         return tree
 
@@ -524,12 +506,15 @@ def full_transform(states: "list[CoupledState]") -> BasisTransform:
     return _transform(tuple(states), np.arange(system.dimension), system)
 
 
-def _check_orthonormal(block: np.ndarray) -> None:
-    """Raise ``ValueError`` unless the rows of ``block`` are orthonormal."""
-    dev = np.max(np.abs(block @ block.T - np.eye(len(block))))
-    if dev > ORTHONORMAL_TOL:
-        raise ValueError(
-            f"basis rows are not orthonormal (deviation {dev:.3e})")
+def _check_gathered(states, sectors) -> None:
+    """Raise ``ValueError`` if a sector gathered from picked rows is not
+    orthonormal; a whole block of ``couple``'s is orthonormal as built."""
+    for rows, _cols, block in sectors:
+        if block is not states[rows[0]]._block:
+            dev = np.max(np.abs(block @ block.T - np.eye(len(block))))
+            if dev > ORTHONORMAL_TOL:
+                raise ValueError(
+                    f"basis rows are not orthonormal (deviation {dev:.3e})")
 
 
 def _unique(values: np.ndarray) -> np.ndarray:
@@ -561,10 +546,8 @@ def scheme_overlap(basis_a: "list[CoupledState]",
     if len(basis_a) != dim or len(basis_b) != dim:
         raise ValueError("both bases must be complete (square transforms)")
     sectors_a, sectors_b = _state_sectors(basis_a), _state_sectors(basis_b)
-    for basis, sectors in ((basis_a, sectors_a), (basis_b, sectors_b)):
-        for rows, _cols, block in sectors.values():
-            if block is not basis[rows[0]]._block:
-                _check_orthonormal(block)
+    _check_gathered(basis_a, sectors_a.values())
+    _check_gathered(basis_b, sectors_b.values())
     overlap = np.zeros((dim, dim))
     for m, (rows, _cols, block) in sectors_a.items():
         if m in sectors_b:

@@ -74,8 +74,9 @@ class SpinSystem:
             if not isinstance(site, Species):
                 raise ValueError(f"site {site!r} is not a Species; read "
                                  "names with species_from_name")
-        if not math.isfinite(self.mu0):
-            raise ValueError("mu0 must be finite")
+        mu0 = float(self.mu0)  # each product state's moment is mu0 k, |k| <= n
+        if not math.isfinite(n * mu0):
+            raise ValueError(f"n * mu0 must be finite; n={n}, mu0={mu0!r}")
 
     @property
     def n(self) -> int:

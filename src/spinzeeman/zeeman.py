@@ -17,13 +17,14 @@ from __future__ import annotations
 import enum
 import importlib.machinery
 import importlib.util
+import math
 import os
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import BasisTransform, _check_orthonormal, _unique
+from .coupling import BasisTransform, _check_gathered, _unique
 from .system import moment_diagonal
 
 ZERO_TOL = 1e-10
@@ -74,19 +75,14 @@ def moment_matrix(basis: BasisTransform) -> MomentMatrix:
     """Moment matrix for a basis block; mu_z is diagonal over the columns.
 
     mu_z conserves M, so the matrix is assembled from one real product per
-    M sector of the rows, taken on the basis's block for that sector.  The
-    rows of each block must be orthonormal, and every product state's
-    moment finite.  Entries below ``CHOP_TOL`` times the matrix scale are
-    set to exact zero.
+    M sector of the rows, taken on the basis's block for that sector.  A
+    sector gathered from rows of ``couple``'s blocks must be orthonormal.
+    Entries below ``CHOP_TOL`` times the matrix scale are set to exact zero.
     """
+    _check_gathered(basis.states, basis._sectors)
     diag = moment_diagonal(basis.system)
-    if not np.all(np.isfinite(diag)):
-        # a mu0 near the float range overflows the aligned states' moment
-        raise ValueError("moment matrix entries must be finite")
-    blocks = []
-    for rows, cols, block in basis._sectors:
-        _check_orthonormal(block)
-        blocks.append((rows, (block * diag[cols]) @ block.T))
+    blocks = [(rows, (block * diag[cols]) @ block.T)
+              for rows, cols, block in basis._sectors]
     scale = max((np.max(np.abs(p)) for _rows, p in blocks if p.size),
                 default=0.0)
     for _rows, product in blocks:
@@ -446,8 +442,8 @@ def level_curves(matrix: MomentMatrix, spec: DegeneracySpec,
     """Eigenvalues of H(B) = H0 - B mu_z over a strictly increasing grid.
 
     Curves are tracked outward from B = 0, where each starts on its basis
-    state.  A grid without B = 0 is tracked from an inserted origin that is
-    left out of the result.
+    state; on a grid without B = 0, both marches still start there.  Every
+    entry of H(B) must be finite over the grid.
     """
     _check_spec(matrix, spec)
     b_values = np.asarray(fields, dtype=float)
@@ -457,22 +453,28 @@ def level_curves(matrix: MomentMatrix, spec: DegeneracySpec,
         raise ValueError("field grid must be finite")
     if np.any(np.diff(b_values) <= 0):
         raise ValueError("field grid must be strictly increasing")
+    moment = matrix.entries
+    # in Python floats, which overflow to inf without a warning
+    field = max(-float(b_values[0]), float(b_values[-1]))
+    largest = float(np.abs(moment).max(initial=0.0))
+    if not math.isfinite(max(map(abs, spec.energies), default=0.0)
+                         + field * largest):
+        raise ValueError(f"field {field!r} times moment {largest!r} overflows")
     origin = int(np.searchsorted(b_values, 0.0))
-    inserted = origin == b_values.size or b_values[origin] != 0.0
-    grid = np.insert(b_values, origin, 0.0) if inserted else b_values
+    at_zero = bool(origin < b_values.size and b_values[origin] == 0.0)
 
     n = matrix.size
     h0 = np.diag(spec.state_energies().astype(complex))
-    energies = np.empty((grid.size, n))
-    energies[origin] = spec.state_energies()
-    moment = matrix.entries
+    energies = np.empty((b_values.size, n))
+    if at_zero:
+        energies[origin] = spec.state_energies()
     labels = matrix.labels
     flagged: list[tuple[float, str]] = []
 
     def march(indices) -> None:
         previous = np.eye(n, dtype=complex)
         for i in indices:
-            w, v = np.linalg.eigh(h0 - grid[i] * moment)
+            w, v = np.linalg.eigh(h0 - b_values[i] * moment)
             overlap = np.abs(previous.conj().T @ v)
             rows, cols = linear_sum_assignment(-(overlap**2))
             # row r ties with column c when c's overlap comes within the
@@ -482,22 +484,15 @@ def level_curves(matrix: MomentMatrix, spec: DegeneracySpec,
             tied, ties = np.nonzero(tie)  # row-major, as the flags read
             owners = np.argsort(cols)[ties]
             pairs = np.stack([tied, owners], axis=1).ravel()
-            flagged.extend((grid[i], labels[k]) for k in pairs)
+            flagged.extend((b_values[i], labels[k]) for k in pairs)
             energies[i] = w[cols]
             previous = v[:, cols]
 
-    march(range(origin + 1, grid.size))
+    march(range(origin + at_zero, b_values.size))
     march(range(origin - 1, -1, -1))
 
-    if inserted:
-        energies = np.delete(energies, origin, axis=0)
-    unique_flags = tuple(dict.fromkeys(flagged))
-    return LevelCurves(
-        b_values=b_values,
-        energies=energies,
-        labels=labels,
-        flagged=unique_flags,
-    )
+    return LevelCurves(b_values, energies, labels,
+                       tuple(dict.fromkeys(flagged)))
 
 
 def quadratic_coefficients(matrix: MomentMatrix,

@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -414,6 +416,10 @@ def test_energies_file_parsing(capsys, tmp_path):
     spec = parse_energies(str(path), states)
     assert spec.groups == ((0, 1, 3), (2,))
     assert spec.energies == (0.0, -1.0)
+    # a leading byte-order mark is not part of the first label
+    bom = tmp_path / "bom.csv"
+    bom.write_text("|0,0⟩,-1.0\n", encoding="utf-8-sig")
+    assert parse_energies(str(bom), states) == spec
 
     code, out, _err = run_cli(
         capsys, "classify", "--system", "positronium", "--energies", str(path),
@@ -445,6 +451,13 @@ def test_energies_file_errors(tmp_path):
     with pytest.raises(ValueError, match="non-numeric"):
         parse_energies(str(bad), states)
 
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes("|0,0⟩,1.0\n".encode("utf-8") + b"# caf\xe9\n")
+    message = (f"^cannot read energies file {re.escape(str(latin1))}: "
+               "'utf-8' codec can't decode byte 0xe9")
+    with pytest.raises(ValueError, match=message):
+        parse_energies(str(latin1), states)
+
 
 def test_near_equal_energies_are_domain_error(capsys, tmp_path):
     path = tmp_path / "near.csv"
@@ -464,3 +477,36 @@ def test_csv_quotes_labels_with_commas(capsys):
     )
     assert code == 0
     assert '"|1,1⟩"' in out
+
+
+# Each bad input exits 1 with one 'error:' line, also where numpy would
+# print a warning first; pytest turns warnings into errors in-process, so
+# these run in a child interpreter with the default warning filters.
+UNDECODABLE = "<undecodable energies file>"
+ERROR_CASES = {
+    "deep-scheme": ["classify", "--scheme", "(" * 1200],
+    "malformed-scheme": ["basis", "--scheme", "((e1,e2),(p1,p2)"],
+    "classify-mu0": ["classify", "--mu0", "1e308"],
+    "basis-mu0": ["basis", "--mu0", "1e308"],
+    "sweep-overflow": ["sweep", "--system", "positronium", "--mu0", "1e300",
+                       "--bmin", "-1e10", "--bmax", "1e10", "--steps", "3"],
+    "energies": ["classify", "--system", "positronium", "--energies",
+                 UNDECODABLE],
+    "m": ["classify", "--m", "5"],
+}
+
+
+@pytest.mark.parametrize("args", ERROR_CASES.values(), ids=ERROR_CASES)
+def test_bad_input_prints_one_error_line(args, tmp_path):
+    path = tmp_path / "energies.csv"
+    path.write_bytes(b"\xff\xfe\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "spinzeeman",
+         *[str(path) if arg == UNDECODABLE else arg for arg in args]],
+        capture_output=True, env=env,
+    )
+    err = proc.stderr.decode("utf-8")
+    assert (proc.returncode, proc.stdout) == (1, b""), err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert err.endswith("\n")

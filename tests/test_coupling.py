@@ -1,6 +1,7 @@
 """Coupled bases: golden transforms, completeness, labels, exchange symmetry."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -240,6 +241,20 @@ def test_tree_parsing():
         CouplingTree.parse("((e1,e2),(p1,p2)", DIPOS)
     with pytest.raises(ValueError):
         CouplingTree.parse("((e1,e2),(p1,p2))x", DIPOS)
+    # a decimal leaf is read as an integer
+    tree = CouplingTree.parse("((0,02),(1,3))", DIPOS)
+    assert tree.root == ((0, 2), (1, 3))
+    for text in ["((e1,e2),(p1,p2)",    # a missing ')'
+                 "((e1,e2),(p1,p2))2",  # a trailing leaf
+                 "((e1,e2),(p1,p2),)",  # a trailing comma
+                 "(e1,e2),(p1,p2)",     # no outer parentheses
+                 "()",
+                 "((e1,),(p1,p2))",
+                 "((e1,e2,p1),p2)",
+                 "(" * 1200]:
+        message = re.escape(f"malformed tree expression {text!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CouplingTree.parse(text, DIPOS)
 
 
 def test_scheme_overlap(like_states, pos_states):

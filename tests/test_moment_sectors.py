@@ -13,6 +13,7 @@ quadratic coefficients, and a Python (row, column) loop for the tie scan of
 
 import re
 import tracemalloc
+import warnings
 from math import comb
 
 import numpy as np
@@ -223,20 +224,31 @@ def test_rejects_sectors_that_miss_or_repeat_a_state():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_moment_matrix_rejects_non_finite_entries(bad, monkeypatch):
-    finite = "^moment matrix entries must be finite$"
-    # 4 mu0, the moment of |↓↑↓↑⟩, overflows
-    system = SpinSystem.dipositronium(mu0=1e308)
+def test_moment_matrix_rejects_non_finite_entries(bad):
+    # every product-state moment is mu0 k with |k| <= n, so the system
+    # rejects a mu0 whose moments would overflow (4 mu0, the moment of
+    # |↓↑↓↑⟩, at 1e308), before any moment is computed
+    for mu0 in (bad, 1e308):
+        message = re.escape(f"n * mu0 must be finite; n=4, mu0={mu0!r}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                SpinSystem.dipositronium(mu0=mu0)
+    system = SpinSystem.dipositronium(mu0=2.0)
     sector = m_sector(couple(system, CouplingTree.like_pairs(system)), 0.0)
-    with pytest.warns(RuntimeWarning, match="overflow"), \
-            pytest.raises(ValueError, match=finite):
-        moment_matrix(sector)
-    diagonal = moment_diagonal(DIPOS)
-    diagonal[5] = bad
-    monkeypatch.setattr(zeeman, "moment_diagonal", lambda _system: diagonal)
-    sector = m_sector(couple(DIPOS, CouplingTree.like_pairs(DIPOS)), 1.0)
-    with pytest.raises(ValueError, match=finite):
-        moment_matrix(sector)
+    assert np.all(np.isfinite(moment_matrix(sector).entries))
+
+
+def test_largest_finite_mu0_gives_finite_moments():
+    # 12 mu0 = 1.2e308 is the moment of the M = 0 product state with every
+    # electron down and every positron up
+    species = [Species.ELECTRON, Species.POSITRON] * 6
+    system = SpinSystem.from_species(species, mu0=1e307)
+    states = couple(system, CouplingTree.positronium_pairs(system))
+    matrix = moment_matrix(full_transform(states))
+    for _rows, block in matrix._blocks:
+        assert np.all(np.isfinite(block))
+    assert max(np.max(np.abs(b)) for _r, b in matrix._blocks) > 1e307
 
 
 @pytest.mark.parametrize("shape", ["atom", "ep"])

@@ -323,13 +323,32 @@ def test_level_curves_rejects_non_finite_fields(grid, like_states,
         level_curves(matrix, spec, np.array(grid))
 
 
+def test_level_curves_rejects_overflowing_field_times_moment(monkeypatch):
+    # positronium's M = 0 moments are 2 mu0; 1e10 * 2e300 overflows
+    system = SpinSystem.positronium(mu0=1e300)
+    matrix = moment_matrix(full_transform(
+        couple(system, CouplingTree.positronium_pairs(system))))
+    spec = DegeneracySpec.isolated(4)
+    curves = level_curves(matrix, spec, np.array([-1e7, 0.0, 1e7]))
+    assert np.all(np.isfinite(curves.energies))
+
+    def no_eigh(_matrix):
+        raise AssertionError("eigh called on an overflowing field")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    message = r"^field 10000000000\.0 times moment 2\.0\d*e\+300 overflows$"
+    for grid in ([-1e10, 0.0, 1e10], [0.5, 1e10], [-1e10, -1.0]):
+        with pytest.raises(ValueError, match=message):
+            level_curves(matrix, spec, np.array(grid))
+
+
 @pytest.mark.parametrize("grid", [
     np.linspace(-1.0, 1.0, 20),  # origin inside
     np.array([0.5, 1.0]),        # origin before the grid
     np.array([-1.0, -0.5]),      # origin after the grid
 ])
 def test_level_curves_grid_without_zero(grid, like_states):
-    # tracked from an inserted B = 0, which the result leaves out
+    # the curves on the grid with B = 0 inserted, less that row
     matrix = moment_matrix(full_transform(like_states))
     spec = DegeneracySpec.isolated(16)
     origin = int(np.searchsorted(grid, 0.0))
