@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +78,11 @@ class SpinSystem:
         mu0 = float(self.mu0)  # each product state's moment is mu0 k, |k| <= n
         if not math.isfinite(n * mu0):
             raise ValueError(f"n * mu0 must be finite; n={n}, mu0={mu0!r}")
+        # moments and their tolerances scale with mu0 and lose digits below
+        # the normal range
+        if 0.0 < abs(mu0) < sys.float_info.min:
+            raise ValueError(f"mu0 must be 0 or at least {sys.float_info.min!r}"
+                             f" in magnitude; mu0={mu0!r}")
 
     @property
     def n(self) -> int:

@@ -45,7 +45,9 @@ class MomentMatrix:
     Only ``moment_matrix`` builds one.  mu_z conserves M, so it keeps a
     ``(rows, block)`` pair per M sector of the basis, in ascending M, and is
     zero between them; ``entries``, the same matrix as a read-only dense
-    array, is built from the blocks on each read.
+    array, is built from the blocks on each read.  The library works on the
+    blocks only; of its callers, just the CLI's ``moment`` command reads
+    ``entries``.
     """
 
     basis: BasisTransform
@@ -424,8 +426,10 @@ class LevelCurves:
     """Exact eigenvalue curves E(B), tracked by eigenvector continuity.
 
     ``energies[i, k]`` is the energy at ``b_values[i]`` of the curve that
-    starts from basis state k at B = 0.  Near-ties in the tracking overlap
-    are recorded in ``flagged`` as (B, label) pairs.
+    starts from basis state k at B = 0.  H(B) conserves M, so a curve stays
+    inside its state's M sector, and so does every near-tie in the tracking
+    overlap; the tied states are recorded in ``flagged`` as (B, label)
+    pairs.
     """
 
     b_values: np.ndarray
@@ -441,9 +445,14 @@ def level_curves(matrix: MomentMatrix, spec: DegeneracySpec,
                  fields) -> LevelCurves:
     """Eigenvalues of H(B) = H0 - B mu_z over a strictly increasing grid.
 
-    Curves are tracked outward from B = 0, where each starts on its basis
-    state; on a grid without B = 0, both marches still start there.  Every
-    entry of H(B) must be finite over the grid.
+    H0 is diagonal in the basis and mu_z conserves M, so H(B) is zero
+    between M sectors.  At each field every sector's block is padded to the
+    largest sector's size, with a diagonal above every sector's spectrum,
+    and the stack is solved in one ``eigh`` call; each sector keeps its
+    lowest eigenpairs.  Curves are tracked outward from B = 0, where each
+    starts on its basis state; on a grid without B = 0, both marches still
+    start there.  The pad, and so every entry of H(B), must be finite over
+    the grid.
     """
     _check_spec(matrix, spec)
     b_values = np.asarray(fields, dtype=float)
@@ -453,40 +462,73 @@ def level_curves(matrix: MomentMatrix, spec: DegeneracySpec,
         raise ValueError("field grid must be finite")
     if np.any(np.diff(b_values) <= 0):
         raise ValueError("field grid must be strictly increasing")
-    moment = matrix.entries
-    # in Python floats, which overflow to inf without a warning
+    blocks = matrix._blocks
+    size = max((rows.size for rows, _block in blocks), default=0)
+    state_energies = spec.state_energies()
+    moment = np.zeros((len(blocks), size, size))
+    h0 = np.zeros((len(blocks), size))
+    padded = np.ones((len(blocks), size), dtype=bool)
+    for k, (rows, block) in enumerate(blocks):
+        moment[k, :rows.size, :rows.size] = block
+        h0[k, :rows.size] = state_energies[rows]
+        padded[k, :rows.size] = False
+    # Every eigenvalue lies within max|E| + |B| times the moment's largest
+    # absolute row sum (Gershgorin); the pad sits above that, past rounding.
+    # Taken in Python floats, which overflow to inf without a warning.
+    largest = float(np.abs(moment).sum(axis=2).max(initial=0.0))
+    top = max(map(abs, spec.energies), default=0.0)
+
+    def pad(b_abs: float) -> float:
+        bound = top + b_abs * largest
+        return bound + 1e-6 * bound + 1.0
+
     field = max(-float(b_values[0]), float(b_values[-1]))
-    largest = float(np.abs(moment).max(initial=0.0))
-    if not math.isfinite(max(map(abs, spec.energies), default=0.0)
-                         + field * largest):
+    if not math.isfinite(pad(field)):
         raise ValueError(f"field {field!r} times moment {largest!r} overflows")
     origin = int(np.searchsorted(b_values, 0.0))
     at_zero = bool(origin < b_values.size and b_values[origin] == 0.0)
 
-    n = matrix.size
-    h0 = np.diag(spec.state_energies().astype(complex))
-    energies = np.empty((b_values.size, n))
+    diagonal = np.arange(size)
+    moment_diag = moment[:, diagonal, diagonal]
+    stack = np.empty(moment.shape, dtype=complex)
+    energies = np.empty((b_values.size, matrix.size))
     if at_zero:
-        energies[origin] = spec.state_energies()
+        energies[origin] = state_energies
     labels = matrix.labels
     flagged: list[tuple[float, str]] = []
 
     def march(indices) -> None:
-        previous = np.eye(n, dtype=complex)
+        previous = [np.eye(rows.size, dtype=complex) for rows, _b in blocks]
         for i in indices:
-            w, v = np.linalg.eigh(h0 - b_values[i] * moment)
-            overlap = np.abs(previous.conj().T @ v)
-            rows, cols = linear_sum_assignment(-(overlap**2))
-            # row r ties with column c when c's overlap comes within the
-            # tolerance of r's assigned one; c's owner is the other curve
-            tie = overlap[rows, cols][:, None] - overlap <= TRACK_TIE_TOL
-            tie[rows, cols] = False
-            tied, ties = np.nonzero(tie)  # row-major, as the flags read
-            owners = np.argsort(cols)[ties]
-            pairs = np.stack([tied, owners], axis=1).ravel()
-            flagged.extend((b_values[i], labels[k]) for k in pairs)
-            energies[i] = w[cols]
-            previous = v[:, cols]
+            # every entry is H0 - B mu, down to the sign of a zero: that sign
+            # steers LAPACK's vectors in a degenerate eigenspace, and so
+            # which label follows which degenerate curve
+            np.multiply(moment, b_values[i], out=stack)
+            np.subtract(0.0, stack, out=stack)
+            diag = h0 - b_values[i] * moment_diag
+            diag[padded] = pad(abs(b_values[i]))
+            stack[:, diagonal, diagonal] = diag
+            w, v = np.linalg.eigh(stack)
+            tied, owners = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
+            for k, (rows, _block) in enumerate(blocks):
+                vectors = v[k, :rows.size, :rows.size]
+                overlap = np.abs(previous[k].conj().T @ vectors)
+                curve, cols = linear_sum_assignment(-(overlap**2))
+                # row r ties with column c when c's overlap comes within the
+                # tolerance of r's assigned one; c's owner is the other curve
+                tie = overlap[curve, cols][:, None] - overlap <= TRACK_TIE_TOL
+                tie[curve, cols] = False
+                r, c = np.nonzero(tie)  # row-major within the sector
+                tied.append(rows[r])
+                owners.append(rows[np.argsort(cols)[c]])
+                energies[i, rows] = w[k, cols]
+                previous[k] = vectors[:, cols]
+            # merged in global row order; each row's ties keep their order
+            tied = np.concatenate(tied)
+            order = np.argsort(tied, kind="stable")
+            pairs = np.stack([tied[order], np.concatenate(owners)[order]],
+                             axis=1).ravel()
+            flagged.extend((b_values[i], labels[j]) for j in pairs)
 
     march(range(origin + at_zero, b_values.size))
     march(range(origin - 1, -1, -1))

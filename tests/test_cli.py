@@ -488,6 +488,7 @@ ERROR_CASES = {
     "malformed-scheme": ["basis", "--scheme", "((e1,e2),(p1,p2)"],
     "classify-mu0": ["classify", "--mu0", "1e308"],
     "basis-mu0": ["basis", "--mu0", "1e308"],
+    "subnormal-mu0": ["classify", "--mu0", "5e-324"],
     "sweep-overflow": ["sweep", "--system", "positronium", "--mu0", "1e300",
                        "--bmin", "-1e10", "--bmax", "1e10", "--steps", "3"],
     "energies": ["classify", "--system", "positronium", "--energies",

@@ -1,13 +1,13 @@
 """Per-M-sector moment matrices, local group rotations, vectorized
-second-order sums and the vectorized tie scan of level tracking, each
-against the formula it replaced; and census and level-curve properties.
+second-order sums and per-sector level tracking, each against the formula
+it replaced; and census and level-curve properties.
 
 The references below are kept only here: one complex 2^N x 2^N product for
 the moment matrix, one block-diagonal rotation R^T E R for the within-group
 diagonalization (per (group, M) sub-block, and per whole group as it was
 first done), the former dense ``_rotate_groups`` and ``_partners``, which
 rotated and masked the whole 2^N x 2^N matrix, a Python pair loop for the
-quadratic coefficients, and a Python (row, column) loop for the tie scan of
+quadratic coefficients, and the former dense 2^N x 2^N tracking of
 ``level_curves``.
 """
 
@@ -430,52 +430,106 @@ def test_classify_allocates_less_than_one_dense_matrix(shape):
     assert peak < matrix.size ** 2 * 8
 
 
-def _loop_level_curves(matrix, spec, grid):
-    """Former ``level_curves`` tie scan, a loop over every (row, column)
-    pair; the grid must contain 0.0.  Returns energies and flags."""
+def _dense_level_curves(matrix, spec, grid):
+    """Former ``level_curves`` tracking: one dense complex ``eigh`` of
+    H0 - B mu per field, assigned by eigenvector overlap; the grid must
+    contain 0.0.  Returns the energies, one column per basis state."""
     n = matrix.size
     h0 = np.diag(spec.state_energies().astype(complex))
+    moment = matrix.entries
     origin = int(np.flatnonzero(grid == 0.0)[0])
     energies = np.empty((grid.size, n))
     energies[origin] = spec.state_energies()
-    labels = matrix.labels
-    flagged = []
 
     def march(indices):
         previous = np.eye(n, dtype=complex)
         for i in indices:
-            w, v = np.linalg.eigh(h0 - grid[i] * matrix.entries)
+            w, v = np.linalg.eigh(h0 - grid[i] * moment)
             overlap = np.abs(previous.conj().T @ v)
             _rows, cols = linear_sum_assignment(-(overlap**2))
-            for r in range(n):
-                best = overlap[r, cols[r]]
-                for c in range(n):
-                    if c == cols[r]:
-                        continue
-                    if best - overlap[r, c] <= zeeman.TRACK_TIE_TOL:
-                        other = int(np.flatnonzero(cols == c)[0])
-                        flagged.append((grid[i], labels[r]))
-                        flagged.append((grid[i], labels[other]))
             energies[i] = w[cols]
             previous = v[:, cols]
 
     march(range(origin + 1, grid.size))
     march(range(origin - 1, -1, -1))
-    return energies, tuple(dict.fromkeys(flagged))
+    return energies
 
 
 @pytest.mark.parametrize("shape", ["atom", "ep"])
 @pytest.mark.parametrize("n", [6, 8])
 def test_tie_scan_matches_pair_loop(n, shape):
+    """The per-sector curves against the former dense tracking: the same
+    spectrum at every field, and ties only inside one M sector.  Under
+    S(S+1) on the ``ep`` tree every label keeps its dense curve.  Elsewhere
+    the labels of degenerate curves are set by rounding and are not pinned:
+    the isolated spec leaves whole moment eigenspaces degenerate, and so
+    does the ``atom`` tree under S(S+1).
+    """
+    species = ALTERNATING[:n]
+    states = couple(SpinSystem.from_species(species), _trees(species)[shape])
+    matrix = moment_matrix(full_transform(states))
+    m_of = {s.label: s.m for s in states}
+    grouped = _spin_grouped(states)
+    for spec in (DegeneracySpec.isolated(len(states)), grouped):
+        curves = level_curves(matrix, spec, GRID)
+        h0 = np.diag(spec.state_energies())
+        for b, row in zip(GRID, curves.energies):
+            exact = np.linalg.eigvalsh(h0 - b * matrix.entries)
+            scale = np.maximum(1.0, np.abs(exact))
+            assert np.all(np.abs(np.sort(row) - exact) <= 1e-12 * scale)
+        # a flagged pair joins two states of one sector, so no sector holds
+        # exactly one flagged state at a field
+        per_sector = {}
+        for b, label in curves.flagged:
+            key = b, m_of[label]
+            per_sector[key] = per_sector.get(key, 0) + 1
+        assert all(count >= 2 for count in per_sector.values())
+        if spec is grouped and shape == "ep":
+            dense = _dense_level_curves(matrix, spec, GRID)
+            assert np.max(np.abs(curves.energies - dense)) <= 1e-12
+        else:  # degenerate curves tie somewhere on this grid
+            assert per_sector
+
+
+@pytest.mark.parametrize("shape", ["atom", "ep"])
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_padded_sectors_solve_as_their_own_blocks(n, shape, monkeypatch):
+    """One complex ``eigh`` per nonzero field solves every M sector, each
+    padded to the largest sector with a diagonal above its spectrum: a
+    sector's kept eigenvalues lie below the pad, its kept vectors are zero
+    on the pad rows, and its energies are those of its own block."""
     species = ALTERNATING[:n]
     states = couple(SpinSystem.from_species(species), _trees(species)[shape])
     matrix = moment_matrix(full_transform(states))
     spec = _spin_grouped(states)
-    curves = level_curves(matrix, spec, GRID)
-    energies, flagged = _loop_level_curves(matrix, spec, GRID)
-    assert flagged  # degenerate curves tie somewhere on this grid
-    assert np.array_equal(curves.energies, energies)
-    assert curves.flagged == flagged
+    energy = spec.state_energies()
+    solves = []
+    eigh = np.linalg.eigh
+
+    def recorded(stack):
+        w, v = eigh(stack)
+        solves.append((stack.copy(), w, v))
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    grid = np.array([-1e6, -1.0, 0.0, 0.37, 1e6])
+    level_curves(matrix, spec, grid)
+    fields = [0.37, 1e6, -1.0, -1e6]  # marching out from B = 0
+    assert len(solves) == len(fields)
+    size = max(rows.size for rows, _block in matrix._blocks)
+    for b, (stack, w, v) in zip(fields, solves):
+        assert stack.dtype == np.complex128
+        assert stack.shape == (len(matrix._blocks), size, size)
+        for k, (rows, block) in enumerate(matrix._blocks):
+            d = rows.size
+            if d < size:
+                pad = stack[k, d, d].real
+                assert np.all(np.diag(stack[k])[d:] == pad)
+                assert np.max(w[k, :d]) < pad
+                assert np.all(v[k, d:, :d] == 0.0)
+            own = np.linalg.eigvalsh(np.diag(energy[rows]) - b * block)
+            scale = max(1.0, np.max(np.abs(own)))  # the block's norm
+            assert np.max(np.abs(w[k, :d] - own)) <= 1e-12 * scale
 
 
 def _moments_with_mu0(case, mu0):

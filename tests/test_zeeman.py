@@ -141,8 +141,9 @@ def test_moment_matrix_rejects_non_orthonormal(like_states, pos_states):
 # classification
 
 
-# SI (J/T), a tiny and a huge unit: the census must not depend on mu0's unit
-@pytest.mark.parametrize("mu0", [1e-24, 9.274e-24, 1.0, 1e6])
+# SI (J/T), a tiny and a huge unit, and one just above the normal float
+# range: the census must not depend on mu0's unit
+@pytest.mark.parametrize("mu0", [1e-24, 9.274e-24, 1.0, 1e6, 2.3e-308])
 def test_classify_like_pairs_default(mu0):
     system = SpinSystem.dipositronium(mu0)
     states = couple(system, CouplingTree.like_pairs(system))
@@ -296,6 +297,13 @@ def test_level_curves_free_moment(like_states):
         assert np.sort(curves.energies[i]) == pytest.approx(expected, abs=1e-10)
     at_zero = curves.energies[list(curves.b_values).index(0.0)]
     assert np.max(np.abs(at_zero)) == 0.0
+
+
+def test_level_curves_of_an_empty_sector(like_states):
+    matrix = moment_matrix(m_sector(like_states, 5.0))
+    curves = level_curves(matrix, DegeneracySpec.isolated(0), [0.0, 1.0])
+    assert curves.energies.shape == (2, 0)
+    assert curves.flagged == ()
 
 
 def test_level_curves_grid_validation(like_states):
