@@ -22,7 +22,7 @@ import numpy as np
 
 from .coupling import (
     BasisTransform,
-    CoupledState,
+    CoupledBasis,
     CouplingTree,
     classify_exchange,
     couple,
@@ -61,7 +61,7 @@ def _build_system(text: str, mu0: float) -> SpinSystem:
         return SpinSystem.positronium(mu0)
     if "," in text:
         species = [species_from_name(tok) for tok in text.split(",")]
-        return SpinSystem.from_species(species, mu0)
+        return SpinSystem(species, mu0)
     raise ValueError(
         f"unknown system {text!r}; use one of {', '.join(_PRESET_SYSTEMS)} "
         "or a comma-separated species list such as 'e,p,e,p'"
@@ -84,7 +84,7 @@ def _build_tree(scheme: "str | None", system: SpinSystem) -> CouplingTree:
     )
 
 
-def _states(args, scheme: "str | None" = None) -> "list[CoupledState]":
+def _basis(args, scheme: "str | None" = None) -> CoupledBasis:
     """Build the system and couple it along ``scheme`` (default ``--scheme``)."""
     system = _build_system(args.system, args.mu0)
     tree = _build_tree(args.scheme if scheme is None else scheme, system)
@@ -96,14 +96,14 @@ def _block(args) -> BasisTransform:
 
     An ``--m`` that no state of the system has is a domain error.
     """
-    states = _states(args)
+    basis = _basis(args)
     if args.m is None:
-        return full_transform(states)
-    block = m_sector(states, args.m)
+        return full_transform(basis)
+    block = m_sector(basis, args.m)
     if not block.states:
         raise ValueError(
             f"no states with M={format_spin(args.m)} for "
-            f"{states[0].system.n} particles"
+            f"{basis.system.n} particles"
         )
     return block
 
@@ -321,36 +321,35 @@ def _cmd_sweep(args) -> str:
 
 
 def _cmd_exchange(args) -> str:
-    states = _states(args)
-    system = states[0].system
-    pairs = like_species_pairs(system)
-    names = system.names
+    basis = _basis(args)
+    pairs = like_species_pairs(basis.system)
+    names = basis.system.names
     pair_labels = [f"{names[i]}<->{names[j]}" for i, j in pairs]
-    values = classify_exchange(states, pairs)
+    values = classify_exchange(basis, pairs)
     return _emit(
         args.format,
         ["state"] + pair_labels,
         lambda: [
             [s.label] + [str(v) for v in row]
-            for s, row in zip(states, values)
+            for s, row in zip(basis, values)
         ],
         lambda: {
             "pairs": pair_labels,
             "states": [
                 {"label": s.label, "eigenvalues": row}
-                for s, row in zip(states, values)
+                for s, row in zip(basis, values)
             ],
         },
     )
 
 
 def _cmd_overlap(args) -> str:
-    states_a = _states(args)
-    states_b = _states(args, args.scheme2)
-    overlap = scheme_overlap(states_a, states_b)
+    basis_a = _basis(args)
+    basis_b = _basis(args, args.scheme2)
+    overlap = scheme_overlap(basis_a, basis_b)
     return _matrix_output(
-        [s.label for s in states_a],
-        [s.label for s in states_b],
+        [s.label for s in basis_a],
+        [s.label for s in basis_b],
         overlap,
         args.format,
     )

@@ -28,7 +28,6 @@ from .system import (
 )
 
 NORM_TOL = 1e-12
-ORTHONORMAL_TOL = 1e-10
 EXCHANGE_TOL = 1e-10
 
 
@@ -85,6 +84,7 @@ class CouplingTree:
                 f"tree leaves {leaves} must be a permutation of 0..{system.n - 1}"
             )
 
+    # kept for the benchmark's workloads, which build their trees with it
     @classmethod
     def from_nested(cls, nested) -> "CouplingTree":
         return cls(nested)
@@ -194,6 +194,7 @@ class CoupledState:
     def __init__(self, *args, **kwargs) -> None:
         raise TypeError("coupled states are built by couple()")
 
+    # kept for the benchmark's traced run, which sums the vectors' sizes
     @property
     def vector(self) -> np.ndarray:
         """Read-only float64 amplitudes over the product basis."""
@@ -347,10 +348,25 @@ def _decoration(tree: CouplingTree, inter_spins: tuple[float, ...]) -> str:
     return tree._brackets[0] + text + tree._brackets[1]
 
 
-def couple(system: SpinSystem, tree: CouplingTree) -> list[CoupledState]:
+class CoupledBasis(tuple):
+    """The states ``couple`` returns, in its order.  It also keeps their
+    ``system``, ``tree`` and ``_sectors``, ``{M: (rows, product indices,
+    block)}`` in ascending M: the consecutive rows of M and their read-only
+    amplitudes on M's product indices.  A slice or sum is a plain tuple."""
+
+
+def _basis(basis) -> CoupledBasis:
+    """``basis``, if ``couple`` built it; the basis functions take no other."""
+    if not isinstance(basis, CoupledBasis):
+        raise TypeError(f"expected a basis built by couple(), got a "
+                        f"{type(basis).__name__}")
+    return basis
+
+
+def couple(system: SpinSystem, tree: CouplingTree) -> CoupledBasis:
     """Build the complete coupled basis for a system along a tree.
 
-    Returns 2^N orthonormal simultaneous S^2/S_z eigenstates, ordered by
+    The basis holds 2^N orthonormal simultaneous S^2/S_z eigenstates, by
     descending M and, within each M sector, by descending total spin and
     then descending intermediate spins (presets may override a sector's
     order to match the conventional presentation).  The states of one M
@@ -370,7 +386,7 @@ def couple(system: SpinSystem, tree: CouplingTree) -> list[CoupledState]:
     rank = np.empty(len(mults), dtype=np.int64)
     rank[plain] = np.arange(len(mults))
     permutation = _site_permutation(sites, system.n)
-    states = []
+    states, records = [], {}
     for two_m in sorted(sectors, reverse=True):
         block, partial, rows = sectors[two_m]
         order = np.flatnonzero(rows < len(block) - 1)
@@ -395,6 +411,8 @@ def couple(system: SpinSystem, tree: CouplingTree) -> list[CoupledState]:
         off = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))
         if off.size:
             raise ValueError(f"state vector norm {norms[off[0]]} deviates from 1")
+        records[mm] = (np.arange(len(states), len(states) + order.size),
+                       columns, block)
         tail = format_spin(mm)
         for row, k in enumerate(order[by_key].tolist()):
             # CoupledState has no constructor to run: the fields are set here
@@ -410,7 +428,10 @@ def couple(system: SpinSystem, tree: CouplingTree) -> list[CoupledState]:
                 _row=row,
             )
             states.append(state)
-    return states
+    basis = CoupledBasis(states)
+    basis.system, basis.tree = system, tree
+    basis._sectors = dict(sorted(records.items()))
+    return basis
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -419,10 +440,10 @@ class BasisTransform:
 
     ``columns`` holds the product index of each column as a read-only int64
     array.  Only ``m_sector`` and ``full_transform`` build transforms.  The
-    amplitudes are kept as one ``(rows, product indices, block)`` record per
-    M of the states, in ascending M, as ``_state_sectors`` gives them, and
-    every other amplitude is zero.  ``matrix``, a read-only float64 array,
-    is built from the records on each read.
+    amplitudes are kept as the basis's ``(rows, product indices, block)``
+    record of each M of the states, in ascending M, and every other
+    amplitude is zero.  ``matrix``, a read-only float64 array, is built from
+    the records on each read.
     """
 
     states: tuple[CoupledState, ...]
@@ -453,110 +474,58 @@ class BasisTransform:
         return tuple(f"|{''.join(row)}⟩" for row in arrows.tolist())
 
 
-def _state_sectors(states) -> dict:
-    """``{M: (rows, columns, block)}`` in ascending M from the blocks behind
-    ``states``, all of one system: the positions of the states of M, the
-    product indices of M and the states' rows of amplitudes on them.  A
-    block is shared when the states are all of it, in its order."""
-    system = states[0].system if states else None
-    if any(s.system is not system and s.system != system for s in states):
-        raise ValueError("the states belong to different systems")
-    row_m = np.array([s.m for s in states])
-    row_of = np.array([s._row for s in states], dtype=np.int64)
-    found = {}
-    for m in _unique(row_m):
-        rows = np.flatnonzero(row_m == m)
-        block = states[rows[0]]._block
-        if (rows.size != len(block)
-                or not np.array_equal(row_of[rows], np.arange(rows.size))
-                or any(states[k]._block is not block for k in rows.tolist())):
-            block = np.array([states[k]._block[row_of[k]]
-                              for k in rows.tolist()])
-            block.setflags(write=False)
-        found[m] = (rows, states[rows[0]]._columns, block)
-    return found
-
-
-def _transform(states, columns, system) -> BasisTransform:
+def _transform(states, columns, system, sectors) -> BasisTransform:
     """The transform of ``states`` over the product indices ``columns``."""
     columns.setflags(write=False)
     transform = object.__new__(BasisTransform)
     transform.__dict__.update(states=states, columns=columns, system=system,
-                              _sectors=tuple(_state_sectors(states).values()))
+                              _sectors=tuple(sectors))
     return transform
 
 
-def m_sector(states: "list[CoupledState]", m: float) -> BasisTransform:
+def m_sector(basis: CoupledBasis, m: float) -> BasisTransform:
     """Sub-block of the basis transform for one spin projection.
 
     An empty sector yields an empty block rather than an error.
     """
-    if not states:
-        raise ValueError("no coupled states supplied")
-    selected = tuple(s for s in states if s.m == m)
-    system = (selected or states)[0].system
-    return _transform(selected, product_states_with_m(system.n, m), system)
+    system = _basis(basis).system
+    states, sectors = (), []
+    if m in basis._sectors:
+        rows, cols, block = basis._sectors[m]
+        states = basis[rows[0]:rows[-1] + 1]
+        sectors.append((rows - rows[0], cols, block))
+    return _transform(states, product_states_with_m(system.n, m), system,
+                      sectors)
 
 
-def full_transform(states: "list[CoupledState]") -> BasisTransform:
+def full_transform(basis: CoupledBasis) -> BasisTransform:
     """Square transform over the complete product basis."""
-    if not states:
-        raise ValueError("no coupled states supplied")
-    system = states[0].system
-    return _transform(tuple(states), np.arange(system.dimension), system)
+    system = _basis(basis).system
+    return _transform(basis, np.arange(system.dimension), system,
+                      basis._sectors.values())
 
 
-def _check_gathered(states, sectors) -> None:
-    """Raise ``ValueError`` if a sector gathered from picked rows is not
-    orthonormal; a whole block of ``couple``'s is orthonormal as built."""
-    for rows, _cols, block in sectors:
-        if block is not states[rows[0]]._block:
-            dev = np.max(np.abs(block @ block.T - np.eye(len(block))))
-            if dev > ORTHONORMAL_TOL:
-                raise ValueError(
-                    f"basis rows are not orthonormal (deviation {dev:.3e})")
-
-
-def _unique(values: np.ndarray) -> np.ndarray:
-    """The distinct values in ascending order, as ``np.unique`` gives them
-    without importing ``numpy.ma``."""
-    ordered = np.sort(values)
-    first = np.ones(ordered.size, dtype=bool)
-    first[1:] = ordered[1:] != ordered[:-1]
-    return ordered[first]
-
-
-def scheme_overlap(basis_a: "list[CoupledState]",
-                   basis_b: "list[CoupledState]") -> np.ndarray:
-    """Overlap matrix <a_i|b_j> between two complete coupled bases.
+def scheme_overlap(basis_a: CoupledBasis,
+                   basis_b: CoupledBasis) -> np.ndarray:
+    """Overlap matrix <a_i|b_j> between two bases built by ``couple``.
 
     Both bases conserve M, so the real matrix is assembled from one product
     of the two bases' blocks per M sector, and entries between different M
-    are exact zeros.  Both bases must share one species order, and a sector
-    gathered from rows of ``couple``'s blocks must be orthonormal.
+    are exact zeros.  Both bases must share one species order.
     """
-    if not basis_a or not basis_b:
-        raise ValueError("empty basis")
-    system_a, system_b = basis_a[0].system, basis_b[0].system
+    system_a, system_b = _basis(basis_a).system, _basis(basis_b).system
     if system_a.species != system_b.species:
         raise ValueError(
             f"bases belong to different systems: {','.join(system_a.names)}"
             f" vs {','.join(system_b.names)}")
-    dim = system_a.dimension
-    if len(basis_a) != dim or len(basis_b) != dim:
-        raise ValueError("both bases must be complete (square transforms)")
-    sectors_a, sectors_b = _state_sectors(basis_a), _state_sectors(basis_b)
-    _check_gathered(basis_a, sectors_a.values())
-    _check_gathered(basis_b, sectors_b.values())
-    overlap = np.zeros((dim, dim))
-    for m, (rows, _cols, block) in sectors_a.items():
-        if m in sectors_b:
-            rows_b, _cols, block_b = sectors_b[m]
-            if block_b is block:
-                # numpy takes the symmetric BLAS product for one buffer
-                # times its transpose; that rounds unlike the general one
-                block_b = block_b.copy()
-            overlap[np.ix_(rows, rows_b)] = block @ block_b.T
+    overlap = np.zeros((system_a.dimension, system_a.dimension))
+    for m, (rows, _cols, block) in basis_a._sectors.items():
+        rows_b, _cols, block_b = basis_b._sectors[m]
+        if block_b is block:
+            # numpy takes the symmetric BLAS product for one buffer
+            # times its transpose; that rounds unlike the general one
+            block_b = block_b.copy()
+        overlap[np.ix_(rows, rows_b)] = block @ block_b.T
     return overlap
 
 
@@ -572,19 +541,17 @@ def _swap_permutation(n: int, i: int, j: int) -> np.ndarray:
     return _site_permutation(sites, n)
 
 
-def classify_exchange(states: "list[CoupledState]",
+def classify_exchange(basis: CoupledBasis,
                       pairs: "list[tuple[int, int]]"):
     """Exchange eigenvalue (+1, -1, or 'mixed') per state per site pair.
 
     A site swap keeps M, so it maps each M sector's columns onto
     themselves, and each sector's block is compared with its swapped copy.
     """
-    if not states:
-        raise ValueError("no coupled states supplied")
-    n = states[0].system.n
+    n = _basis(basis).system.n
     permutations = [_swap_permutation(n, i, j) for i, j in pairs]
-    results = [[] for _state in states]
-    for rows, cols, block in _state_sectors(states).values():
+    results = [[] for _state in basis]
+    for rows, cols, block in basis._sectors.values():
         for perm in permutations:
             swapped = block[:, np.searchsorted(cols, perm[cols])]
             even = np.max(np.abs(swapped - block), axis=1) <= EXCHANGE_TOL

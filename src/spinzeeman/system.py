@@ -109,6 +109,7 @@ class SpinSystem:
         return tuple(k for k, site in enumerate(self.species)
                      if site is species)
 
+    # kept for the benchmark's workloads, which build their systems with it
     @classmethod
     def from_species(cls, species: "list[Species] | tuple[Species, ...]",
                      mu0: float = 1.0) -> "SpinSystem":
@@ -119,12 +120,12 @@ class SpinSystem:
         """Two electrons and two positrons in the order (e1, p1, e2, p2)."""
         order = (Species.ELECTRON, Species.POSITRON,
                  Species.ELECTRON, Species.POSITRON)
-        return cls.from_species(order, mu0)
+        return cls(order, mu0)
 
     @classmethod
     def positronium(cls, mu0: float = 1.0) -> "SpinSystem":
         """A single electron-positron pair (e1, p1)."""
-        return cls.from_species((Species.ELECTRON, Species.POSITRON), mu0)
+        return cls((Species.ELECTRON, Species.POSITRON), mu0)
 
 
 @functools.lru_cache(maxsize=None)

@@ -9,7 +9,7 @@ group), and NONE (entire moment row zero).
 
 Tolerances on moments and couplings (``ZERO_TOL``) are relative to |mu0|,
 so a verdict does not depend on the moment unit.
-Unitless checks (basis orthonormality, level tracking) stay absolute.
+Unitless checks, such as level tracking, stay absolute.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import BasisTransform, _check_gathered, _unique
+from .coupling import BasisTransform
 from .system import moment_diagonal
 
 ZERO_TOL = 1e-10
@@ -77,11 +77,10 @@ def moment_matrix(basis: BasisTransform) -> MomentMatrix:
     """Moment matrix for a basis block; mu_z is diagonal over the columns.
 
     mu_z conserves M, so the matrix is assembled from one real product per
-    M sector of the rows, taken on the basis's block for that sector.  A
-    sector gathered from rows of ``couple``'s blocks must be orthonormal.
-    Entries below ``CHOP_TOL`` times the matrix scale are set to exact zero.
+    M sector of the rows, taken on the block ``couple`` built for that
+    sector, which is orthonormal as built.  Entries below ``CHOP_TOL``
+    times the matrix scale are set to exact zero.
     """
-    _check_gathered(basis.states, basis._sectors)
     diag = moment_diagonal(basis.system)
     blocks = [(rows, (block * diag[cols]) @ block.T)
               for rows, cols, block in basis._sectors]
@@ -96,6 +95,15 @@ def moment_matrix(basis: BasisTransform) -> MomentMatrix:
     matrix.__dict__.update(basis=basis, _blocks=tuple(blocks),
                            _partners_by_spec={})
     return matrix
+
+
+def _unique(values: np.ndarray) -> np.ndarray:
+    """The distinct values in ascending order, as ``np.unique`` gives them
+    without importing ``numpy.ma``."""
+    ordered = np.sort(values)
+    first = np.ones(ordered.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return ordered[first]
 
 
 def _near_equal(energies) -> "tuple[float, float] | None":

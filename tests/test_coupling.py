@@ -20,6 +20,7 @@ from spinzeeman import (
 from dense_operators import (
     ProductState,
     exchange_operator,
+    pauli_site,
     total_spin_squared,
     total_spin_z,
 )
@@ -191,6 +192,51 @@ def test_simultaneous_eigenstates(tree):
         assert abs(state.m) <= state.total_s + 1e-12
 
 
+def _tree_shapes(lo: int, hi: int):
+    """Every binary tree over the sites lo..hi-1, kept in site order."""
+    if hi - lo == 1:
+        yield lo
+    for cut in range(lo + 1, hi):
+        for left in _tree_shapes(lo, cut):
+            for right in _tree_shapes(cut, hi):
+                yield (left, right)
+
+
+# 1 + 2 + 5 + 14 + 42 shapes for N = 2..6
+SHAPES = [shape for n in range(2, 7) for shape in _tree_shapes(0, n)]
+
+
+def _subtree_spin_squared(system, sites):
+    """Dense S_v^2 of the sites under one node: (1/2 sum sigma_i)^2."""
+    total = 0.0
+    for axis in ("x", "y", "z"):
+        comp = 0.5 * sum(pauli_site(system, axis, k).matrix for k in sites)
+        total = total + comp @ comp
+    return total
+
+
+@pytest.mark.parametrize("shape", SHAPES,
+                         ids=[str(s).replace(" ", "") for s in SHAPES])
+def test_every_node_spin_is_an_eigenvalue_of_its_subtree(shape):
+    """Each state is an eigenvector of S_v^2 for every internal node v,
+    with the eigenvalue j_v (j_v + 1) of its recorded spin; the operators
+    are Kronecker products, independent of the CG recursion."""
+    tree = CouplingTree(shape)
+    n = len(tree.leaves())
+    system = SpinSystem(([Species.ELECTRON, Species.POSITRON] * 3)[:n])
+    basis = couple(system, tree)
+    vectors = np.array([state.vector for state in basis]).T
+    # (sites, spin) of each internal node in post-order, the root last
+    nodes = [s.intermediates + ((tree.leaves(), s.total_s),) for s in basis]
+    for k in range(n - 1):
+        sites = nodes[0][k][0]
+        assert all(node[k][0] == sites for node in nodes)
+        spins = np.array([node[k][1] for node in nodes])
+        s2 = _subtree_spin_squared(system, sites)
+        residual = s2 @ vectors - vectors * (spins * (spins + 1))
+        assert np.max(np.abs(residual)) <= 1e-12, sites
+
+
 @pytest.mark.parametrize("tree", [LIKE, POS], ids=["like", "pos"])
 def test_multiplet_census(tree):
     states = couple(DIPOS, tree)
@@ -319,9 +365,10 @@ def test_scheme_overlap_9j_oracle(like_states, pos_states):
 
 
 def test_scheme_overlap_errors(like_states):
-    with pytest.raises(ValueError):
+    # a slice of a basis is a plain tuple, not a basis
+    with pytest.raises(TypeError, match=r"couple\(\)"):
         scheme_overlap(like_states, like_states[:4])
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError, match=r"couple\(\)"):
         scheme_overlap(like_states[:4], like_states[:4])
 
 

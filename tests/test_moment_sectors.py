@@ -213,13 +213,14 @@ def test_moment_blocks_are_checked_for_symmetry():
 def test_rejects_sectors_that_miss_or_repeat_a_state():
     like = couple(DIPOS, CouplingTree.like_pairs(DIPOS))
     pairs = couple(DIPOS, CouplingTree.positronium_pairs(DIPOS))
-    # 16 states, without |2,-2[2,2]⟩ and with |2,2[2,2]⟩ twice
+    # 16 states, without |2,-2[2,2]⟩ and with |2,2[2,2]⟩ twice, are not
+    # a basis that couple built
     states = like[:-1] + like[:1]
-    message = r"^basis rows are not orthonormal \(deviation 1\.000e\+00\)$"
-    with pytest.raises(ValueError, match=message):
-        moment_matrix(full_transform(states))
+    message = "^expected a basis built by couple\\(\\), got a tuple$"
+    with pytest.raises(TypeError, match=message):
+        full_transform(states)
     for basis_a, basis_b in ((states, pairs), (pairs, states)):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(TypeError, match=message):
             scheme_overlap(basis_a, basis_b)
 
 

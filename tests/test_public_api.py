@@ -3,7 +3,8 @@
 The dense complex operators are test-side oracles (``dense_operators``), not
 part of the library, the product basis is a bit table, not per-ket
 objects, and only the library builds coupled states, transforms and moment
-matrices, from per-M blocks.
+matrices, from per-M blocks.  The basis functions take only the basis that
+``couple`` returns.
 """
 
 import dataclasses
@@ -20,9 +21,12 @@ from spinzeeman import (
     CouplingTree,
     MomentMatrix,
     SpinSystem,
+    classify_exchange,
     couple,
     full_transform,
+    m_sector,
     moment_matrix,
+    scheme_overlap,
 )
 from spinzeeman import coupling, zeeman
 
@@ -114,3 +118,36 @@ def test_constructors_take_only_what_cannot_be_derived():
     names = [f.name for f in dataclasses.fields(SpinSystem)]
     assert names == ["species", "mu0"]
     assert _parameters(CouplingTree.from_nested) == ("nested",)
+
+
+def test_gathered_states_left_the_library():
+    for owner, name in ((coupling, "_state_sectors"),
+                        (coupling, "_check_gathered"),
+                        (coupling, "ORTHONORMAL_TOL"),
+                        (zeeman, "_check_gathered")):
+        assert not hasattr(owner, name), name
+
+
+# each basis function, given a candidate basis and a whole one
+BASIS_FUNCTIONS = {
+    "m_sector": lambda states, _basis: m_sector(states, 0.0),
+    "full_transform": lambda states, _basis: full_transform(states),
+    "scheme_overlap-a": lambda states, basis: scheme_overlap(states, basis),
+    "scheme_overlap-b": lambda states, basis: scheme_overlap(basis, states),
+    "classify_exchange": lambda states, _basis: classify_exchange(
+        states, [(0, 2)]),
+}
+
+
+@pytest.mark.parametrize("function", sorted(BASIS_FUNCTIONS))
+def test_basis_functions_take_only_what_couple_returns(function):
+    system = SpinSystem.dipositronium()
+    basis = couple(system, CouplingTree.like_pairs(system))
+    call = BASIS_FUNCTIONS[function]
+    call(basis, basis)
+    # a list, a slice, a reversal and a concatenation hold the same states
+    for states in (list(basis), basis[:], basis[::-1], basis[:8] + basis[8:]):
+        with pytest.raises(TypeError, match=(
+                r"^expected a basis built by couple\(\), got a "
+                f"{type(states).__name__}$")):
+            call(states, basis)

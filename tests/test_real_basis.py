@@ -200,23 +200,15 @@ def test_states_of_two_systems_are_rejected():
     like = couple(DIPOS, CouplingTree.like_pairs(DIPOS))
     doubled = SpinSystem.dipositronium(mu0=2.0)
     mixed = couple(doubled, CouplingTree.like_pairs(doubled))[:1] + like[1:]
-    for build in (full_transform, lambda states: scheme_overlap(states, like),
-                  lambda states: classify_exchange(states, [(0, 2)])):
-        with pytest.raises(ValueError, match=(
-                "^the states belong to different systems$")):
-            build(mixed)
-    # a sector belongs to the system of the states it holds
     atom = couple(POSITRONIUM, CouplingTree.positronium_pairs(POSITRONIUM))
-    assert m_sector(atom + like, 2.0).system is DIPOS
-
-
-def test_scheme_overlap_of_a_reordered_basis_is_permuted():
-    like, pairs = _preset_pairs()["like-pairs"]
-    # every sector of the reversed basis is gathered from its block
-    overlap = scheme_overlap(like[::-1], pairs)
-    assert np.array_equal(overlap, scheme_overlap(like, pairs)[::-1])
-    assert np.array_equal(scheme_overlap(pairs, like[::-1]),
-                          scheme_overlap(pairs, like)[:, ::-1])
+    # states of two bases, joined, are a plain tuple and no basis
+    for states in (mixed, atom + like):
+        for build in (full_transform, lambda states: m_sector(states, 2.0),
+                      lambda states: scheme_overlap(states, like),
+                      lambda states: classify_exchange(states, [(0, 2)])):
+            with pytest.raises(TypeError, match=r"^expected a basis built by "
+                               r"couple\(\), got a tuple$"):
+                build(states)
 
 
 def test_coupled_vectors_are_real_and_read_only():

@@ -241,28 +241,6 @@ def test_exchange_matches_the_former_vector_comparison(name, system, tree):
     assert verdicts == expected
     # +1 and -1 stay Python ints, not numpy or bool values
     assert repr(verdicts) == repr(expected)
-    # a reversed basis gathers its rows, and keeps its order
-    assert classify_exchange(states[::-1], pairs) == verdicts[::-1]
-
-
-def test_reordered_and_mixed_states_are_gathered_from_their_blocks():
-    species = ALTERNATING[:6]
-    system = SpinSystem.from_species(species)
-    trees = _trees(species)
-    atom, ep = couple(system, trees["atom"]), couple(system, trees["ep"])
-    _numbers, dense = _former_couple(system, trees["atom"])
-    # reversed: every sector's rows come out in the opposite order
-    backwards = full_transform(atom[::-1])
-    _same_bits(backwards.matrix, dense[::-1])
-    row_m = np.array([s.m for s in atom[::-1]])
-    assert moment_matrix(backwards).entries.tobytes() == _former_moment(
-        system, row_m, np.arange(system.dimension), dense[::-1]).tobytes()
-    # states of one M from two bases
-    mixed = [s for s in atom if s.m == 1.0][::2] + \
-        [s for s in ep if s.m == 1.0][1::2]
-    block = m_sector(mixed, 1.0)
-    expected = np.array([s.vector[block.columns] for s in mixed])
-    _same_bits(block.matrix, expected)
 
 
 def test_a_basis_from_couple_is_wrapped_not_copied():

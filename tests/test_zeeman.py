@@ -128,15 +128,6 @@ def test_moment_scales_with_mu0():
     assert np.max(np.abs(entries - 2.0 * LIKE_M1_MOMENT)) <= 1e-12
 
 
-def test_moment_matrix_rejects_non_orthonormal(like_states, pos_states):
-    ones = [s for s in like_states if s.m == 1.0]
-    # a repeated state, and states gathered from two bases
-    mixed = ones[:3] + [s for s in pos_states if s.m == 1.0][:1]
-    for states in (ones + ones[:1], mixed):
-        with pytest.raises(ValueError, match="orthonormal"):
-            moment_matrix(m_sector(states, 1.0))
-
-
 # ---------------------------------------------------------------------------
 # classification
 
