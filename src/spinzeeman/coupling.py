@@ -134,7 +134,7 @@ class CouplingTree:
             token = match.group()
             if token in name_map:
                 return str(name_map[token])
-            if token.isdecimal():
+            if re.fullmatch("[0-9]+", token):
                 return str(int(token))
             raise ValueError(
                 f"unknown particle name {token!r}; valid names: "
@@ -378,7 +378,7 @@ def couple(system: SpinSystem, tree: CouplingTree) -> CoupledBasis:
     inner = [inter[:-1] for _two_j, inter in mults]  # without the root
     spins = [tuple(spin for _sites, spin in nodes) for nodes in inner]
     heads = [f"|{format_spin(two_j / 2)}," for two_j, _inter in mults]
-    decorations = [_decoration(tree, inter_spins) for inter_spins in spins]
+    decorations = {key: _decoration(tree, key) for key in set(spins)}
     # within a sector: descending S, then descending intermediate spins,
     # unless the tree fixes that sector's order
     plain = sorted(range(len(mults)), key=lambda k: (
@@ -421,7 +421,7 @@ def couple(system: SpinSystem, tree: CouplingTree) -> CoupledBasis:
                 total_s=mults[k][0] / 2,
                 m=mm,
                 intermediates=inner[k],
-                label=f"{heads[k]}{tail}{decorations[k]}⟩",
+                label=f"{heads[k]}{tail}{decorations[spins[k]]}⟩",
                 system=system,
                 _columns=columns,
                 _block=block,

@@ -7,9 +7,9 @@ diagonalized first (degenerate perturbation theory), then states split into
 LINEAR (nonzero slope), QUADRATIC (zero slope but coupled outside the
 group), and NONE (entire moment row zero).
 
-Tolerances on moments and couplings (``ZERO_TOL``) are relative to |mu0|,
-so a verdict does not depend on the moment unit.
-Unitless checks, such as level tracking, stay absolute.
+Moments are computed in units of mu0 and every tolerance is unitless, so
+no verdict depends on the moment unit; mu0 scales only the numbers that
+leave the library.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import BasisTransform
-from .system import moment_diagonal
+from .system import _signed_spins
 
 ZERO_TOL = 1e-10
 TRACK_TIE_TOL = 1e-9
@@ -43,11 +43,11 @@ class MomentMatrix:
     """Real symmetric matrix of <row| mu_z |col> over a coupled basis block.
 
     Only ``moment_matrix`` builds one.  mu_z conserves M, so it keeps a
-    ``(rows, block)`` pair per M sector of the basis, in ascending M, and is
-    zero between them; ``entries``, the same matrix as a read-only dense
-    array, is built from the blocks on each read.  The library works on the
-    blocks only; of its callers, just the CLI's ``moment`` command reads
-    ``entries``.
+    ``(rows, block)`` pair per M sector of the basis, in ascending M and in
+    units of mu0, and is zero between them; ``entries``, the same matrix
+    times mu0 as a read-only dense array, is built from the blocks on each
+    read.  The library works on the blocks only; of its callers, just the
+    CLI's ``moment`` command reads ``entries``.
     """
 
     basis: BasisTransform
@@ -59,8 +59,9 @@ class MomentMatrix:
     def entries(self) -> np.ndarray:
         """Read-only float64 dense matrix, built from the blocks."""
         entries = np.zeros((self.size, self.size))
+        # scaled per block: the zero pages between blocks stay untouched
         for rows, block in self._blocks:
-            entries[np.ix_(rows, rows)] = block
+            entries[np.ix_(rows, rows)] = block * self.basis.system.mu0
         entries.setflags(write=False)
         return entries
 
@@ -81,7 +82,7 @@ def moment_matrix(basis: BasisTransform) -> MomentMatrix:
     sector, which is orthonormal as built.  Entries below ``CHOP_TOL``
     times the matrix scale are set to exact zero.
     """
-    diag = moment_diagonal(basis.system)
+    diag = _signed_spins(basis.system)
     blocks = [(rows, (block * diag[cols]) @ block.T)
               for rows, cols, block in basis._sectors]
     scale = max((np.max(np.abs(p)) for _rows, p in blocks if p.size),
@@ -305,11 +306,6 @@ def _check_spec(matrix: MomentMatrix, spec: DegeneracySpec) -> None:
         )
 
 
-def _unit(matrix: MomentMatrix) -> float:
-    """|mu0|, the scale of the moment tolerances."""
-    return abs(matrix.basis.system.mu0)
-
-
 def _rotate_groups(matrix: MomentMatrix, spec: DegeneracySpec):
     """Diagonalize the moment within each group.
 
@@ -344,7 +340,7 @@ def _rotate_groups(matrix: MomentMatrix, spec: DegeneracySpec):
             local = position[idx]
             sub = original[np.ix_(local, local)]
             off = sub - np.diag(np.diag(sub))
-            if np.max(np.abs(off)) <= 1e-15 * _unit(matrix):
+            if np.max(np.abs(off)) <= 1e-15:
                 continue
             w, v = np.linalg.eigh(sub)
             _rows, cols = linear_sum_assignment(-(v * v))
@@ -358,7 +354,7 @@ def _rotate_groups(matrix: MomentMatrix, spec: DegeneracySpec):
             sel = np.ix_(every, local)
             block[sel] = block[sel] @ v
             moments[idx] = w[cols]
-    moments[np.abs(moments) <= ZERO_TOL * _unit(matrix)] = 0.0
+    moments[np.abs(moments) <= ZERO_TOL] = 0.0
     return blocks, moments
 
 
@@ -377,12 +373,11 @@ def _partners(matrix: MomentMatrix, spec: DegeneracySpec):
     if found is None:
         blocks, moments = _rotate_groups(matrix, spec)
         gids = spec.group_ids()
-        tol = ZERO_TOL * _unit(matrix)
         rows, cols = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
         coupling = [np.empty(0)]
         for sector, block in blocks:
             sector_gids = gids[sector]
-            mask = np.abs(block) > tol
+            mask = np.abs(block) > ZERO_TOL
             mask &= sector_gids[:, None] != sector_gids[None, :]
             i, j = np.nonzero(mask)
             rows.append(sector[i])
@@ -408,12 +403,12 @@ def classify(matrix: MomentMatrix, spec: DegeneracySpec) -> ZeemanReport:
     labels = matrix.labels
     partner_labels = np.array(labels, dtype=object)[cols].tolist()
     ends = np.cumsum(np.bincount(rows, minlength=matrix.size)).tolist()
-    linear = (np.abs(moments) > ZERO_TOL * _unit(matrix)).tolist()
+    mu0 = matrix.basis.system.mu0
     reports = []
-    for label, moment, slope, is_linear, start, end in zip(
-            labels, moments, -moments, linear, [0] + ends, ends):
+    for label, moment, start, end in zip(labels, moments.tolist(),
+                                         [0] + ends, ends):
         partners = tuple(partner_labels[start:end])
-        if is_linear:
+        if moment:  # _rotate_groups zeroed those within ZERO_TOL
             kind = Classification.LINEAR
         elif partners:
             kind = Classification.QUADRATIC
@@ -423,7 +418,7 @@ def classify(matrix: MomentMatrix, spec: DegeneracySpec) -> ZeemanReport:
         # object.__setattr__ each; they are set here in one update
         report = object.__new__(StateReport)
         report.__dict__.update(label=label, classification=kind,
-                               moment=moment, linear_slope=slope,
+                               moment=moment * mu0, linear_slope=-moment * mu0,
                                quadratic_partners=partners)
         reports.append(report)
     return ZeemanReport(tuple(reports))
@@ -470,6 +465,7 @@ def level_curves(matrix: MomentMatrix, spec: DegeneracySpec,
         raise ValueError("field grid must be finite")
     if np.any(np.diff(b_values) <= 0):
         raise ValueError("field grid must be strictly increasing")
+    mu0 = matrix.basis.system.mu0
     blocks = matrix._blocks
     size = max((rows.size for rows, _block in blocks), default=0)
     state_energies = spec.state_energies()
@@ -483,7 +479,7 @@ def level_curves(matrix: MomentMatrix, spec: DegeneracySpec,
     # Every eigenvalue lies within max|E| + |B| times the moment's largest
     # absolute row sum (Gershgorin); the pad sits above that, past rounding.
     # Taken in Python floats, which overflow to inf without a warning.
-    largest = float(np.abs(moment).sum(axis=2).max(initial=0.0))
+    largest = abs(mu0) * float(np.abs(moment).sum(axis=2).max(initial=0.0))
     top = max(map(abs, spec.energies), default=0.0)
 
     def pad(b_abs: float) -> float:
@@ -493,6 +489,7 @@ def level_curves(matrix: MomentMatrix, spec: DegeneracySpec,
     field = max(-float(b_values[0]), float(b_values[-1]))
     if not math.isfinite(pad(field)):
         raise ValueError(f"field {field!r} times moment {largest!r} overflows")
+    fields = b_values * mu0  # the blocks are in units of mu0
     origin = int(np.searchsorted(b_values, 0.0))
     at_zero = bool(origin < b_values.size and b_values[origin] == 0.0)
 
@@ -511,9 +508,9 @@ def level_curves(matrix: MomentMatrix, spec: DegeneracySpec,
             # every entry is H0 - B mu, down to the sign of a zero: that sign
             # steers LAPACK's vectors in a degenerate eigenspace, and so
             # which label follows which degenerate curve
-            np.multiply(moment, b_values[i], out=stack)
+            np.multiply(moment, fields[i], out=stack)
             np.subtract(0.0, stack, out=stack)
-            diag = h0 - b_values[i] * moment_diag
+            diag = h0 - fields[i] * moment_diag
             diag[padded] = pad(abs(b_values[i]))
             stack[:, diagonal, diagonal] = diag
             w, v = np.linalg.eigh(stack)
@@ -565,5 +562,6 @@ def quadratic_coefficients(matrix: MomentMatrix,
             "groups share an energy; merge the groups"
         )
     # bincount adds each row's terms in ascending column order
-    return np.bincount(rows, weights=coupling * coupling / gap,
+    mu0 = matrix.basis.system.mu0
+    return np.bincount(rows, weights=coupling * coupling / gap * (mu0 * mu0),
                        minlength=matrix.size)

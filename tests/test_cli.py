@@ -232,6 +232,21 @@ def test_negative_si_mu0_negates_the_census_slopes(capsys):
     assert any(s["linear_slope"] != 0 for s in negated)
 
 
+def test_subnormal_mu0_prints_the_census_of_unit_mu0(capsys):
+    tables = {}
+    for mu0 in ("1", "5e-324"):
+        code, out, err = run_cli(capsys, "classify", "--mu0", mu0,
+                                 "--format", "csv")
+        assert code == 0, err
+        rows = list(csv.reader(io.StringIO(out)))
+        # state, class and partners; slope and moment scale with mu0
+        tables[mu0] = [(row[0], row[1], row[4]) for row in rows]
+    assert tables["5e-324"] == tables["1"]
+    classes = [row[1] for row in tables["1"][1:]]
+    assert [classes.count(c) for c in ("LINEAR", "QUADRATIC", "NONE")] == [
+        4, 7, 5]
+
+
 def test_one_step_over_a_field_range_is_domain_error(capsys):
     code, out, err = run_cli(
         capsys, "sweep", "--system", "dipositronium", "--bmin", "0",
@@ -378,12 +393,14 @@ def test_malformed_tree_is_domain_error(capsys):
 
 
 def test_non_ascii_digit_leaf_is_an_unknown_name(capsys):
-    # '²' is a digit to str.isdigit, but not a site index
-    code, out, err = run_cli(
-        capsys, "classify", "--scheme", "((e1,²),(p1,p2))")
-    assert (code, out) == (1, "")
-    assert err == ("error: unknown particle name '²'; valid names: "
-                   "e1, p1, e2, p2\n")
+    # '²' is a digit to str.isdigit, and Arabic-Indic '١' and full-width
+    # '１' are decimals to str.isdecimal, but none is a site index
+    for digit in ("²", "١", "１"):
+        code, out, err = run_cli(
+            capsys, "classify", "--scheme", f"((e1,{digit}),(p1,p2))")
+        assert (code, out) == (1, "")
+        assert err == (f"error: unknown particle name '{digit}'; valid "
+                       "names: e1, p1, e2, p2\n")
 
 
 def test_usage_errors_exit_2(capsys):
@@ -488,7 +505,7 @@ ERROR_CASES = {
     "malformed-scheme": ["basis", "--scheme", "((e1,e2),(p1,p2)"],
     "classify-mu0": ["classify", "--mu0", "1e308"],
     "basis-mu0": ["basis", "--mu0", "1e308"],
-    "subnormal-mu0": ["classify", "--mu0", "5e-324"],
+    "zero-mu0": ["classify", "--mu0", "0"],
     "sweep-overflow": ["sweep", "--system", "positronium", "--mu0", "1e300",
                        "--bmin", "-1e10", "--bmax", "1e10", "--steps", "3"],
     "energies": ["classify", "--system", "positronium", "--energies",

@@ -242,14 +242,19 @@ def test_moment_matrix_rejects_non_finite_entries(bad):
 
 def test_largest_finite_mu0_gives_finite_moments():
     # 12 mu0 = 1.2e308 is the moment of the M = 0 product state with every
-    # electron down and every positron up
+    # electron down and every positron up; the library works in units of
+    # mu0, so what it returns is checked
     species = [Species.ELECTRON, Species.POSITRON] * 6
     system = SpinSystem.from_species(species, mu0=1e307)
-    states = couple(system, CouplingTree.positronium_pairs(system))
-    matrix = moment_matrix(full_transform(states))
-    for _rows, block in matrix._blocks:
-        assert np.all(np.isfinite(block))
-    assert max(np.max(np.abs(b)) for _r, b in matrix._blocks) > 1e307
+    states = couple(system, _trees(species)["ep"])
+    entries = moment_matrix(m_sector(states, 0.0)).entries
+    assert np.all(np.isfinite(entries))
+    assert np.max(np.abs(entries)) > 1e307
+    report = classify(moment_matrix(full_transform(states)),
+                      DegeneracySpec.isolated(len(states)))
+    moments = np.array([s.moment for s in report.states])
+    assert np.all(np.isfinite(moments))
+    assert np.max(np.abs(moments)) > 1e307
 
 
 @pytest.mark.parametrize("shape", ["atom", "ep"])
@@ -558,15 +563,21 @@ def test_moment_sign_flip_mirrors_census_and_curves(case):
         assert classify(minus, spec).counts() == classify(plus, spec).counts()
 
     before = classify(plus, isolated).states
-    after = classify(minus, isolated).states
     linear = [s for s in before if s.classification is Classification.LINEAR]
     # only the trees that pair like species carry moment diagonals
     assert bool(linear) == (case in ("like-pairs", "ep"))
-    for old, new in zip(before, after):
-        assert new.label == old.label
-        assert new.classification is old.classification
-        if old.classification is Classification.LINEAR:
-            assert new.linear_slope == -old.linear_slope
+    # moments are computed in units of mu0, so any unit, its sign included,
+    # gives the same labels, verdicts and partners and scales the slopes
+    for mu0 in (-1.0, 9.274e-24, 5e-324, 1e300):
+        _states, scaled = _moments_with_mu0(case, mu0)
+        for spec in (isolated, grouped):
+            after = classify(scaled, spec).states
+            for old, new in zip(classify(plus, spec).states, after):
+                assert new.label == old.label
+                assert new.classification is old.classification
+                assert new.quadratic_partners == old.quadratic_partners
+                assert new.moment == old.moment * mu0
+                assert new.linear_slope == old.linear_slope * mu0
 
     # E(B) under -mu0 is E(-B) under mu0; GRID is symmetric about 0
     for spec in (isolated, grouped):

@@ -124,7 +124,8 @@ def test_gathered_states_left_the_library():
     for owner, name in ((coupling, "_state_sectors"),
                         (coupling, "_check_gathered"),
                         (coupling, "ORTHONORMAL_TOL"),
-                        (zeeman, "_check_gathered")):
+                        (zeeman, "_check_gathered"),
+                        (zeeman, "_unit")):
         assert not hasattr(owner, name), name
 
 

@@ -40,15 +40,15 @@ def test_index_validation():
         SpinSystem(())
 
 
-@pytest.mark.parametrize("mu0", [5e-324, 1e-320, -1e-320])
-def test_subnormal_mu0_is_rejected(mu0):
-    # moments and tolerances below the normal range lose digits:
-    # 5e-324 once classified 4 LINEAR / 3 QUADRATIC / 9 NONE, not 4/7/5
-    message = re.escape("mu0 must be 0 or at least 2.2250738585072014e-308 "
-                        f"in magnitude; mu0={mu0!r}")
+@pytest.mark.parametrize("mu0", [0.0, -0.0])
+def test_zero_mu0_is_rejected(mu0):
+    # moments are computed in units of mu0, so a zero unit would classify
+    # 4 LINEAR / 7 QUADRATIC / 5 NONE with every moment zero
+    message = re.escape(f"mu0 must be nonzero; mu0={mu0!r}")
     with pytest.raises(ValueError, match=f"^{message}$"):
         SpinSystem.dipositronium(mu0)
-    assert SpinSystem.dipositronium(0.0).mu0 == 0.0
+    # a subnormal unit is a unit like any other
+    assert SpinSystem.dipositronium(5e-324).mu0 == 5e-324
 
 
 def test_sites_must_be_species():

@@ -132,9 +132,11 @@ def test_moment_scales_with_mu0():
 # classification
 
 
-# SI (J/T), a tiny and a huge unit, and one just above the normal float
-# range: the census must not depend on mu0's unit
-@pytest.mark.parametrize("mu0", [1e-24, 9.274e-24, 1.0, 1e6, 2.3e-308])
+# SI (J/T) of either sign, a tiny and a huge unit, one just above the
+# normal float range and the smallest subnormal: the census must not
+# depend on mu0's unit
+@pytest.mark.parametrize("mu0", [1e-24, 9.274e-24, 1.0, 1e6, 2.3e-308,
+                                 5e-324, -9.274e-24])
 def test_classify_like_pairs_default(mu0):
     system = SpinSystem.dipositronium(mu0)
     states = couple(system, CouplingTree.like_pairs(system))
