@@ -497,13 +497,43 @@ def test_tie_scan_matches_pair_loop(n, shape):
             assert per_sector
 
 
+def _first_fit_decreasing(sizes):
+    """Sector indices in bins of the largest size: each sector, largest
+    first, goes into the first bin with room for it."""
+    bins = []
+    for k in sorted(range(len(sizes)), key=lambda k: -sizes[k]):
+        room = [b for b in bins
+                if sum(sizes[j] for j in b) + sizes[k] <= max(sizes)]
+        if room:
+            room[0].append(k)
+        else:
+            bins.append([k])
+    return bins
+
+
+def test_sectors_pack_into_the_fewest_matrices_up_to_n_12():
+    # M sectors of n sites hold comb(n, k) states; at N = 12, 13 sectors
+    # go into 5 matrices of 924
+    for n in range(1, 13):
+        sizes = [comb(n, k) for k in range(n + 1)]
+        packs = zeeman._first_fit(sizes)
+        assert packs == _first_fit_decreasing(sizes)
+        assert sorted(k for pack in packs for k in pack) == list(range(n + 1))
+        assert all(sum(sizes[k] for k in pack) <= max(sizes)
+                   for pack in packs)
+    assert len(packs) == 5
+
+
 @pytest.mark.parametrize("shape", ["atom", "ep"])
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_padded_sectors_solve_as_their_own_blocks(n, shape, monkeypatch):
-    """One complex ``eigh`` per nonzero field solves every M sector, each
-    padded to the largest sector with a diagonal above its spectrum: a
-    sector's kept eigenvalues lie below the pad, its kept vectors are zero
-    on the pad rows, and its energies are those of its own block."""
+    """One complex ``eigh`` per nonzero field solves every M sector, placed
+    block-diagonally, first fit by decreasing size, into the fewest
+    matrices of the largest sector's size, each padded with a diagonal
+    above its spectrum.  A sector's kept eigenvalues lie below the pad, its
+    kept vectors are exactly zero on every other row, the other sectors of
+    its matrix and the pad included, and its energies are those of its own
+    block."""
     species = ALTERNATING[:n]
     states = couple(SpinSystem.from_species(species), _trees(species)[shape])
     matrix = moment_matrix(full_transform(states))
@@ -522,20 +552,33 @@ def test_padded_sectors_solve_as_their_own_blocks(n, shape, monkeypatch):
     level_curves(matrix, spec, grid)
     fields = [0.37, 1e6, -1.0, -1e6]  # marching out from B = 0
     assert len(solves) == len(fields)
-    size = max(rows.size for rows, _block in matrix._blocks)
+    sizes = [rows.size for rows, _block in matrix._blocks]
+    size = max(sizes)
+    bins = _first_fit_decreasing(sizes)
+    packed = {4: 3, 6: 4, 8: 4}[n]  # of 5, 7 and 9 sectors
+    assert len(bins) == packed
     for b, (stack, w, v) in zip(fields, solves):
         assert stack.dtype == np.complex128
-        assert stack.shape == (len(matrix._blocks), size, size)
-        for k, (rows, block) in enumerate(matrix._blocks):
-            d = rows.size
+        assert stack.shape == (packed, size, size)
+        for k, members in enumerate(bins):
+            ends = np.cumsum([sizes[s] for s in members])
+            d = ends[-1]
             if d < size:
                 pad = stack[k, d, d].real
                 assert np.all(np.diag(stack[k])[d:] == pad)
                 assert np.max(w[k, :d]) < pad
-                assert np.all(v[k, d:, :d] == 0.0)
-            own = np.linalg.eigvalsh(np.diag(energy[rows]) - b * block)
-            scale = max(1.0, np.max(np.abs(own)))  # the block's norm
-            assert np.max(np.abs(w[k, :d] - own)) <= 1e-12 * scale
+            # the rows each kept vector is nonzero on lie in one sector
+            support = v[k, :, :d] != 0.0
+            sector = np.searchsorted(ends, np.arange(size), side="right")
+            first = np.argmax(support, axis=0)
+            assert np.all(support <= (sector[:, None] == sector[first]))
+            for j, s in enumerate(members):
+                rows, block = matrix._blocks[s]
+                own = np.linalg.eigvalsh(np.diag(energy[rows]) - b * block)
+                kept = w[k, :d][sector[first] == j]
+                scale = max(1.0, np.max(np.abs(own)))  # the block's norm
+                assert kept.size == rows.size
+                assert np.max(np.abs(kept - own)) <= 1e-12 * scale
 
 
 def _moments_with_mu0(case, mu0):

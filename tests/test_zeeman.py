@@ -461,6 +461,35 @@ def test_quadratic_singularity_error(like_states):
         quadratic_coefficients(matrix, DegeneracySpec.isolated(4))
 
 
+def _like_pairs_staircase(mu0):
+    """like-pairs moments at mu0, with state k at energy k (0...15)."""
+    system = SpinSystem.dipositronium(mu0)
+    matrix = moment_matrix(full_transform(
+        couple(system, CouplingTree.like_pairs(system))))
+    energies = {label: float(k) for k, label in enumerate(matrix.labels)}
+    return matrix, DegeneracySpec.from_energy_map(list(matrix.labels),
+                                                  energies)
+
+
+@pytest.mark.parametrize("mu0", [1e160, -1e200])
+def test_quadratic_coefficients_reject_overflowing_mu0_squared(mu0):
+    # n * mu0 is finite, mu0 * mu0 is not
+    matrix, spec = _like_pairs_staircase(mu0)
+    with pytest.raises(ValueError,
+                       match=rf"^mu0 {re.escape(repr(mu0))} squared "
+                             r"overflows$"):
+        quadratic_coefficients(matrix, spec)
+
+
+def test_quadratic_coefficients_scale_with_mu0_squared():
+    unit = quadratic_coefficients(*_like_pairs_staircase(1.0))
+    assert np.count_nonzero(unit) == 7
+    mu0 = 1e150
+    scaled = quadratic_coefficients(*_like_pairs_staircase(mu0))
+    assert np.all(np.isfinite(scaled))
+    np.testing.assert_allclose(scaled, unit * (mu0 * mu0), rtol=1e-12, atol=0)
+
+
 def test_basis_independence(like_states, pos_states):
     matrix_like = moment_matrix(full_transform(like_states)).entries
     matrix_pos = moment_matrix(full_transform(pos_states)).entries
