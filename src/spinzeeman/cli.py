@@ -457,7 +457,7 @@ def main(argv: "list[str] | None" = None) -> int:
         _attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         output = _COMMANDS[args.command](args)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     buffer = getattr(sys.stdout, "buffer", None)

@@ -141,7 +141,7 @@ class CouplingTree:
                 + ", ".join(system.names)
             )
 
-        expr = re.sub(r"[^(),]+", leaf, text.replace(" ", ""))
+        expr = re.sub(r"[^(),]+", leaf, re.sub(r"\s+", "", text))
         try:
             tree = cls(json.loads(expr.replace("(", "[").replace(")", "]")))
         except (ValueError, RecursionError):

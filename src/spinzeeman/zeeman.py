@@ -20,7 +20,7 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -98,15 +98,6 @@ def moment_matrix(basis: BasisTransform) -> MomentMatrix:
     return matrix
 
 
-def _unique(values: np.ndarray) -> np.ndarray:
-    """The distinct values in ascending order, as ``np.unique`` gives them
-    without importing ``numpy.ma``."""
-    ordered = np.sort(values)
-    first = np.ones(ordered.size, dtype=bool)
-    first[1:] = ordered[1:] != ordered[:-1]
-    return ordered[first]
-
-
 def _near_equal(energies) -> "tuple[float, float] | None":
     """The lowest two distinct energies within ``ENERGY_GAP_TOL`` times
     max(1, |E|) of each other, or None."""
@@ -125,11 +116,17 @@ class DegeneracySpec:
     ``allow_shared_energies`` is set; degenerate perturbation theory would
     otherwise collapse them.  Two distinct energies within
     ``ENERGY_GAP_TOL`` times max(1, |E|) of each other raise ``ValueError``.
+
+    The partition is also kept per state, as two read-only arrays built
+    once on construction: ``group_of[k]`` is the index in ``groups`` of
+    state k's group, and ``energy_of[k]`` its float64 energy.
     """
 
     groups: tuple[tuple[int, ...], ...]
     energies: tuple[float, ...]
     allow_shared_energies: bool = False
+    group_of: np.ndarray = field(init=False, repr=False, compare=False)
+    energy_of: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         groups = tuple(tuple(int(i) for i in g) for g in self.groups)
@@ -138,8 +135,8 @@ class DegeneracySpec:
         object.__setattr__(self, "energies", energies)
         if len(groups) != len(energies):
             raise ValueError("need one energy per group")
-        members = sorted(i for g in groups for i in g)
-        if members != list(range(len(members))):
+        members = [i for g in groups for i in g]
+        if sorted(members) != list(range(len(members))):
             raise ValueError("groups must partition the basis states exactly")
         if not all(np.isfinite(energies)):
             raise ValueError("group energies must be finite")
@@ -157,10 +154,17 @@ class DegeneracySpec:
                 f"have distinct but nearly equal energies {low!r} and "
                 f"{high!r}; give them one energy or separate them"
             )
+        group_of = np.empty(len(members), dtype=int)
+        group_of[members] = np.repeat(np.arange(len(groups)),
+                                      [len(g) for g in groups])
+        energy_of = np.array(energies)[group_of]
+        for name, array in (("group_of", group_of), ("energy_of", energy_of)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @property
     def size(self) -> int:
-        return sum(len(g) for g in self.groups)
+        return self.group_of.size
 
     @classmethod
     def isolated(cls, n: int) -> "DegeneracySpec":
@@ -199,20 +203,6 @@ class DegeneracySpec:
             groups=tuple(tuple(idx) for _e, idx in items),
             energies=tuple(e for e, _idx in items),
         )
-
-    def state_energies(self) -> np.ndarray:
-        out = np.empty(self.size)
-        for group, energy in zip(self.groups, self.energies):
-            for idx in group:
-                out[idx] = energy
-        return out
-
-    def group_ids(self) -> np.ndarray:
-        out = np.empty(self.size, dtype=int)
-        for gid, group in enumerate(self.groups):
-            for idx in group:
-                out[idx] = gid
-        return out
 
 
 class Classification(enum.Enum):
@@ -331,7 +321,7 @@ def _rotate_groups(matrix: MomentMatrix, spec: DegeneracySpec):
             continue
         group = np.asarray(group)
         group_sector = sector_of[group]
-        for k in _unique(group_sector):  # ascending M
+        for k in sorted(set(group_sector.tolist())):  # ascending M
             idx = group[group_sector == k]
             if idx.size == 1:
                 continue
@@ -372,11 +362,10 @@ def _partners(matrix: MomentMatrix, spec: DegeneracySpec):
     found = matrix._partners_by_spec.get(spec)
     if found is None:
         blocks, moments = _rotate_groups(matrix, spec)
-        gids = spec.group_ids()
         rows, cols = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
         coupling = [np.empty(0)]
         for sector, block in blocks:
-            sector_gids = gids[sector]
+            sector_gids = spec.group_of[sector]
             mask = np.abs(block) > ZERO_TOL
             mask &= sector_gids[:, None] != sector_gids[None, :]
             i, j = np.nonzero(mask)
@@ -472,8 +461,9 @@ def level_curves(matrix: MomentMatrix, spec: DegeneracySpec,
     first fit by decreasing size, into the fewest matrices of the largest
     sector's size (4 for the 9 sectors at N = 8, 5 for 13 at N = 12), and
     each matrix is padded with a diagonal above every sector's spectrum.
-    At each field the stack is solved in one ``eigh`` call and each matrix
-    keeps its lowest eigenpairs.  The Householder reduction keeps the zeros
+    At each field the stack is solved in one complex ``eigh`` call and each
+    matrix keeps its lowest eigenpairs, whose vectors come out exactly real
+    and are tracked in float64.  The Householder reduction keeps the zeros
     between sectors exact, so each kept eigenvector is exactly zero outside
     its own sector.  Curves are tracked outward from B = 0, where each
     starts on its basis state; on a grid without B = 0, both marches still
@@ -496,7 +486,6 @@ def level_curves(matrix: MomentMatrix, spec: DegeneracySpec,
     blocks = matrix._blocks
     packs = _first_fit([rows.size for rows, _block in blocks])
     size = max((rows.size for rows, _block in blocks), default=0)
-    state_energies = spec.state_energies()
     moment = np.zeros((len(packs), size, size))
     h0 = np.zeros((len(packs), size))
     padded = np.ones((len(packs), size), dtype=bool)
@@ -509,7 +498,7 @@ def level_curves(matrix: MomentMatrix, spec: DegeneracySpec,
             start = end
         rows = np.concatenate([blocks[s][0] for s in pack])
         sector = np.repeat(pack, [blocks[s][0].size for s in pack])
-        h0[k, :rows.size] = state_energies[rows]
+        h0[k, :rows.size] = spec.energy_of[rows]
         padded[k, :rows.size] = False
         units.append((rows, sector))
     # Every eigenvalue lies within max|E| + |B| times the moment's largest
@@ -534,12 +523,12 @@ def level_curves(matrix: MomentMatrix, spec: DegeneracySpec,
     stack = np.empty(moment.shape, dtype=complex)
     energies = np.empty((b_values.size, matrix.size))
     if at_zero:
-        energies[origin] = state_energies
+        energies[origin] = spec.energy_of
     labels = matrix.labels
     flagged: list[tuple[float, str]] = []
 
     def march(indices) -> None:
-        previous = [np.eye(rows.size, dtype=complex) for rows, _s in units]
+        previous = [np.eye(rows.size) for rows, _s in units]
         for i in indices:
             # every entry is H0 - B mu, down to the sign of a zero: that sign
             # steers LAPACK's vectors in a degenerate eigenspace, and so
@@ -549,11 +538,14 @@ def level_curves(matrix: MomentMatrix, spec: DegeneracySpec,
             diag = h0 - fields[i] * moment_diag
             diag[padded] = pad(abs(b_values[i]))
             stack[:, diagonal, diagonal] = diag
+            # solved complex, whose rounding the goldens pin; the vectors
+            # of these real symmetric stacks come out exactly real
             w, v = np.linalg.eigh(stack)
+            v = v.real
             tied, owners = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
             for k, (rows, sector) in enumerate(units):
                 vectors = v[k, :rows.size, :rows.size]
-                overlap = np.abs(previous[k].conj().T @ vectors)
+                overlap = np.abs(previous[k].T @ vectors)
                 curve, cols = linear_sum_assignment(-(overlap**2))
                 # row r ties with column c when c's overlap comes within the
                 # tolerance of r's assigned one; c's owner is the other curve,
@@ -587,13 +579,14 @@ def quadratic_coefficients(matrix: MomentMatrix,
 
     Uses sum over states outside the group of |<n| mu_z |m>|^2 / (E_n - E_m)
     after the within-group rotation.  Groups that are coupled by the moment
-    must not share an energy, and where any two are coupled, mu0 squared
-    must be finite.
+    must not share an energy.  A mu0 that would make any coefficient
+    non-finite raises ``ValueError`` naming it: "squared overflows" where
+    mu0 * mu0 itself does, "overflows a second-order coefficient" where
+    only a term coupling^2 / gap * mu0^2 does.
     """
     _moments, rows, cols, coupling = _partners(matrix, spec)
-    energy = spec.state_energies()
     labels = matrix.labels
-    gap = energy[rows] - energy[cols]
+    gap = spec.energy_of[rows] - spec.energy_of[cols]
     shared = np.flatnonzero(gap == 0.0)
     if shared.size:
         i, j = rows[shared[0]], cols[shared[0]]
@@ -603,8 +596,13 @@ def quadratic_coefficients(matrix: MomentMatrix,
         )
     mu0 = matrix.basis.system.mu0
     squared = mu0 * mu0
-    if coupling.size and not math.isfinite(squared):
-        raise ValueError(f"mu0 {mu0!r} squared overflows")
-    # bincount adds each row's terms in ascending column order
-    return np.bincount(rows, weights=coupling * coupling / gap * squared,
-                       minlength=matrix.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # bincount adds each row's terms in ascending column order
+        coefficients = np.bincount(
+            rows, weights=coupling * coupling / gap * squared,
+            minlength=matrix.size)
+    if not np.all(np.isfinite(coefficients)):
+        raise ValueError(f"mu0 {mu0!r} squared overflows"
+                         if math.isinf(squared) else
+                         f"mu0 {mu0!r} overflows a second-order coefficient")
+    return coefficients

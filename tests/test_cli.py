@@ -392,6 +392,13 @@ def test_malformed_tree_is_domain_error(capsys):
     assert err.startswith("error:")
 
 
+def test_tree_expressions_ignore_tabs_and_newlines(capsys):
+    spaced = run_cli(capsys, "basis", "--scheme", "((e1, e2), (p1, p2))")
+    assert spaced[0] == 0
+    assert run_cli(capsys, "basis", "--scheme",
+                   "(\t(e1,\te2),\n(p1,\r\np2) )") == spaced
+
+
 def test_non_ascii_digit_leaf_is_an_unknown_name(capsys):
     # '²' is a digit to str.isdigit, and Arabic-Indic '١' and full-width
     # '１' are decimals to str.isdecimal, but none is a site index
@@ -511,6 +518,10 @@ ERROR_CASES = {
     "energies": ["classify", "--system", "positronium", "--energies",
                  UNDECODABLE],
     "m": ["classify", "--m", "5"],
+    # 7 PiB of field values: beyond any address space, so the allocation
+    # fails outright rather than being granted and then touched
+    "sweep-memory": ["sweep", "--system", "positronium", "--bmin", "0",
+                     "--bmax", "1", "--steps", str(10**15)],
 }
 
 

@@ -108,8 +108,8 @@ def _former_quadratic(matrix, spec):
     """Second-order coefficients after the former one-``eigh``-per-group
     rotation, which may mix M inside a degenerate eigenspace."""
     rotated = _dense_rotation(matrix, spec, by_m=False)
-    energy = spec.state_energies()
-    gids = spec.group_ids()
+    energy = spec.energy_of
+    gids = spec.group_of
     mask = np.abs(rotated) > zeeman.ZERO_TOL
     mask &= gids[:, None] != gids[None, :]
     rows, cols = np.nonzero(mask)
@@ -166,7 +166,7 @@ def _dense_partners(matrix, spec):
     """Former ``_partners``: the rotated dense matrix, the moments, and the
     2^N x 2^N partner mask."""
     rotated, moments = _dense_rotate_groups(matrix, spec)
-    gids = spec.group_ids()
+    gids = spec.group_of
     mask = np.abs(rotated) > zeeman.ZERO_TOL * abs(matrix.basis.system.mu0)
     mask &= gids[:, None] != gids[None, :]
     return rotated, moments, mask
@@ -176,7 +176,7 @@ def _loop_quadratic(matrix, spec):
     """Former pair loop over the dense reference, squaring by x * x;
     row-major, ascending j."""
     rotated, _moments, mask = _dense_partners(matrix, spec)
-    energy = spec.state_energies()
+    energy = spec.energy_of
     coeffs = np.zeros(matrix.size)
     for i, j in zip(*np.nonzero(mask)):
         coeffs[i] += rotated[i, j] * rotated[i, j] / (energy[i] - energy[j])
@@ -339,7 +339,7 @@ def test_per_block_partners_match_dense_reference(name, system, tree,
     assert np.array_equal(cols, dense_cols)
     assert np.array_equal(coupling_values, rotated[dense_rows, dense_cols])
     if grouped:
-        energy = spec.state_energies()
+        energy = spec.energy_of
         terms = rotated[mask] ** 2 / (energy[dense_rows] - energy[dense_cols])
         assert np.array_equal(
             quadratic_coefficients(matrix, spec),
@@ -441,11 +441,11 @@ def _dense_level_curves(matrix, spec, grid):
     H0 - B mu per field, assigned by eigenvector overlap; the grid must
     contain 0.0.  Returns the energies, one column per basis state."""
     n = matrix.size
-    h0 = np.diag(spec.state_energies().astype(complex))
+    h0 = np.diag(spec.energy_of.astype(complex))
     moment = matrix.entries
     origin = int(np.flatnonzero(grid == 0.0)[0])
     energies = np.empty((grid.size, n))
-    energies[origin] = spec.state_energies()
+    energies[origin] = spec.energy_of
 
     def march(indices):
         previous = np.eye(n, dtype=complex)
@@ -478,7 +478,7 @@ def test_tie_scan_matches_pair_loop(n, shape):
     grouped = _spin_grouped(states)
     for spec in (DegeneracySpec.isolated(len(states)), grouped):
         curves = level_curves(matrix, spec, GRID)
-        h0 = np.diag(spec.state_energies())
+        h0 = np.diag(spec.energy_of)
         for b, row in zip(GRID, curves.energies):
             exact = np.linalg.eigvalsh(h0 - b * matrix.entries)
             scale = np.maximum(1.0, np.abs(exact))
@@ -538,7 +538,7 @@ def test_padded_sectors_solve_as_their_own_blocks(n, shape, monkeypatch):
     states = couple(SpinSystem.from_species(species), _trees(species)[shape])
     matrix = moment_matrix(full_transform(states))
     spec = _spin_grouped(states)
-    energy = spec.state_energies()
+    energy = spec.energy_of
     solves = []
     eigh = np.linalg.eigh
 
@@ -559,6 +559,7 @@ def test_padded_sectors_solve_as_their_own_blocks(n, shape, monkeypatch):
     assert len(bins) == packed
     for b, (stack, w, v) in zip(fields, solves):
         assert stack.dtype == np.complex128
+        assert not np.any(v.imag)  # tracked in float64 from v.real
         assert stack.shape == (packed, size, size)
         for k, members in enumerate(bins):
             ends = np.cumsum([sizes[s] for s in members])

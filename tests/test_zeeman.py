@@ -481,6 +481,17 @@ def test_quadratic_coefficients_reject_overflowing_mu0_squared(mu0):
         quadratic_coefficients(matrix, spec)
 
 
+def test_quadratic_coefficients_reject_an_overflowing_term():
+    # mu0 * mu0 is finite, but coupling^2 / gap * mu0^2 is not for some
+    # pairs; no numpy warning escapes (pytest makes warnings errors)
+    mu0 = 1.3e154
+    matrix, spec = _like_pairs_staircase(mu0)
+    with pytest.raises(ValueError,
+                       match=rf"^mu0 {re.escape(repr(mu0))} overflows a "
+                             r"second-order coefficient$"):
+        quadratic_coefficients(matrix, spec)
+
+
 def test_quadratic_coefficients_scale_with_mu0_squared():
     unit = quadratic_coefficients(*_like_pairs_staircase(1.0))
     assert np.count_nonzero(unit) == 7
@@ -516,6 +527,25 @@ def test_degeneracy_spec_validation():
     assert spec.size == 2
     with pytest.raises(ValueError):
         DegeneracySpec(groups=((0,),), energies=(float("nan"),))
+
+
+def test_degeneracy_spec_keeps_each_states_group_and_energy():
+    # groups and members in any order; the arrays are indexed by state
+    spec = DegeneracySpec(groups=((3, 1), (), (0, 4, 2)),
+                          energies=(2.5, 7.0, -1.0))
+    assert spec.group_of.tolist() == [2, 0, 2, 0, 2]
+    assert spec.energy_of.tolist() == [-1.0, 2.5, -1.0, 2.5, -1.0]
+    assert spec.energy_of.dtype == np.float64
+    assert spec.size == 5
+    for array in (spec.group_of, spec.energy_of):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    # not part of equality or hashing: equal partitions are one spec
+    again = DegeneracySpec(spec.groups, spec.energies)
+    assert again == spec and hash(again) == hash(spec)
+    assert "group_of" not in repr(spec)
+    empty = DegeneracySpec.isolated(0)
+    assert (empty.size, empty.group_of.size, empty.energy_of.size) == (0, 0, 0)
 
 
 def test_from_energy_map_groups_equal_energies():
