@@ -14,7 +14,6 @@ from spinzeeman import (
     SpinSystem,
     couple,
     full_transform,
-    moment_diagonal,
 )
 from spinzeeman.system import _bit_table
 
@@ -42,7 +41,8 @@ print()
 
 # The magnetic moment mu_z = mu0 (sigma_p1 - sigma_e1 + sigma_p2 - sigma_e2)
 # is diagonal here too, with signed sums in {-4, -2, 0, 2, 4} mu0.
-diag = moment_diagonal(system)
+# Each site adds its moment sign times sigma_z = +1 up, -1 down.
+diag = system.mu0 * ((1 - 2 * bits) @ system.moment_signs())
 print("mu_z diagonal values and counts:")
 for value in sorted(set(diag)):
     print(f"  {value:+.0f} mu0 x {int(np.sum(diag == value))}")

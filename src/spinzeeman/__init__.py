@@ -24,7 +24,6 @@ from .system import (
     MAX_PARTICLES,
     Species,
     SpinSystem,
-    moment_diagonal,
     species_from_name,
 )
 from .zeeman import (
@@ -64,7 +63,6 @@ __all__ = [
     "level_curves",
     "like_species_pairs",
     "m_sector",
-    "moment_diagonal",
     "moment_matrix",
     "quadratic_coefficients",
     "scheme_overlap",

@@ -182,7 +182,9 @@ class CoupledState:
     ``couple`` builds states.  A state is row ``_row`` of its M sector's
     read-only ``_block``, whose columns are the sector's product indices
     ``_columns`` in ascending order; ``vector``, the amplitudes on all 2^N
-    product states, is built from that row on each read.
+    product states, is built from that row on each read.  ``_multiplet``
+    numbers the state's multiplet, the same at each of its M, within its
+    basis.
     """
 
     total_s: float
@@ -248,7 +250,7 @@ _LEAF = {two_m: (np.array([[1.0], [0.0]]), np.array([index]), np.array([0]))
 
 def _node_states(node):
     """Couple a subtree one M sector at a time; returns (site order,
-    multiplets, sectors).
+    multiplets, sectors, flip signs).
 
     ``multiplets`` lists ``(2j, intermediates)``, ``intermediates`` ending
     with this node itself.  ``sectors`` maps 2m to ``(block, columns,
@@ -258,14 +260,21 @@ def _node_states(node):
     zeros; ``rows`` gives each multiplet's row, the zero row for the
     others.
 
-    A pair of child multiplets at m1 and m - m1 fills the columns of that
-    (m1, m - m1) slot: its m vector there is the kron of the children's
-    rows times one CG value, the one nonzero term of the CG sum.
+    Only the sectors with m >= 0 are built by the CG recursion: a pair of
+    child multiplets at m1 and m - m1 fills the columns of that
+    (m1, m - m1) slot, its m vector there being the kron of the children's
+    rows times one CG value, the one nonzero term of the CG sum.  Flipping
+    every spin maps |j m> to eta |j -m>, where eta is 1 at a leaf and
+    eta_a eta_b (-1)^(j_a + j_b - j) for a multiplet of children a and b,
+    by <j_a -m_a j_b -m_b|j -m> = (-1)^(j_a + j_b - j) <j_a m_a j_b m_b|j m>.
+    So the -m sector is the m sector with the same rows, its columns'
+    bits all complemented and each multiplet's row times its eta; the
+    signs are exact, so it is bit-identical to the recursion's.
     """
     if isinstance(node, int):
-        return [node], [(1, ())], _LEAF
-    sites_l, mults_l, sectors_l = _node_states(node[0])
-    sites_r, mults_r, sectors_r = _node_states(node[1])
+        return [node], [(1, ())], _LEAF, np.ones(1)
+    sites_l, mults_l, sectors_l, eta_l = _node_states(node[0])
+    sites_r, mults_r, sectors_r, eta_r = _node_states(node[1])
     sites = sites_l + sites_r
     site_key = tuple(sites)
     mults, pairs = [], []
@@ -279,6 +288,9 @@ def _node_states(node):
     two_j = np.array([t for t, _inter in mults])
     two_ja = np.array([t for t, _inter in mults_l])[qa]
     two_jb = np.array([t for t, _inter in mults_r])[qb]
+    # (-1)^(j_a + j_b - j): the doubled spins differ by 0 or 2 modulo 4
+    eta = eta_l[qa] * eta_r[qb] * np.where((two_ja + two_jb - two_j) % 4,
+                                           -1.0, 1.0)
     # every multiplet's CG table, flattened into one array at ``base``
     keys = list(zip((two_ja / 2.0).tolist(), (two_jb / 2.0).tolist(),
                     (two_j / 2.0).tolist()))
@@ -293,10 +305,16 @@ def _node_states(node):
     twice_base = (2 * base + two_j * (two_ja + 1) * (two_jb + 1)
                   + two_ja * (two_jb + 1) + two_jb)
     shift = len(sites_r)
+    flip = (1 << len(sites)) - 1
     sectors = {}
     top = int(two_j.max())
     for two_m in range(top, -top - 1, -2):
         order = np.flatnonzero(two_j >= abs(two_m))
+        if two_m < 0:
+            block, columns, rows = sectors[-two_m]
+            signs = np.append(eta[order], 1.0)  # the zero row stays zero
+            sectors[two_m] = (block * signs[:, None], columns ^ flip, rows)
+            continue
         a, b, jb = qa[order], qb[order], two_jb[order]
         twice = (twice_base[order]
                  - two_m * ((two_ja[order] + 1) * (jb + 1) + 1))
@@ -326,7 +344,7 @@ def _node_states(node):
         rows = np.full(len(mults), order.size)
         rows[order] = np.arange(order.size)
         sectors[two_m] = (block, columns, rows)
-    return sites, mults, sectors
+    return sites, mults, sectors, eta
 
 
 def _site_permutation(sites: list[int], n: int) -> np.ndarray:
@@ -371,10 +389,12 @@ def couple(system: SpinSystem, tree: CouplingTree) -> CoupledBasis:
     then descending intermediate spins (presets may override a sector's
     order to match the conventional presentation).  The states of one M
     sector are the rows of one read-only float64 block over that sector's
-    product states; no 2^N-wide array is built.
+    product states; no 2^N-wide array is built.  The sectors with M >= 0
+    are coupled by Clebsch-Gordan products and each M < 0 sector is their
+    exact spin-flip mirror (``_node_states``).
     """
     tree.validate_for(system)
-    sites, mults, sectors = _node_states(tree.root)
+    sites, mults, sectors, _eta = _node_states(tree.root)
     inner = [inter[:-1] for _two_j, inter in mults]  # without the root
     spins = [tuple(spin for _sites, spin in nodes) for nodes in inner]
     heads = [f"|{format_spin(two_j / 2)}," for two_j, _inter in mults]
@@ -426,6 +446,7 @@ def couple(system: SpinSystem, tree: CouplingTree) -> CoupledBasis:
                 _columns=columns,
                 _block=block,
                 _row=row,
+                _multiplet=k,
             )
             states.append(state)
     basis = CoupledBasis(states)

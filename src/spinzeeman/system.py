@@ -145,11 +145,6 @@ def _signed_spins(system: SpinSystem) -> np.ndarray:
     return (1 - 2 * _bit_table(system.n)) @ system.moment_signs()
 
 
-def moment_diagonal(system: SpinSystem) -> np.ndarray:
-    """Diagonal of mu_z in the product basis: mu0 * sum_i sign_i sigma_z,i."""
-    return system.mu0 * _signed_spins(system)
-
-
 def product_states_with_m(n: int, m: float) -> np.ndarray:
     """Indices of the product states of projection m, in ascending order."""
     return np.flatnonzero(_projections(n) == m)

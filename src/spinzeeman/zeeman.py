@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import importlib.machinery
 import importlib.util
+import itertools
 import math
 import os
 import sys
@@ -129,16 +130,28 @@ class DegeneracySpec:
     energy_of: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        groups = tuple(tuple(int(i) for i in g) for g in self.groups)
-        energies = tuple(float(e) for e in self.energies)
+        groups = self.groups
+        members = list(itertools.chain.from_iterable(groups))
+        # members are made ints, and groups tuples, unless they already are
+        if not (set(map(type, groups)) <= {tuple}
+                and set(map(type, members)) <= {int}):
+            groups = tuple(tuple(map(int, g)) for g in groups)
+            members = list(itertools.chain.from_iterable(groups))
+        energies = tuple(map(float, self.energies))
         object.__setattr__(self, "groups", groups)
         object.__setattr__(self, "energies", energies)
         if len(groups) != len(energies):
             raise ValueError("need one energy per group")
-        members = [i for g in groups for i in g]
-        if sorted(members) != list(range(len(members))):
+        # each state's group: a member out of range places none, and one
+        # given twice leaves another state without a group
+        group_of = np.full(len(members), -1)
+        if not members or 0 <= min(members) and max(members) < len(members):
+            group_of[members] = np.repeat(np.arange(len(groups)),
+                                          list(map(len, groups)))
+        if np.any(group_of < 0):
             raise ValueError("groups must partition the basis states exactly")
-        if not all(np.isfinite(energies)):
+        values = np.array(energies)
+        if not np.all(np.isfinite(values)):
             raise ValueError("group energies must be finite")
         if not self.allow_shared_energies:
             if len(set(energies)) != len(energies):
@@ -154,10 +167,7 @@ class DegeneracySpec:
                 f"have distinct but nearly equal energies {low!r} and "
                 f"{high!r}; give them one energy or separate them"
             )
-        group_of = np.empty(len(members), dtype=int)
-        group_of[members] = np.repeat(np.arange(len(groups)),
-                                      [len(g) for g in groups])
-        energy_of = np.array(energies)[group_of]
+        energy_of = values[group_of]
         for name, array in (("group_of", group_of), ("energy_of", energy_of)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
@@ -170,7 +180,7 @@ class DegeneracySpec:
     def isolated(cls, n: int) -> "DegeneracySpec":
         """Each state its own zero-energy group (the default reading)."""
         return cls(
-            groups=tuple((i,) for i in range(n)),
+            groups=tuple(zip(range(n))),
             energies=(0.0,) * n,
             allow_shared_energies=True,
         )
@@ -301,12 +311,23 @@ def _rotate_groups(matrix: MomentMatrix, spec: DegeneracySpec):
 
     Returns the rotated ``(rows, block)`` pair of each M sector and the
     per-state first-order moments.  The moment conserves M, so each group
-    is split by M and every (group, M) sub-block that is not already
-    diagonal is rotated inside its sector's block: its eigenvectors act on
-    the sub-block's rows and columns, and rotated states keep a definite M.
-    Eigenvalues are matched to the original states by maximal eigenvector
-    overlap so the report rows stay aligned with the input basis.  A block
-    is copied before its first rotation.
+    is split by M, and each (group, M) sub-block that is not already
+    diagonal is rotated inside its sector's block: eigenvectors act on the
+    sub-block's rows and columns, so rotated states keep a definite M.
+    They are matched to the original states by maximal overlap, so the
+    report rows stay aligned with the input basis.  A block is copied
+    before its first rotation.
+
+    A sub-block whose rows all share one total spin S holds whole spin
+    multiplets.  By Wigner-Eckart it is M R_S, with one R_S for the same
+    multiplets at every M, so they are solved once, from their sub-block
+    over M at their first M != 0.  Each of their sub-blocks is rotated by
+    those vectors, and a state's moment is M times its eigenvalue of R_S,
+    so the moments at M and -M are exact negatives; at M = 0 the sub-block
+    is zero and stays as it is.  A sub-block that mixes S, as a group of
+    an energies file may, is solved at its own M.  Rows that are
+    contiguous in their sector, as those of one S always are, are read and
+    written through slices.
     """
     blocks = list(matrix._blocks)
     moments = np.zeros(matrix.size)
@@ -316,34 +337,52 @@ def _rotate_groups(matrix: MomentMatrix, spec: DegeneracySpec):
         moments[rows] = np.diag(block)
         sector_of[rows] = k
         position[rows] = np.arange(rows.size)
+    subs = []  # (sector, sorted places in it, multiplets, M) per sub-block
+    first = {}  # the sub-block each set of multiplets is solved from
+    if any(len(group) > 1 for group in spec.groups):
+        states = matrix.basis.states
+        spin = np.array([s.total_s for s in states])
+        multiplet = np.array([s._multiplet for s in states])
+        m_of = [states[rows[0]].m for rows, _block in blocks]
     for group in spec.groups:
         if len(group) == 1:
             continue
         group = np.asarray(group)
         group_sector = sector_of[group]
         for k in sorted(set(group_sector.tolist())):  # ascending M
-            idx = group[group_sector == k]
-            if idx.size == 1:
+            local = np.sort(position[group[group_sector == k]])
+            if local.size == 1:
                 continue
-            rows, block = blocks[k]
-            original = matrix._blocks[k][1]
-            local = position[idx]
-            sub = original[np.ix_(local, local)]
-            off = sub - np.diag(np.diag(sub))
-            if np.max(np.abs(off)) <= 1e-15:
-                continue
-            w, v = np.linalg.eigh(sub)
+            idx = blocks[k][0][local]
+            if np.all(spin[idx] == spin[idx[0]]):
+                key, m = multiplet[idx].tobytes(), m_of[k]
+            else:
+                key, m = len(subs), None
+            subs.append((k, local, key, m))
+            if key not in first or first[key][3] == 0:
+                first[key] = subs[-1]
+    solved = {}
+    for k, local, key, m in subs:
+        if local[-1] - local[0] == local.size - 1:
+            local = slice(local[0], local[-1] + 1)
+        sub = matrix._blocks[k][1][local][:, local]
+        if np.max(np.abs(sub - np.diag(np.diag(sub)))) <= 1e-15:
+            continue
+        if key not in solved:
+            k0, local0, _key, m0 = first[key]
+            sub = matrix._blocks[k0][1][local0][:, local0]
+            w, v = np.linalg.eigh(sub / m0 if m0 else sub)
             _rows, cols = linear_sum_assignment(-(v * v))
-            v = v[:, cols]
-            if block is original:
-                block = np.array(block)
-                blocks[k] = (rows, block)
-            every = np.arange(rows.size)
-            sel = np.ix_(local, every)
-            block[sel] = v.T @ block[sel]
-            sel = np.ix_(every, local)
-            block[sel] = block[sel] @ v
-            moments[idx] = w[cols]
+            # eigenvalues of R_S where solved over a nonzero M
+            solved[key] = w[cols], v[:, cols], bool(m0)
+        w, v, per_m = solved[key]
+        rows, block = blocks[k]
+        if block is matrix._blocks[k][1]:
+            block = np.array(block)
+            blocks[k] = (rows, block)
+        block[local] = v.T @ block[local]
+        block[:, local] = block[:, local] @ v
+        moments[rows[local]] = m * w if per_m else w
     moments[np.abs(moments) <= ZERO_TOL] = 0.0
     return blocks, moments
 

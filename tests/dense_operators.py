@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from spinzeeman import SpinSystem, moment_diagonal
+from spinzeeman import SpinSystem
 from spinzeeman.coupling import _swap_permutation
+from spinzeeman.system import _signed_spins
 
 HERMITIAN_TOL = 1e-12
 
@@ -125,6 +126,11 @@ def total_spin_squared(system: SpinSystem) -> Operator:
         comp = _spin_component(system, axis)
         total += comp @ comp
     return Operator(total, hermitian_hint=True)
+
+
+def moment_diagonal(system: SpinSystem) -> np.ndarray:
+    """Diagonal of mu_z in the product basis: mu0 * sum_i sign_i sigma_z,i."""
+    return system.mu0 * _signed_spins(system)
 
 
 def magnetic_moment_z(system: SpinSystem) -> Operator:

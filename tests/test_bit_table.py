@@ -18,14 +18,13 @@ from spinzeeman import (
     couple,
     full_transform,
     m_sector,
-    moment_diagonal,
     moment_matrix,
 )
 from spinzeeman import zeeman
 from spinzeeman.coupling import _site_permutation, _swap_permutation
 from spinzeeman.system import product_states_with_m
 
-from dense_operators import ProductState
+from dense_operators import ProductState, moment_diagonal
 from test_moment_sectors import ALTERNATING, _trees
 from test_sector_blocks import _former_m_sectors
 

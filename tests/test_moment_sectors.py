@@ -4,9 +4,10 @@ it replaced; and census and level-curve properties.
 
 The references below are kept only here: one complex 2^N x 2^N product for
 the moment matrix, one block-diagonal rotation R^T E R for the within-group
-diagonalization (per (group, M) sub-block, and per whole group as it was
-first done), the former dense ``_rotate_groups`` and ``_partners``, which
-rotated and masked the whole 2^N x 2^N matrix, a Python pair loop for the
+diagonalization (per (group, M) sub-block, by the eigenvectors its spin
+multiplets share over M, and per whole group as it was first done), a
+dense ``_rotate_groups`` and the former dense ``_partners``, which rotate
+and mask the whole 2^N x 2^N matrix, a Python pair loop for the
 quadratic coefficients, and the former dense 2^N x 2^N tracking of
 ``level_curves``.
 """
@@ -31,12 +32,13 @@ from spinzeeman import (
     full_transform,
     level_curves,
     m_sector,
-    moment_diagonal,
     moment_matrix,
     quadratic_coefficients,
     scheme_overlap,
 )
 from spinzeeman import zeeman
+
+from dense_operators import moment_diagonal
 
 ALTERNATING = [Species.ELECTRON, Species.POSITRON] * 4
 DIPOS = SpinSystem.dipositronium()
@@ -83,24 +85,71 @@ def _dense_moment(basis):
     return entries
 
 
-def _dense_rotation(matrix, spec, by_m=True):
-    """Assemble R from one ``eigh`` per (group, M) sub-block, then one
-    product R^T E R.  With ``by_m`` false, R has one ``eigh`` per whole
-    group, as the former ``_rotate_groups`` did."""
+def _multiplet_rotations(matrix, spec):
+    """Each (group, M) sub-block of more than one state, in ascending M
+    within each group, as (rows, M, rotation): its rows ascending, and the
+    eigenvalues and matched eigenvectors it is rotated by, with whether
+    its moments are M times those eigenvalues, or None where it is already
+    diagonal.  A sub-block of one total spin takes the solution of the
+    same multiplets' sub-block over M at their first M != 0 (at M = 0 if
+    they have no other M); one that mixes total spins is solved alone."""
     entries = matrix.entries
-    row_m = np.array([s.m for s in matrix.basis.states])
-    rotation = np.eye(matrix.size)
+    unit = abs(matrix.basis.system.mu0)
+    states = matrix.basis.states
+    row_m = np.array([s.m for s in states])
+    parts = []
     for group in spec.groups:
-        group = np.asarray(group)
-        parts = ([group[row_m[group] == m] for m in np.unique(row_m[group])]
-                 if by_m else [group])
-        for idx in parts:
-            block = entries[np.ix_(idx, idx)]
-            if np.max(np.abs(block - np.diag(np.diag(block)))) <= 1e-15:
+        group = np.sort(group)
+        for m in np.unique(row_m[group]):
+            idx = group[row_m[group] == m]
+            if idx.size == 1:
                 continue
-            _w, v = np.linalg.eigh(block)
-            _rows, cols = linear_sum_assignment(-(v * v))
-            rotation[np.ix_(idx, idx)] = v[:, cols]
+            if len({states[i].total_s for i in idx}) == 1:
+                key = tuple((states[i].total_s, states[i].intermediates)
+                            for i in idx)
+            else:
+                key = len(parts)
+            parts.append((idx, m, key))
+    first = {}
+    for idx, m, key in parts:
+        if key not in first or (first[key][1] == 0 and m != 0):
+            first[key] = idx, m
+    solved = {}
+    for key, (idx, m) in first.items():
+        per_m = not isinstance(key, int) and m != 0
+        block = entries[np.ix_(idx, idx)]
+        w, v = np.linalg.eigh(block / m if per_m else block)
+        _rows, cols = linear_sum_assignment(-(v * v))
+        solved[key] = w[cols], v[:, cols], per_m
+    rotations = []
+    for idx, m, key in parts:
+        block = entries[np.ix_(idx, idx)]
+        off = np.max(np.abs(block - np.diag(np.diag(block))))
+        rotations.append((idx, m, None if off <= 1e-15 * unit
+                          else solved[key]))
+    return rotations
+
+
+def _dense_rotation(matrix, spec, by_m=True):
+    """Assemble R, then one product R^T E R.  With ``by_m``, R rotates
+    each (group, M) sub-block by its multiplets' eigenvectors; without it,
+    R has one ``eigh`` per whole group, as the first ``_rotate_groups``
+    did."""
+    entries = matrix.entries
+    rotation = np.eye(matrix.size)
+    if by_m:
+        for idx, _m, solution in _multiplet_rotations(matrix, spec):
+            if solution is not None:
+                rotation[np.ix_(idx, idx)] = solution[1]
+        return rotation.T @ entries @ rotation
+    for group in spec.groups:
+        idx = np.asarray(group)
+        block = entries[np.ix_(idx, idx)]
+        if np.max(np.abs(block - np.diag(np.diag(block)))) <= 1e-15:
+            continue
+        _w, v = np.linalg.eigh(block)
+        _rows, cols = linear_sum_assignment(-(v * v))
+        rotation[np.ix_(idx, idx)] = v[:, cols]
     return rotation.T @ entries @ rotation
 
 
@@ -127,37 +176,25 @@ def _clusters(values, tol=1e-9):
 
 
 def _dense_rotate_groups(matrix, spec):
-    """Former ``_rotate_groups``: each (group, M) sub-block rotated inside
-    a copy of the whole dense matrix."""
+    """``_rotate_groups`` on the dense matrix: each (group, M) sub-block
+    rotated by its multiplets' eigenvectors inside a copy of the whole
+    matrix, its moments M times their eigenvalues over M, or the
+    eigenvalues of a sub-block that mixes total spins."""
     unit = abs(matrix.basis.system.mu0)
     entries = matrix.entries  # built on each read, so read once
-    rotated = entries  # copied before the first rotation
+    rotated = np.array(entries)
     moments = np.diag(rotated).copy()
     row_m = np.array([s.m for s in matrix.basis.states])
-    for group in spec.groups:
-        if len(group) == 1:
+    for idx, m, solution in _multiplet_rotations(matrix, spec):
+        if solution is None:
             continue
-        group = np.asarray(group)
-        group_m = row_m[group]
-        for m in np.unique(group_m):
-            idx = group[group_m == m]
-            if idx.size == 1:
-                continue
-            block = entries[np.ix_(idx, idx)]
-            off = block - np.diag(np.diag(block))
-            if np.max(np.abs(off)) <= 1e-15 * unit:
-                continue
-            w, v = np.linalg.eigh(block)
-            _rows, cols = linear_sum_assignment(-(v * v))
-            v = v[:, cols]
-            if rotated is entries:
-                rotated = np.array(rotated)
-            sector = np.flatnonzero(row_m == m)
-            rows = np.ix_(idx, sector)
-            rotated[rows] = v.T @ rotated[rows]
-            columns = np.ix_(sector, idx)
-            rotated[columns] = rotated[columns] @ v
-            moments[idx] = w[cols]
+        w, v, per_m = solution
+        sector = np.flatnonzero(row_m == m)
+        rows = np.ix_(idx, sector)
+        rotated[rows] = v.T @ rotated[rows]
+        columns = np.ix_(sector, idx)
+        rotated[columns] = rotated[columns] @ v
+        moments[idx] = m * w if per_m else w
     moments[np.abs(moments) <= zeeman.ZERO_TOL * unit] = 0.0
     return rotated, moments
 

@@ -32,7 +32,6 @@ from spinzeeman import (
     full_transform,
     level_curves,
     m_sector,
-    moment_diagonal,
     moment_matrix,
     quadratic_coefficients,
     scheme_overlap,
@@ -40,6 +39,8 @@ from spinzeeman import (
 from spinzeeman import coupling, zeeman
 from spinzeeman.coupling import _site_permutation, _swap_permutation
 from spinzeeman.system import _projections, product_states_with_m
+
+from dense_operators import moment_diagonal
 from test_moment_sectors import ALTERNATING, _spin_grouped, _trees
 
 DIPOS = SpinSystem.dipositronium()

@@ -16,12 +16,11 @@ from spinzeeman import (
     full_transform,
     level_curves,
     m_sector,
-    moment_diagonal,
     moment_matrix,
     quadratic_coefficients,
 )
 
-from dense_operators import magnetic_moment_z
+from dense_operators import magnetic_moment_z, moment_diagonal
 
 DIPOS = SpinSystem.dipositronium()
 LIKE = CouplingTree.like_pairs(DIPOS)
@@ -546,6 +545,30 @@ def test_degeneracy_spec_keeps_each_states_group_and_energy():
     assert "group_of" not in repr(spec)
     empty = DegeneracySpec.isolated(0)
     assert (empty.size, empty.group_of.size, empty.energy_of.size) == (0, 0, 0)
+
+
+def test_isolated_spec_equals_the_spec_of_its_tuples():
+    for n in (0, 1, 7, 1024):
+        spec = DegeneracySpec.isolated(n)
+        built = DegeneracySpec(tuple((i,) for i in range(n)), (0.0,) * n,
+                               allow_shared_energies=True)
+        assert spec == built and hash(spec) == hash(built)
+        assert repr(spec) == repr(built)
+        for ours, theirs in ((spec.group_of, built.group_of),
+                             (spec.energy_of, built.energy_of)):
+            assert ours.dtype == theirs.dtype
+            assert np.array_equal(ours, theirs)
+            assert not ours.flags.writeable
+    # members other than ints, and groups other than tuples, still become
+    # them; the partition is checked on the states they place
+    spec = DegeneracySpec([[np.int64(2), True], [0.0]], [np.float32(0.5), 1])
+    assert spec.groups == ((2, 1), (0,)) and spec.energies == (0.5, 1.0)
+    assert {type(i) for g in spec.groups for i in g} == {int}
+    assert spec.group_of.tolist() == [1, 0, 0]
+    for groups in (((-1, 0),), ((0, 2),), ((0, 0),), ((1,),)):
+        with pytest.raises(ValueError, match="^groups must partition the "
+                                             "basis states exactly$"):
+            DegeneracySpec(groups, (0.0,))
 
 
 def test_from_energy_map_groups_equal_energies():
