@@ -182,9 +182,7 @@ class CoupledState:
     ``couple`` builds states.  A state is row ``_row`` of its M sector's
     read-only ``_block``, whose columns are the sector's product indices
     ``_columns`` in ascending order; ``vector``, the amplitudes on all 2^N
-    product states, is built from that row on each read.  ``_multiplet``
-    numbers the state's multiplet, the same at each of its M, within its
-    basis.
+    product states, is built from that row on each read.
     """
 
     total_s: float
@@ -446,7 +444,6 @@ def couple(system: SpinSystem, tree: CouplingTree) -> CoupledBasis:
                 _columns=columns,
                 _block=block,
                 _row=row,
-                _multiplet=k,
             )
             states.append(state)
     basis = CoupledBasis(states)

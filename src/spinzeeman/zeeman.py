@@ -130,11 +130,11 @@ class DegeneracySpec:
     energy_of: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        groups = self.groups
+        # groups are always made tuples, and members ints unless they
+        # already are
+        groups = tuple(map(tuple, self.groups))
         members = list(itertools.chain.from_iterable(groups))
-        # members are made ints, and groups tuples, unless they already are
-        if not (set(map(type, groups)) <= {tuple}
-                and set(map(type, members)) <= {int}):
+        if not set(map(type, members)) <= {int}:
             groups = tuple(tuple(map(int, g)) for g in groups)
             members = list(itertools.chain.from_iterable(groups))
         energies = tuple(map(float, self.energies))
@@ -342,7 +342,13 @@ def _rotate_groups(matrix: MomentMatrix, spec: DegeneracySpec):
     if any(len(group) > 1 for group in spec.groups):
         states = matrix.basis.states
         spin = np.array([s.total_s for s in states])
-        multiplet = np.array([s._multiplet for s in states])
+        # a multiplet is named by its states' total spin and intermediates,
+        # numbered here in order of first appearance
+        numbers = {}
+        multiplet = np.array([
+            numbers.setdefault((s.total_s, s.intermediates), len(numbers))
+            for s in states
+        ])
         m_of = [states[rows[0]].m for rows, _block in blocks]
     for group in spec.groups:
         if len(group) == 1:

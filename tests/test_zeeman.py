@@ -547,7 +547,7 @@ def test_degeneracy_spec_keeps_each_states_group_and_energy():
     assert (empty.size, empty.group_of.size, empty.energy_of.size) == (0, 0, 0)
 
 
-def test_isolated_spec_equals_the_spec_of_its_tuples():
+def test_isolated_spec_equals_the_spec_of_its_tuples(like_states):
     for n in (0, 1, 7, 1024):
         spec = DegeneracySpec.isolated(n)
         built = DegeneracySpec(tuple((i,) for i in range(n)), (0.0,) * n,
@@ -569,6 +569,21 @@ def test_isolated_spec_equals_the_spec_of_its_tuples():
         with pytest.raises(ValueError, match="^groups must partition the "
                                              "basis states exactly$"):
             DegeneracySpec(groups, (0.0,))
+    # the groups become a tuple also when their members need no change:
+    # a list of int tuples, or a generator, gives the spec of the tuples,
+    # which is hashable, so the matrix can keep its partners by spec
+    matrix = moment_matrix(m_sector(like_states, 1.0))
+    tuples = ((0, 1), (2,), (3,))
+    built = DegeneracySpec(tuples, (0.0, 1.0, 2.0))
+    for groups in (list(tuples), (g for g in tuples), [iter(tuples[0]),
+                                                        [2], (3,)]):
+        spec = DegeneracySpec(groups, (0.0, 1.0, 2.0))
+        assert spec.groups == tuples and type(spec.groups) is tuple
+        assert spec == built and hash(spec) == hash(built)
+        assert repr(spec) == repr(built)
+        assert classify(matrix, spec).states == classify(matrix, built).states
+        assert np.array_equal(quadratic_coefficients(matrix, spec),
+                              quadratic_coefficients(matrix, built))
 
 
 def test_from_energy_map_groups_equal_energies():
