@@ -75,7 +75,13 @@ class SpinSystem:
             if not isinstance(site, Species):
                 raise ValueError(f"site {site!r} is not a Species; read "
                                  "names with species_from_name")
-        mu0 = float(self.mu0)  # each product state's moment is mu0 k, |k| <= n
+        try:
+            mu0 = float(self.mu0)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"mu0 must convert to a float; mu0={self.mu0!r}"
+                             ) from None
+        object.__setattr__(self, "mu0", mu0)
+        # each product state's moment is mu0 k, |k| <= n
         if not math.isfinite(n * mu0):
             raise ValueError(f"n * mu0 must be finite; n={n}, mu0={mu0!r}")
         if mu0 == 0.0:

@@ -190,7 +190,8 @@ class DegeneracySpec:
                         mapping: "dict[str, float]") -> "DegeneracySpec":
         """Group states by assigned energy; unlisted states share energy 0.
 
-        Nearly equal energies raise ``ValueError`` naming two of their states.
+        A non-finite energy raises ``ValueError`` naming its state, and
+        nearly equal energies one naming two of their states.
         """
         unknown = [lab for lab in mapping if lab not in labels]
         if unknown:
@@ -198,6 +199,9 @@ class DegeneracySpec:
         by_energy: dict[float, list[int]] = {}
         for idx, lab in enumerate(labels):
             energy = float(mapping.get(lab, 0.0))
+            if not math.isfinite(energy):
+                raise ValueError(f"state {lab} has non-finite energy "
+                                 f"{energy!r}")
             by_energy.setdefault(energy, []).append(idx)
         close = _near_equal(by_energy)
         if close is not None:
@@ -310,37 +314,28 @@ def _rotate_groups(matrix: MomentMatrix, spec: DegeneracySpec):
     """Diagonalize the moment within each group.
 
     Returns the rotated ``(rows, block)`` pair of each M sector and the
-    per-state first-order moments.  The moment conserves M, so each group
-    is split by M, and each (group, M) sub-block that is not already
-    diagonal is rotated inside its sector's block: eigenvectors act on the
-    sub-block's rows and columns, so rotated states keep a definite M.
-    They are matched to the original states by maximal overlap, so the
-    report rows stay aligned with the input basis.  A block is copied
-    before its first rotation.
+    per-state first-order moments.  The moment conserves M, so the sectors
+    are visited in ascending M, and in each, every group with two or more
+    rows there, in ascending group index.  Its sub-block, if not already
+    diagonal, is rotated inside a copy of the sector's block, so rotated
+    states keep a definite M; they are matched to the original states by
+    maximal overlap, so the report rows stay aligned with the input basis.
 
-    A sub-block whose rows all share one total spin S holds whole spin
-    multiplets.  By Wigner-Eckart it is M R_S, with one R_S for the same
-    multiplets at every M, so they are solved once, from their sub-block
-    over M at their first M != 0.  Each of their sub-blocks is rotated by
-    those vectors, and a state's moment is M times its eigenvalue of R_S,
-    so the moments at M and -M are exact negatives; at M = 0 the sub-block
-    is zero and stays as it is.  A sub-block that mixes S, as a group of
-    an energies file may, is solved at its own M.  Rows that are
-    contiguous in their sector, as those of one S always are, are read and
-    written through slices.
+    A sub-block at M != 0 whose rows share one total spin S holds whole
+    spin multiplets.  By Wigner-Eckart it is M R_S, with one R_S for the
+    same multiplets at every M, whichever groups hold them.  So R_S is
+    solved once, from their first such sub-block (at their most negative
+    M) over M, and a state's moment is M times its eigenvalue of R_S: the
+    moments at M and -M are exact negatives.  A sub-block that mixes S, as
+    a group of an energies file may, or that lies at M = 0 is solved alone.
+    Sub-blocks are read from the unrotated blocks, so no moment depends on
+    the order in which a spec lists its groups or their members.  Rows
+    contiguous in their sector, as those of one S are, are sliced.
     """
     blocks = list(matrix._blocks)
     moments = np.zeros(matrix.size)
-    sector_of = np.empty(matrix.size, dtype=int)
-    position = np.empty(matrix.size, dtype=int)
-    for k, (rows, block) in enumerate(blocks):
-        moments[rows] = np.diag(block)
-        sector_of[rows] = k
-        position[rows] = np.arange(rows.size)
-    subs = []  # (sector, sorted places in it, multiplets, M) per sub-block
-    first = {}  # the sub-block each set of multiplets is solved from
-    if any(len(group) > 1 for group in spec.groups):
-        states = matrix.basis.states
+    states = matrix.basis.states
+    if any(len(group) > 1 for group in spec.groups):  # else none is read
         spin = np.array([s.total_s for s in states])
         # a multiplet is named by its states' total spin and intermediates,
         # numbered here in order of first appearance
@@ -349,46 +344,34 @@ def _rotate_groups(matrix: MomentMatrix, spec: DegeneracySpec):
             numbers.setdefault((s.total_s, s.intermediates), len(numbers))
             for s in states
         ])
-        m_of = [states[rows[0]].m for rows, _block in blocks]
-    for group in spec.groups:
-        if len(group) == 1:
-            continue
-        group = np.asarray(group)
-        group_sector = sector_of[group]
-        for k in sorted(set(group_sector.tolist())):  # ascending M
-            local = np.sort(position[group[group_sector == k]])
-            if local.size == 1:
+    solved = {}  # eigenvalues and matched vectors, by set of multiplets
+    for k, (rows, block) in enumerate(matrix._blocks):  # ascending M
+        moments[rows] = np.diag(block)
+        m = states[rows[0]].m
+        gids = spec.group_of[rows]
+        for g in np.flatnonzero(np.bincount(gids) > 1):
+            local = np.flatnonzero(gids == g)
+            if local[-1] - local[0] == local.size - 1:
+                local = slice(local[0], local[-1] + 1)
+            sub = block[local][:, local]
+            if np.max(np.abs(sub - np.diag(np.diag(sub)))) <= 1e-15:
                 continue
-            idx = blocks[k][0][local]
-            if np.all(spin[idx] == spin[idx[0]]):
-                key, m = multiplet[idx].tobytes(), m_of[k]
+            idx = rows[local]
+            if m and np.all(spin[idx] == spin[idx[0]]):
+                key, unit = multiplet[idx].tobytes(), m
             else:
-                key, m = len(subs), None
-            subs.append((k, local, key, m))
-            if key not in first or first[key][3] == 0:
-                first[key] = subs[-1]
-    solved = {}
-    for k, local, key, m in subs:
-        if local[-1] - local[0] == local.size - 1:
-            local = slice(local[0], local[-1] + 1)
-        sub = matrix._blocks[k][1][local][:, local]
-        if np.max(np.abs(sub - np.diag(np.diag(sub)))) <= 1e-15:
-            continue
-        if key not in solved:
-            k0, local0, _key, m0 = first[key]
-            sub = matrix._blocks[k0][1][local0][:, local0]
-            w, v = np.linalg.eigh(sub / m0 if m0 else sub)
-            _rows, cols = linear_sum_assignment(-(v * v))
-            # eigenvalues of R_S where solved over a nonzero M
-            solved[key] = w[cols], v[:, cols], bool(m0)
-        w, v, per_m = solved[key]
-        rows, block = blocks[k]
-        if block is matrix._blocks[k][1]:
-            block = np.array(block)
-            blocks[k] = (rows, block)
-        block[local] = v.T @ block[local]
-        block[:, local] = block[:, local] @ v
-        moments[rows[local]] = m * w if per_m else w
+                key, unit = (k, g), 1.0  # solved for this sub-block alone
+            if key not in solved:
+                w, v = np.linalg.eigh(sub / unit)
+                _rows, cols = linear_sum_assignment(-(v * v))
+                solved[key] = w[cols], v[:, cols]
+            w, v = solved[key]
+            if blocks[k][1] is block:
+                blocks[k] = (rows, np.array(block))
+            rotated = blocks[k][1]
+            rotated[local] = v.T @ rotated[local]
+            rotated[:, local] = rotated[:, local] @ v
+            moments[idx] = unit * w
     moments[np.abs(moments) <= ZERO_TOL] = 0.0
     return blocks, moments
 

@@ -86,47 +86,38 @@ def _dense_moment(basis):
 
 
 def _multiplet_rotations(matrix, spec):
-    """Each (group, M) sub-block of more than one state, in ascending M
-    within each group, as (rows, M, rotation): its rows ascending, and the
-    eigenvalues and matched eigenvectors it is rotated by, with whether
-    its moments are M times those eigenvalues, or None where it is already
-    diagonal.  A sub-block of one total spin takes the solution of the
-    same multiplets' sub-block over M at their first M != 0 (at M = 0 if
-    they have no other M); one that mixes total spins is solved alone."""
+    """Each (group, M) sub-block of more than one state, in ascending M and
+    then ascending group index, as (rows, M, rotation): its rows ascending,
+    and the eigenvalues and matched eigenvectors it is rotated by, with
+    whether its moments are M times those eigenvalues, or None where it is
+    already diagonal.  A sub-block of one total spin at M != 0 takes the
+    solution of the same multiplets' first sub-block that is not diagonal,
+    over M, at their most negative such M; one at M = 0 or that mixes total
+    spins is solved alone."""
     entries = matrix.entries
     unit = abs(matrix.basis.system.mu0)
     states = matrix.basis.states
     row_m = np.array([s.m for s in states])
-    parts = []
-    for group in spec.groups:
-        group = np.sort(group)
-        for m in np.unique(row_m[group]):
-            idx = group[row_m[group] == m]
-            if idx.size == 1:
-                continue
-            if len({states[i].total_s for i in idx}) == 1:
-                key = tuple((states[i].total_s, states[i].intermediates)
-                            for i in idx)
-            else:
-                key = len(parts)
-            parts.append((idx, m, key))
-    first = {}
-    for idx, m, key in parts:
-        if key not in first or (first[key][1] == 0 and m != 0):
-            first[key] = idx, m
     solved = {}
-    for key, (idx, m) in first.items():
-        per_m = not isinstance(key, int) and m != 0
-        block = entries[np.ix_(idx, idx)]
-        w, v = np.linalg.eigh(block / m if per_m else block)
-        _rows, cols = linear_sum_assignment(-(v * v))
-        solved[key] = w[cols], v[:, cols], per_m
     rotations = []
-    for idx, m, key in parts:
-        block = entries[np.ix_(idx, idx)]
-        off = np.max(np.abs(block - np.diag(np.diag(block))))
-        rotations.append((idx, m, None if off <= 1e-15 * unit
-                          else solved[key]))
+    for m in np.unique(row_m):
+        for group in spec.groups:
+            idx = np.sort(np.asarray(group, dtype=int))
+            idx = idx[row_m[idx] == m]
+            if idx.size < 2:
+                continue
+            block = entries[np.ix_(idx, idx)]
+            if np.max(np.abs(block - np.diag(np.diag(block)))) <= 1e-15 * unit:
+                rotations.append((idx, m, None))
+                continue
+            per_m = m != 0 and len({states[i].total_s for i in idx}) == 1
+            key = (tuple((states[i].total_s, states[i].intermediates)
+                         for i in idx) if per_m else len(rotations))
+            if key not in solved:
+                w, v = np.linalg.eigh(block / m if per_m else block)
+                _rows, cols = linear_sum_assignment(-(v * v))
+                solved[key] = w[cols], v[:, cols], per_m
+            rotations.append((idx, m, solved[key]))
     return rotations
 
 
@@ -345,6 +336,69 @@ def test_quadratic_coefficients_match_pair_loop(shape):
     spec = _spin_grouped(states)
     assert np.array_equal(quadratic_coefficients(matrix, spec),
                           _loop_quadratic(matrix, spec))
+
+
+def _split_by_sign(states, seed=None):
+    """Each total spin's states in groups by the sign of M, all at
+    E = S(S+1); with a seed, groups and members listed in a shuffled
+    order."""
+    groups: dict[tuple, list[int]] = {}
+    for k, state in enumerate(states):
+        groups.setdefault((state.total_s, np.sign(state.m)), []).append(k)
+    keys = list(groups)
+    if seed is not None:
+        rng = np.random.default_rng(seed)
+        keys = [keys[g] for g in rng.permutation(len(keys))]
+        groups = {key: rng.permutation(groups[key]).tolist() for key in keys}
+    return DegeneracySpec(tuple(tuple(groups[key]) for key in keys),
+                          tuple(s * (s + 1) for s, _sign in keys),
+                          allow_shared_energies=True)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 11])
+@pytest.mark.parametrize("shape", ["atom", "ep"])
+@pytest.mark.parametrize("n", [6, 8, 10])
+def test_verdicts_independent_of_how_a_spec_is_listed(n, shape, seed):
+    """One spin's multiplets at M < 0 and M > 0 lie in different groups,
+    and each is solved once, at its most negative M, whichever group a
+    spec lists first."""
+    order = np.random.default_rng(seed).permutation(n)
+    species = [ALTERNATING[k % 2] for k in order]
+    states = couple(SpinSystem.from_species(species), _trees(species)[shape])
+    matrix = moment_matrix(full_transform(states))
+    listed, shuffled = _split_by_sign(states), _split_by_sign(states, seed)
+    assert listed != shuffled
+    reports = [classify(matrix, spec).states for spec in (listed, shuffled)]
+    for before, after in zip(*reports):
+        assert after.classification is before.classification
+        assert after.moment.hex() == before.moment.hex()
+    # no group couples another of its spin, so the moments are those of
+    # one group per spin
+    assert np.array_equal(zeeman._partners(matrix, shuffled)[0],
+                          zeeman._partners(matrix, _spin_grouped(states))[0])
+    before, after = (quadratic_coefficients(matrix, spec)
+                     for spec in (listed, shuffled))
+    assert np.max(np.abs(after - before)) <= 1e-14 * np.max(np.abs(before))
+
+
+@pytest.mark.parametrize("case", ["like-pairs", "n6-atom"])
+def test_empty_group_changes_no_result(case):
+    if case == "like-pairs":
+        states = couple(DIPOS, CouplingTree.like_pairs(DIPOS))
+    else:
+        species = ALTERNATING[:6]
+        states = couple(SpinSystem.from_species(species),
+                        _trees(species)["atom"])
+    matrix = moment_matrix(full_transform(states))
+    spec = _spin_grouped(states)
+    # listed first, so every other group's index moves by one
+    padded = DegeneracySpec(((),) + spec.groups, (-5.0,) + spec.energies)
+    assert classify(matrix, padded).states == classify(matrix, spec).states
+    assert np.array_equal(quadratic_coefficients(matrix, padded),
+                          quadratic_coefficients(matrix, spec))
+    curves = [level_curves(matrix, s, GRID) for s in (padded, spec)]
+    assert np.array_equal(curves[0].energies, curves[1].energies)
+    assert curves[0].flagged == curves[1].flagged
 
 
 def _reference_cases():

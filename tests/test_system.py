@@ -1,13 +1,17 @@
 import re
 
+import numpy as np
 import pytest
 
 from spinzeeman import (
     CouplingTree,
+    DegeneracySpec,
     Species,
     SpinSystem,
+    classify,
     couple,
     full_transform,
+    moment_matrix,
 )
 from spinzeeman.system import _bit_table, _projections
 
@@ -49,6 +53,32 @@ def test_zero_mu0_is_rejected(mu0):
         SpinSystem.dipositronium(mu0)
     # a subnormal unit is a unit like any other
     assert SpinSystem.dipositronium(5e-324).mu0 == 5e-324
+
+
+@pytest.mark.parametrize("given", ["2", np.float32(0.1)])
+def test_mu0_is_kept_as_the_float_it_was_checked_as(given):
+    # kept as given, "2" made classify fail on "can't multiply sequence by
+    # non-int of type 'float'", and a float32 unit gave float32 moments
+    system = SpinSystem.dipositronium(given)
+    assert type(system.mu0) is float and system.mu0 == float(given)
+    reports = []
+    for mu0 in (given, float(given)):
+        system = SpinSystem.dipositronium(mu0)
+        states = couple(system, CouplingTree.like_pairs(system))
+        reports.append(classify(moment_matrix(full_transform(states)),
+                                DegeneracySpec.isolated(len(states))).states)
+    assert reports[0] == reports[1]
+    assert all(type(state.moment) is float for state in reports[0])
+
+
+def test_mu0_that_overflows_a_float_is_rejected():
+    # float() raises OverflowError here; it is reported as a bad mu0
+    message = re.escape(f"mu0 must convert to a float; mu0={10**400!r}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SpinSystem.dipositronium(10**400)
+    for bad in ("two", 1j, None):
+        with pytest.raises(ValueError, match="^mu0 must convert to a float"):
+            SpinSystem.dipositronium(bad)
 
 
 def test_sites_must_be_species():

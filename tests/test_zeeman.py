@@ -608,6 +608,16 @@ def test_from_energy_map_rejects_near_equal_energies(like_states):
     assert spec.groups == ((0,), (1,), (2, 3))
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_from_energy_map_rejects_non_finite_energy(like_states, bad):
+    # checked before the near-equal scan, which read inf as an energy
+    # distinct from but nearly equal to 0.0
+    labels = list(full_transform(like_states).row_labels)
+    message = re.escape(f"state {labels[1]} has non-finite energy {bad!r}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        DegeneracySpec.from_energy_map(labels, {labels[1]: bad})
+
+
 def test_spec_constructor_rejects_near_equal_energies(like_states):
     # built directly, not through from_energy_map: before, this spec gave
     # second-order coefficients of -/+4e12 on the like-pairs M=1 block

@@ -11,7 +11,10 @@ output on every case.  Run it from the repository root against a tree's
 A case is a particle count N = 2...10, a seed (1, 2, 11) that shuffles the
 electron/positron site order, a coupling tree (atoms chained, or electrons
 with positrons) and a degeneracy spec (isolated; E = S(S+1); the same
-partition with groups and members listed in a seeded shuffled order).  Each
+partition with groups and members listed in a seeded shuffled order; and
+each spin's states split into groups by the sign of M, at E = S(S+1) and
+listed in a seeded shuffled order, so that one spin's multiplets span
+several groups).  Each
 hash covers the coupled basis (amplitudes and labels), the moment matrix
 ``entries``, the overlap with the other tree's basis, the ``classify``
 report (label, class, ``moment.hex()``, partners), the quadratic
@@ -82,11 +85,20 @@ def _specs(states, seed):
     order = rng.permutation(len(groups)).tolist()
     shuffled = tuple(tuple(rng.permutation(groups[g]).tolist())
                      for g in order)
+    by_sign: dict[tuple[float, float], list[int]] = {}
+    for k, state in enumerate(states):
+        by_sign.setdefault((state.total_s, np.sign(state.m)), []).append(k)
+    keys = list(by_sign)
+    keys = [keys[g] for g in rng.permutation(len(keys))]
+    split = tuple(tuple(rng.permutation(by_sign[key]).tolist())
+                  for key in keys)
     return {
         "isolated": DegeneracySpec.isolated(len(states)),
         "spin": DegeneracySpec(tuple(groups), tuple(energies)),
         "shuffled": DegeneracySpec(shuffled,
                                    tuple(energies[g] for g in order)),
+        "split": DegeneracySpec(split, tuple(s * (s + 1) for s, _ in keys),
+                                allow_shared_energies=True),
     }
 
 
