@@ -113,10 +113,11 @@ def _near_equal(energies) -> "tuple[float, float] | None":
 class DegeneracySpec:
     """Partition of basis states into groups sharing an unperturbed energy.
 
-    Distinct groups may share an energy only when
+    Distinct groups that hold a state may share an energy only when
     ``allow_shared_energies`` is set; degenerate perturbation theory would
-    otherwise collapse them.  Two distinct energies within
-    ``ENERGY_GAP_TOL`` times max(1, |E|) of each other raise ``ValueError``.
+    otherwise collapse them.  Two distinct energies of such groups within
+    ``ENERGY_GAP_TOL`` times max(1, |E|) of each other raise ``ValueError``,
+    and so does a member that is not a whole number.
 
     The partition is also kept per state, as two read-only arrays built
     once on construction: ``group_of[k]`` is the index in ``groups`` of
@@ -131,10 +132,13 @@ class DegeneracySpec:
 
     def __post_init__(self) -> None:
         # groups are always made tuples, and members ints unless they
-        # already are
+        # already are; a member that is not a whole number is refused
         groups = tuple(map(tuple, self.groups))
         members = list(itertools.chain.from_iterable(groups))
         if not set(map(type, members)) <= {int}:
+            for i in members:
+                if int(i) != i:
+                    raise ValueError(f"group member {i!r} is not an integer")
             groups = tuple(tuple(map(int, g)) for g in groups)
             members = list(itertools.chain.from_iterable(groups))
         energies = tuple(map(float, self.energies))
@@ -153,19 +157,22 @@ class DegeneracySpec:
         values = np.array(energies)
         if not np.all(np.isfinite(values)):
             raise ValueError("group energies must be finite")
+        # an empty group's energy is no state's, so it is not compared
+        held = [k for k, group in enumerate(groups) if group]
+        levels = [energies[k] for k in held]
         if not self.allow_shared_energies:
-            if len(set(energies)) != len(energies):
+            if len(set(levels)) != len(levels):
                 raise ValueError(
                     "distinct groups share an energy; merge them or set "
                     "allow_shared_energies"
                 )
-        close = _near_equal(energies)
+        close = _near_equal(levels)
         if close is not None:
-            low, high = close
+            low, high = (held[levels.index(e)] for e in close)
             raise ValueError(
-                f"groups {energies.index(low)} and {energies.index(high)} "
-                f"have distinct but nearly equal energies {low!r} and "
-                f"{high!r}; give them one energy or separate them"
+                f"groups {low} and {high} have distinct but nearly equal "
+                f"energies {close[0]!r} and {close[1]!r}; give them one "
+                "energy or separate them"
             )
         energy_of = values[group_of]
         for name, array in (("group_of", group_of), ("energy_of", energy_of)):
@@ -310,16 +317,25 @@ def _check_spec(matrix: MomentMatrix, spec: DegeneracySpec) -> None:
         )
 
 
-def _rotate_groups(matrix: MomentMatrix, spec: DegeneracySpec):
-    """Diagonalize the moment within each group.
+def _partners(matrix: MomentMatrix, spec: DegeneracySpec):
+    """Diagonalize the moment within each group, then list the partners
+    of each state.
 
-    Returns the rotated ``(rows, block)`` pair of each M sector and the
-    per-state first-order moments.  The moment conserves M, so the sectors
-    are visited in ascending M, and in each, every group with two or more
-    rows there, in ascending group index.  Its sub-block, if not already
-    diagonal, is rotated inside a copy of the sector's block, so rotated
-    states keep a definite M; they are matched to the original states by
-    maximal overlap, so the report rows stay aligned with the input basis.
+    Returns the first-order moments and, in row-major order, the rows,
+    columns and rotated moments of every pair whose column lies outside
+    the row's group and whose rotated moment couples them above the zero
+    tolerance.  The four read-only arrays are computed once per spec and
+    kept on the matrix, so ``classify`` and ``quadratic_coefficients``
+    share one rotation and one scan.
+
+    The moment conserves M, so each M sector is rotated and scanned in one
+    pass, in ascending M.  In a sector, every group with two or more rows
+    there is visited in ascending group index; its sub-block, if not
+    already diagonal, is rotated inside a copy of the sector's block, so
+    rotated states keep a definite M.  They are matched to the original
+    states by maximal overlap, so the report rows stay aligned with the
+    input basis.  The sectors' rows descend in M, so their pairs, taken in
+    reverse, are in row-major order.
 
     A sub-block at M != 0 whose rows share one total spin S holds whole
     spin multiplets.  By Wigner-Eckart it is M R_S, with one R_S for the
@@ -332,7 +348,10 @@ def _rotate_groups(matrix: MomentMatrix, spec: DegeneracySpec):
     the order in which a spec lists its groups or their members.  Rows
     contiguous in their sector, as those of one S are, are sliced.
     """
-    blocks = list(matrix._blocks)
+    _check_spec(matrix, spec)
+    found = matrix._partners_by_spec.get(spec)
+    if found is not None:
+        return found
     moments = np.zeros(matrix.size)
     states = matrix.basis.states
     if any(len(group) > 1 for group in spec.groups):  # else none is read
@@ -345,10 +364,12 @@ def _rotate_groups(matrix: MomentMatrix, spec: DegeneracySpec):
             for s in states
         ])
     solved = {}  # eigenvalues and matched vectors, by set of multiplets
+    pairs = []  # each sector's rows, columns and couplings
     for k, (rows, block) in enumerate(matrix._blocks):  # ascending M
         moments[rows] = np.diag(block)
         m = states[rows[0]].m
         gids = spec.group_of[rows]
+        rotated = block
         for g in np.flatnonzero(np.bincount(gids) > 1):
             local = np.flatnonzero(gids == g)
             if local[-1] - local[0] == local.size - 1:
@@ -366,48 +387,21 @@ def _rotate_groups(matrix: MomentMatrix, spec: DegeneracySpec):
                 _rows, cols = linear_sum_assignment(-(v * v))
                 solved[key] = w[cols], v[:, cols]
             w, v = solved[key]
-            if blocks[k][1] is block:
-                blocks[k] = (rows, np.array(block))
-            rotated = blocks[k][1]
+            if rotated is block:
+                rotated = np.array(block)
             rotated[local] = v.T @ rotated[local]
             rotated[:, local] = rotated[:, local] @ v
             moments[idx] = unit * w
+        mask = np.abs(rotated) > ZERO_TOL
+        mask &= gids[:, None] != gids[None, :]
+        i, j = np.nonzero(mask)
+        pairs.append((rows[i], rows[j], rotated[i, j]))
     moments[np.abs(moments) <= ZERO_TOL] = 0.0
-    return blocks, moments
-
-
-def _partners(matrix: MomentMatrix, spec: DegeneracySpec):
-    """Group-rotate, then list the partners of each state.
-
-    Returns the first-order moments and, in row-major order, the rows,
-    columns and rotated moments of every pair whose column lies outside
-    the row's group and whose rotated moment couples them above the zero
-    tolerance.  The four read-only arrays are computed once per spec and
-    kept on the matrix, so ``classify`` and ``quadratic_coefficients``
-    share one rotation and one scan.
-    """
-    _check_spec(matrix, spec)
-    found = matrix._partners_by_spec.get(spec)
-    if found is None:
-        blocks, moments = _rotate_groups(matrix, spec)
-        rows, cols = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
-        coupling = [np.empty(0)]
-        for sector, block in blocks:
-            sector_gids = spec.group_of[sector]
-            mask = np.abs(block) > ZERO_TOL
-            mask &= sector_gids[:, None] != sector_gids[None, :]
-            i, j = np.nonzero(mask)
-            rows.append(sector[i])
-            cols.append(sector[j])
-            coupling.append(block[i, j])
-        rows, cols = np.concatenate(rows), np.concatenate(cols)
-        coupling = np.concatenate(coupling)
-        # each sector is row-major already; interleave the sectors' rows
-        order = np.argsort(rows * matrix.size + cols)
-        found = (moments, rows[order], cols[order], coupling[order])
-        for array in found:
-            array.setflags(write=False)
-        matrix._partners_by_spec[spec] = found
+    empty = (np.empty(0, dtype=int),) * 2 + (np.empty(0),)  # if no sector
+    found = (moments, *map(np.concatenate, zip(empty, *reversed(pairs))))
+    for array in found:
+        array.setflags(write=False)
+    matrix._partners_by_spec[spec] = found
     return found
 
 
@@ -425,7 +419,7 @@ def classify(matrix: MomentMatrix, spec: DegeneracySpec) -> ZeemanReport:
     for label, moment, start, end in zip(labels, moments.tolist(),
                                          [0] + ends, ends):
         partners = tuple(partner_labels[start:end])
-        if moment:  # _rotate_groups zeroed those within ZERO_TOL
+        if moment:  # _partners zeroed those within ZERO_TOL
             kind = Classification.LINEAR
         elif partners:
             kind = Classification.QUADRATIC
@@ -533,7 +527,7 @@ def level_curves(matrix: MomentMatrix, spec: DegeneracySpec,
     # absolute row sum (Gershgorin); the pad sits above that, past rounding.
     # Taken in Python floats, which overflow to inf without a warning.
     largest = abs(mu0) * float(np.abs(moment).sum(axis=2).max(initial=0.0))
-    top = max(map(abs, spec.energies), default=0.0)
+    top = float(np.abs(spec.energy_of).max(initial=0.0))
 
     def pad(b_abs: float) -> float:
         bound = top + b_abs * largest

@@ -6,8 +6,8 @@ The references below are kept only here: one complex 2^N x 2^N product for
 the moment matrix, one block-diagonal rotation R^T E R for the within-group
 diagonalization (per (group, M) sub-block, by the eigenvectors its spin
 multiplets share over M, and per whole group as it was first done), a
-dense ``_rotate_groups`` and the former dense ``_partners``, which rotate
-and mask the whole 2^N x 2^N matrix, a Python pair loop for the
+dense rotation and the former dense ``_partners``, which rotate and mask
+the whole 2^N x 2^N matrix, a Python pair loop for the
 quadratic coefficients, and the former dense 2^N x 2^N tracking of
 ``level_curves``.
 """
@@ -124,7 +124,7 @@ def _multiplet_rotations(matrix, spec):
 def _dense_rotation(matrix, spec, by_m=True):
     """Assemble R, then one product R^T E R.  With ``by_m``, R rotates
     each (group, M) sub-block by its multiplets' eigenvectors; without it,
-    R has one ``eigh`` per whole group, as the first ``_rotate_groups``
+    R has one ``eigh`` per whole group, as the first group rotation
     did."""
     entries = matrix.entries
     rotation = np.eye(matrix.size)
@@ -167,7 +167,7 @@ def _clusters(values, tol=1e-9):
 
 
 def _dense_rotate_groups(matrix, spec):
-    """``_rotate_groups`` on the dense matrix: each (group, M) sub-block
+    """The group rotation of ``_partners`` on the dense matrix: each (group, M) sub-block
     rotated by its multiplets' eigenvectors inside a copy of the whole
     matrix, its moments M times their eigenvalues over M, or the
     eigenvalues of a sub-block that mixes total spins."""
@@ -291,11 +291,19 @@ def test_local_group_rotation_matches_dense_product(shape):
     states = couple(SpinSystem.from_species(species), _trees(species)[shape])
     matrix = moment_matrix(full_transform(states))
     spec = _spin_grouped(states)
-    blocks, _moments = zeeman._rotate_groups(matrix, spec)
-    rotated = np.zeros((matrix.size, matrix.size))
-    for rows, block in blocks:
-        rotated[np.ix_(rows, rows)] = block
-    assert np.max(np.abs(rotated - _dense_rotation(matrix, spec))) <= 1e-14
+    moments, rows, cols, coupling = zeeman._partners(matrix, spec)
+    rotated = _dense_rotation(matrix, spec)
+    diagonal = np.diag(rotated).copy()
+    diagonal[np.abs(diagonal) <= zeeman.ZERO_TOL] = 0.0
+    assert np.max(np.abs(moments - diagonal)) <= 1e-14
+    # the listed couplings are the off-group entries, and every off-group
+    # entry left out lies within the zero tolerance
+    gids = spec.group_of
+    assert np.all(gids[rows] != gids[cols])
+    assert np.max(np.abs(coupling - rotated[rows, cols])) <= 1e-14
+    left_out = gids[:, None] != gids[None, :]
+    left_out[rows, cols] = False
+    assert np.max(np.abs(rotated[left_out])) <= zeeman.ZERO_TOL + 1e-14
 
 
 @pytest.mark.parametrize("shape", ["atom", "ep"])

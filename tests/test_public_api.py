@@ -124,7 +124,8 @@ def test_gathered_states_left_the_library():
                         (coupling, "_check_gathered"),
                         (coupling, "ORTHONORMAL_TOL"),
                         (zeeman, "_check_gathered"),
-                        (zeeman, "_unit")):
+                        (zeeman, "_unit"),
+                 (zeeman, "_rotate_groups")):
         assert not hasattr(owner, name), name
 
 

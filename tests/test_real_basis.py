@@ -285,7 +285,7 @@ def test_cg_tables_follow_a_replaced_coefficient(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["like-pairs", "n6-atom", "n6-ep"])
-def test_rotation_memo_serves_no_stale_spec(name, monkeypatch):
+def test_rotation_memo_serves_no_stale_spec(name):
     if name == "like-pairs":
         system, tree = DIPOS, CouplingTree.like_pairs(DIPOS)
     else:
@@ -302,17 +302,16 @@ def test_rotation_memo_serves_no_stale_spec(name, monkeypatch):
         if spec is grouped:
             assert np.array_equal(quadratic_coefficients(shared, spec),
                                   quadratic_coefficients(fresh, spec))
-    # one rotation per spec: classify and quadratic_coefficients share it
-    calls = []
-    rotate = zeeman._rotate_groups
-    monkeypatch.setattr(zeeman, "_rotate_groups",
-                        lambda m, spec: calls.append(spec) or rotate(m, spec))
+    # one rotation per spec: classify and quadratic_coefficients share it,
+    # and an equal spec, built anew, gets back the same arrays
     matrix = moment_matrix(basis)
     classify(matrix, grouped)
+    found = matrix._partners_by_spec[grouped]
     quadratic_coefficients(matrix, grouped)
-    classify(matrix, _spin_grouped(states))  # an equal spec, built anew
-    assert calls == [grouped]
+    assert zeeman._partners(matrix, _spin_grouped(states)) is found
+    assert list(matrix._partners_by_spec) == [grouped]
     classify(matrix, isolated)
-    assert calls == [grouped, isolated]
+    assert list(matrix._partners_by_spec) == [grouped, isolated]
+    assert matrix._partners_by_spec[grouped] is found
     for array in zeeman._partners(matrix, grouped):
         assert not array.flags.writeable

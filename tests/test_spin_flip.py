@@ -2,7 +2,7 @@
 
 Flipping every spin maps |alpha S M> to eta |alpha S -M>, with one sign eta
 per multiplet, and mu_z to -mu_z.  ``couple`` builds the M < 0 sectors as
-that mirror of the M > 0 ones, and ``_rotate_groups`` solves the states of
+that mirror of the M > 0 ones, and ``_partners`` solves the states of
 one total spin once, from the moment sub-block over M, so grouped verdicts
 at M and -M mirror each other exactly.  The signs and the partner states
 are computed here from each state's intermediate spins alone.

@@ -10,6 +10,7 @@ from spinzeeman import (
     Classification,
     CouplingTree,
     DegeneracySpec,
+    Species,
     SpinSystem,
     classify,
     couple,
@@ -511,6 +512,51 @@ def test_basis_independence(like_states, pos_states):
 
 # ---------------------------------------------------------------------------
 # degeneracy specs
+
+
+def test_empty_sector_gives_empty_results(like_states):
+    # no M = 7 state among four spins: the sector has no block at all
+    matrix = moment_matrix(m_sector(like_states, 7.0))
+    spec = DegeneracySpec.isolated(0)
+    assert classify(matrix, spec).states == ()
+    coefficients = quadratic_coefficients(matrix, spec)
+    assert coefficients.shape == (0,)
+    curves = level_curves(matrix, spec, [0.0, 1.0])
+    assert curves.energies.shape == (2, 0)
+
+
+def test_empty_group_takes_no_part_in_the_energy_checks():
+    # the three M = 1/2 states of e-p-e; the empty group's energy is near
+    # to, or equal to, that of a group with states, and is not compared
+    species = [Species.ELECTRON, Species.POSITRON, Species.ELECTRON]
+    system = SpinSystem.from_species(species)
+    states = couple(system, CouplingTree.from_nested(((0, 1), 2)))
+    matrix = moment_matrix(m_sector(states, 0.5))
+    plain = DegeneracySpec(((0, 1), (2,)), (0.0, 5.0))
+    grid = [-2.0, 0.0, 0.5, 2.0]
+    for empty in (1e-12, 0.0):
+        spec = DegeneracySpec(((0, 1), (), (2,)), (0.0, empty, 5.0))
+        assert classify(matrix, spec).states == classify(matrix, plain).states
+        assert np.array_equal(quadratic_coefficients(matrix, spec),
+                              quadratic_coefficients(matrix, plain))
+        curves = [level_curves(matrix, s, grid) for s in (spec, plain)]
+        assert np.array_equal(curves[0].energies, curves[1].energies)
+        assert curves[0].flagged == curves[1].flagged
+    # groups with states are still compared, by their index in the spec
+    with pytest.raises(ValueError, match="^groups 0 and 2 have distinct but "
+                                         "nearly equal energies"):
+        DegeneracySpec(((0, 1), (), (2,)), (0.0, 0.0, 1e-12))
+    with pytest.raises(ValueError, match="share an energy"):
+        DegeneracySpec(((0, 1), (), (2,)), (0.0, 7.0, 0.0))
+
+
+@pytest.mark.parametrize("member", [0.5, 1.7, np.float64(-0.25)])
+def test_degeneracy_spec_rejects_fractional_members(member):
+    message = re.escape(f"group member {member!r} is not an integer")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        DegeneracySpec(((member,), (1,)), (0.0, 1.0))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        DegeneracySpec(((0, 1), (2, member)), (0.0, 1.0))
 
 
 def test_degeneracy_spec_validation():
