@@ -146,6 +146,54 @@ def test_solver_reuses_an_imported_scipy_optimize(monkeypatch):
     assert zeeman._solver is linear_sum_assignment
 
 
+# Makes the first solver call from two threads at once in a fresh
+# interpreter.  Each load is counted and held open long enough for the other
+# thread's call to arrive while it runs.
+PARALLEL_PROBE = """
+import json, sys, threading, time
+import numpy as np
+from spinzeeman import zeeman
+
+loads = []
+load = zeeman._load_solver
+
+def counted():
+    loads.append(threading.current_thread().name)
+    time.sleep(0.2)
+    return load()
+
+zeeman._load_solver = counted
+start = threading.Barrier(2)
+solved = []
+
+def first_call():
+    start.wait(timeout=60)
+    solved.append([a.tolist() for a in zeeman.linear_sum_assignment(
+        np.array([[1.0, 0.0], [0.0, 1.0]]))])
+
+callers = [threading.Thread(target=first_call) for _ in range(2)]
+for caller in callers:
+    caller.start()
+for caller in callers:
+    caller.join(timeout=60)
+print(json.dumps({
+    "alive": [caller.is_alive() for caller in callers],
+    "loads": len(loads),
+    "solved": solved,
+    "optimize": sorted(k for k in sys.modules if k == "scipy.optimize"
+                       or k.startswith("scipy.optimize.")),
+}))
+"""
+
+
+def test_overlapping_first_calls_load_the_solver_once():
+    found = run_probe(PARALLEL_PROBE)
+    assert found["alive"] == [False, False]
+    assert found["loads"] == 1
+    assert found["solved"] == [[[0, 1], [1, 0]]] * 2
+    assert found["optimize"] == []
+
+
 # Solves TIE_MATRICES in a fresh interpreter whose extension lookup finds
 # nothing, as on a scipy that ships the solver module as Python.
 FALLBACK_PROBE = """

@@ -13,12 +13,14 @@ quadratic coefficients, and the former dense 2^N x 2^N tracking of
 """
 
 import re
+import threading
 import tracemalloc
 import warnings
 from math import comb
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 from scipy.optimize import linear_sum_assignment
 
 from spinzeeman import (
@@ -632,31 +634,53 @@ def test_padded_sectors_solve_as_their_own_blocks(n, shape, monkeypatch):
     above its spectrum.  A sector's kept eigenvalues lie below the pad, its
     kept vectors are exactly zero on every other row, the other sectors of
     its matrix and the pad included, and its energies are those of its own
-    block."""
+    block.  The two marches out from B = 0 run at once, so each recorded
+    stack is matched to its field by its entries, H0 - B mu, not by the
+    order of the solves."""
     species = ALTERNATING[:n]
     states = couple(SpinSystem.from_species(species), _trees(species)[shape])
     matrix = moment_matrix(full_transform(states))
     spec = _spin_grouped(states)
     energy = spec.energy_of
     solves = []
+    lock = threading.Lock()
     eigh = np.linalg.eigh
 
     def recorded(stack):
         w, v = eigh(stack)
-        solves.append((stack.copy(), w, v))
+        with lock:
+            solves.append((stack.copy(), w, v))
         return w, v
 
     monkeypatch.setattr(np.linalg, "eigh", recorded)
     grid = np.array([-1e6, -1.0, 0.0, 0.37, 1e6])
     level_curves(matrix, spec, grid)
-    fields = [0.37, 1e6, -1.0, -1e6]  # marching out from B = 0
+    fields = [0.37, 1e6, -1.0, -1e6]  # every nonzero field, once
     assert len(solves) == len(fields)
     sizes = [rows.size for rows, _block in matrix._blocks]
     size = max(sizes)
     bins = _first_fit_decreasing(sizes)
     packed = {4: 3, 6: 4, 8: 4}[n]  # of 5, 7 and 9 sectors
     assert len(bins) == packed
-    for b, (stack, w, v) in zip(fields, solves):
+
+    def carries(stack, b):
+        """Whether each packed matrix, pad aside, is H0 - B mu entry by entry
+        (on some trees every moment diagonal is zero, so the diagonal alone
+        would not tell the fields apart)."""
+        for k, members in enumerate(bins):
+            rows = np.concatenate([matrix._blocks[s][0] for s in members])
+            moment = block_diag(*[matrix._blocks[s][1] for s in members])
+            want = -(b * moment)
+            want[np.diag_indices(rows.size)] = (energy[rows]
+                                                - b * np.diag(moment))
+            if not np.array_equal(stack[k, :rows.size, :rows.size], want):
+                return False
+        return True
+
+    matched = [[b for b in fields if carries(stack, b)]
+               for stack, _w, _v in solves]
+    assert sorted(matched) == sorted([b] for b in fields)
+    for [b], (stack, w, v) in zip(matched, solves):
         assert stack.dtype == np.complex128
         assert not np.any(v.imag)  # tracked in float64 from v.real
         assert stack.shape == (packed, size, size)
