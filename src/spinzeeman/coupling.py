@@ -66,7 +66,8 @@ class CouplingTree:
     root: tuple
 
     # the delimiters around the intermediate spins, the text written for
-    # chosen intermediate spins, and the row order of chosen M sectors
+    # chosen intermediate spins, and the row order of chosen M >= 0
+    # sectors (each -M sector takes the order of +M)
     _brackets = "()"
     _labels = {}
     _orders = {}
@@ -241,38 +242,52 @@ def _cg_table(j1: float, j2: float, jj: float) -> np.ndarray:
     return table
 
 
-# a single site: sector 2m = +1 is |↑⟩ (partial index 0), 2m = -1 is |↓⟩
-_LEAF = {two_m: (np.array([[1.0], [0.0]]), np.array([index]), np.array([0]))
-         for two_m, index in ((1, 0), (-1, 1))}
+# a single site's sector 2m = +1: |↑⟩, partial index 0
+_LEAF = {1: (np.array([[1.0], [0.0]]), np.array([0]), np.array([0]))}
+
+
+def _mirrored(sectors, eta, bits):
+    """``sectors`` of a ``bits``-site subtree, each m > 0 joined by its -m
+    mirror: the same rows, each multiplet's row times its eta, on the
+    partial indices with every bit complemented.  All are by descending m.
+    """
+    flip = (1 << bits) - 1
+    mirrors = {}
+    for two_m, (block, columns, rows) in reversed(sectors.items()):
+        if two_m > 0:
+            # one sign per multiplet with a row, then 1 for the zero row
+            signs = np.append(eta[rows < len(block) - 1], 1.0)
+            mirrors[-two_m] = (block * signs[:, None], columns ^ flip, rows)
+    return {**sectors, **mirrors}
 
 
 def _node_states(node):
-    """Couple a subtree one M sector at a time; returns (site order,
-    multiplets, sectors, flip signs).
+    """Couple a subtree one M sector at a time, for m >= 0; returns (site
+    order, multiplets, sectors, flip signs).
 
     ``multiplets`` lists ``(2j, intermediates)``, ``intermediates`` ending
-    with this node itself.  ``sectors`` maps 2m to ``(block, columns,
-    rows)``: the float64 ``block`` holds the m vectors of the multiplets
-    with j >= |m|, in list order, over the partial indices ``columns`` (the
-    k-th listed site being the most significant bit), and then a row of
-    zeros; ``rows`` gives each multiplet's row, the zero row for the
-    others.
+    with this node itself.  ``sectors`` maps 2m >= 0, descending, to
+    ``(block, columns, rows)``: the float64 ``block`` holds the m vectors
+    of the multiplets with j >= |m|, in list order, over the partial
+    indices ``columns`` (the k-th listed site being the most significant
+    bit), and then a row of zeros; ``rows`` gives each multiplet's row, the
+    zero row for the others.
 
-    Only the sectors with m >= 0 are built by the CG recursion: a pair of
-    child multiplets at m1 and m - m1 fills the columns of that
+    A pair of child multiplets at m1 and m - m1 fills the columns of that
     (m1, m - m1) slot, its m vector there being the kron of the children's
     rows times one CG value, the one nonzero term of the CG sum.  Flipping
     every spin maps |j m> to eta |j -m>, where eta is 1 at a leaf and
     eta_a eta_b (-1)^(j_a + j_b - j) for a multiplet of children a and b,
     by <j_a -m_a j_b -m_b|j -m> = (-1)^(j_a + j_b - j) <j_a m_a j_b m_b|j m>.
-    So the -m sector is the m sector with the same rows, its columns'
-    bits all complemented and each multiplet's row times its eta; the
-    signs are exact, so it is bit-identical to the recursion's.
+    So a child's -m sectors are its m sectors mirrored (``_mirrored``);
+    the signs are exact, so they are bit-identical to the recursion's.
     """
     if isinstance(node, int):
         return [node], [(1, ())], _LEAF, np.ones(1)
     sites_l, mults_l, sectors_l, eta_l = _node_states(node[0])
     sites_r, mults_r, sectors_r, eta_r = _node_states(node[1])
+    sectors_l = _mirrored(sectors_l, eta_l, len(sites_l))
+    sectors_r = _mirrored(sectors_r, eta_r, len(sites_r))
     sites = sites_l + sites_r
     site_key = tuple(sites)
     mults, pairs = [], []
@@ -303,16 +318,9 @@ def _node_states(node):
     twice_base = (2 * base + two_j * (two_ja + 1) * (two_jb + 1)
                   + two_ja * (two_jb + 1) + two_jb)
     shift = len(sites_r)
-    flip = (1 << len(sites)) - 1
     sectors = {}
-    top = int(two_j.max())
-    for two_m in range(top, -top - 1, -2):
-        order = np.flatnonzero(two_j >= abs(two_m))
-        if two_m < 0:
-            block, columns, rows = sectors[-two_m]
-            signs = np.append(eta[order], 1.0)  # the zero row stays zero
-            sectors[two_m] = (block * signs[:, None], columns ^ flip, rows)
-            continue
+    for two_m in range(int(two_j.max()), -1, -2):
+        order = np.flatnonzero(two_j >= two_m)
         a, b, jb = qa[order], qb[order], two_jb[order]
         twice = (twice_base[order]
                  - two_m * ((two_ja[order] + 1) * (jb + 1) + 1))
@@ -368,7 +376,10 @@ class CoupledBasis(tuple):
     """The states ``couple`` returns, in its order.  It also keeps their
     ``system``, ``tree`` and ``_sectors``, ``{M: (rows, product indices,
     block)}`` in ascending M: the consecutive rows of M and their read-only
-    amplitudes on M's product indices.  A slice or sum is a plain tuple."""
+    amplitudes on M's product indices.  Per state it keeps the read-only
+    ``_flips``, the sign eta of |S M> -> eta |S -M> under the spin flip,
+    and ``_multiplets``, the number of the state's multiplet, the same at
+    every M.  A slice or sum is a plain tuple."""
 
 
 def _basis(basis) -> CoupledBasis:
@@ -384,15 +395,19 @@ def couple(system: SpinSystem, tree: CouplingTree) -> CoupledBasis:
 
     The basis holds 2^N orthonormal simultaneous S^2/S_z eigenstates, by
     descending M and, within each M sector, by descending total spin and
-    then descending intermediate spins (presets may override a sector's
-    order to match the conventional presentation).  The states of one M
-    sector are the rows of one read-only float64 block over that sector's
-    product states; no 2^N-wide array is built.  The sectors with M >= 0
-    are coupled by Clebsch-Gordan products and each M < 0 sector is their
-    exact spin-flip mirror (``_node_states``).
+    then descending intermediate spins (presets may override the order of
+    a sector with M >= 0 to match the conventional presentation).  The
+    states of one M sector are the rows of one read-only float64 block over
+    that sector's product states; no 2^N-wide array is built.  The sectors
+    with M >= 0 are coupled by Clebsch-Gordan products (``_node_states``)
+    and their norms checked.  Each M < 0 sector is the finished +M block
+    with each row times its flip sign eta and its columns reversed, on the
+    product indices 2^N - 1 - i: complementing every bit reverses their
+    order.  The signs are exact, so it is bit-identical to coupling that
+    sector, and the +M and -M rows are the same multiplets in one order.
     """
     tree.validate_for(system)
-    sites, mults, sectors, _eta = _node_states(tree.root)
+    sites, mults, sectors, eta = _node_states(tree.root)
     inner = [inter[:-1] for _two_j, inter in mults]  # without the root
     spins = [tuple(spin for _sites, spin in nodes) for nodes in inner]
     heads = [f"|{format_spin(two_j / 2)}," for two_j, _inter in mults]
@@ -404,35 +419,46 @@ def couple(system: SpinSystem, tree: CouplingTree) -> CoupledBasis:
     rank = np.empty(len(mults), dtype=np.int64)
     rank[plain] = np.arange(len(mults))
     permutation = _site_permutation(sites, system.n)
-    states, records = [], {}
-    for two_m in sorted(sectors, reverse=True):
-        block, partial, rows = sectors[two_m]
-        order = np.flatnonzero(rows < len(block) - 1)
+    top = max(sectors)
+    states, records, finished, numbers = [], {}, {}, []
+    for two_m in range(top, -top - 1, -2):
         mm = two_m / 2
-        fixed = tree._orders.get(mm)
-        if fixed is None:
-            by_key = np.argsort(rank[order])
+        if two_m < 0:
+            multiplets, columns, block = finished[-two_m]
+            columns = (system.dimension - 1) - columns[::-1]
+            block = block[:, ::-1] * eta[multiplets][:, None]
+            block += 0.0  # a zero times -1 is -0.0; this makes it 0.0
         else:
-            by_key = np.argsort([fixed.index((mults[k][0] / 2, spins[k]))
-                                 for k in order.tolist()])
-        product = permutation[partial]
-        by_index = np.argsort(product)
-        columns = product[by_index]
+            block, partial, rows = sectors[two_m]
+            order = np.flatnonzero(rows < len(block) - 1)
+            fixed = tree._orders.get(mm)
+            if fixed is None:
+                by_key = np.argsort(rank[order])
+            else:
+                by_key = np.argsort([fixed.index((mults[k][0] / 2, spins[k]))
+                                     for k in order.tolist()])
+            multiplets = order[by_key]
+            product = permutation[partial]
+            by_index = np.argsort(product)
+            columns = product[by_index]
+            # a product with a zero row or a zero CG value may be -0.0;
+            # adding 0.0 makes it 0.0, as the sum over the CG table did
+            block = np.take(np.take(block, by_key, axis=0), by_index, axis=1)
+            block += 0.0
+            # written so that a NaN norm fails it
+            norms = np.sqrt(np.einsum("ij,ij->i", block, block))
+            off = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))
+            if off.size:
+                raise ValueError(
+                    f"state vector norm {norms[off[0]]} deviates from 1")
+            finished[two_m] = (multiplets, columns, block)
         columns.setflags(write=False)
-        # a product with a zero row or a zero CG value may be -0.0; adding
-        # 0.0 makes it 0.0, as the sum over the CG table did
-        block = np.take(np.take(block, by_key, axis=0), by_index, axis=1)
-        block += 0.0
         block.setflags(write=False)
-        # written so that a NaN norm fails it
-        norms = np.sqrt(np.einsum("ij,ij->i", block, block))
-        off = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))
-        if off.size:
-            raise ValueError(f"state vector norm {norms[off[0]]} deviates from 1")
-        records[mm] = (np.arange(len(states), len(states) + order.size),
+        records[mm] = (np.arange(len(states), len(states) + block.shape[0]),
                        columns, block)
+        numbers.append(multiplets)
         tail = format_spin(mm)
-        for row, k in enumerate(order[by_key].tolist()):
+        for row, k in enumerate(multiplets.tolist()):
             # CoupledState has no constructor to run: the fields are set here
             state = object.__new__(CoupledState)
             state.__dict__.update(
@@ -449,6 +475,10 @@ def couple(system: SpinSystem, tree: CouplingTree) -> CoupledBasis:
     basis = CoupledBasis(states)
     basis.system, basis.tree = system, tree
     basis._sectors = dict(sorted(records.items()))
+    basis._multiplets = np.concatenate(numbers)
+    basis._flips = eta[basis._multiplets]
+    basis._flips.setflags(write=False)
+    basis._multiplets.setflags(write=False)
     return basis
 
 
@@ -461,7 +491,8 @@ class BasisTransform:
     amplitudes are kept as the basis's ``(rows, product indices, block)``
     record of each M of the states, in ascending M, and every other
     amplitude is zero.  ``matrix``, a read-only float64 array, is built from
-    the records on each read.
+    the records on each read.  The basis's ``_flips`` and ``_multiplets`` of
+    the states are kept too.
     """
 
     states: tuple[CoupledState, ...]
@@ -492,12 +523,16 @@ class BasisTransform:
         return tuple(f"|{''.join(row)}⟩" for row in arrows.tolist())
 
 
-def _transform(states, columns, system, sectors) -> BasisTransform:
-    """The transform of ``states`` over the product indices ``columns``."""
+def _transform(basis, states, start, columns, sectors) -> BasisTransform:
+    """The transform of ``states``, ``basis``'s from row ``start`` on, over
+    the product indices ``columns``."""
     columns.setflags(write=False)
+    stop = start + len(states)
     transform = object.__new__(BasisTransform)
-    transform.__dict__.update(states=states, columns=columns, system=system,
-                              _sectors=tuple(sectors))
+    transform.__dict__.update(
+        states=states, columns=columns, system=basis.system,
+        _sectors=tuple(sectors), _flips=basis._flips[start:stop],
+        _multiplets=basis._multiplets[start:stop])
     return transform
 
 
@@ -507,19 +542,20 @@ def m_sector(basis: CoupledBasis, m: float) -> BasisTransform:
     An empty sector yields an empty block rather than an error.
     """
     system = _basis(basis).system
-    states, sectors = (), []
+    states, start, sectors = (), 0, []
     if m in basis._sectors:
         rows, cols, block = basis._sectors[m]
-        states = basis[rows[0]:rows[-1] + 1]
-        sectors.append((rows - rows[0], cols, block))
-    return _transform(states, product_states_with_m(system.n, m), system,
-                      sectors)
+        start = rows[0]
+        states = basis[start:rows[-1] + 1]
+        sectors.append((rows - start, cols, block))
+    return _transform(basis, states, start,
+                      product_states_with_m(system.n, m), sectors)
 
 
 def full_transform(basis: CoupledBasis) -> BasisTransform:
     """Square transform over the complete product basis."""
     system = _basis(basis).system
-    return _transform(basis, np.arange(system.dimension), system,
+    return _transform(basis, basis, 0, np.arange(system.dimension),
                       basis._sectors.values())
 
 

@@ -82,16 +82,32 @@ def moment_matrix(basis: BasisTransform) -> MomentMatrix:
     mu_z conserves M, so the matrix is assembled from one real product per
     M sector of the rows, taken on the block ``couple`` built for that
     sector, which is orthonormal as built.  Entries below ``CHOP_TOL``
-    times the matrix scale are set to exact zero.
+    times the matrix scale are set to exact zero.  Flipping every spin
+    maps |i M> to eta_i |i -M> and mu_z to -mu_z, so where the basis holds
+    both M > 0 and -M, the -M block is -D block(M) D with D = diag(eta):
+    no product and no chop of its own, and an exact mirror, zeros being
+    +0.0.  A lone M < 0 sector is multiplied out like any other, so its
+    entries may differ from the mirror's in their last bits.
     """
     diag = _signed_spins(basis.system)
-    blocks = [(rows, (block * diag[cols]) @ block.T)
-              for rows, cols, block in basis._sectors]
-    scale = max((np.max(np.abs(p)) for _rows, p in blocks if p.size),
+    sectors = {basis.states[rows[0]].m: (rows, cols, block)
+               for rows, cols, block in basis._sectors}
+    products = {m: (block * diag[cols]) @ block.T
+                for m, (_rows, cols, block) in sectors.items()
+                if m >= 0 or -m not in sectors}
+    scale = max((np.max(np.abs(p)) for p in products.values() if p.size),
                 default=0.0)
-    for _rows, product in blocks:
+    for product in products.values():
         product[np.abs(product) < CHOP_TOL * scale] = 0.0
         product.setflags(write=False)
+    blocks = []
+    for m, (rows, _cols, _block) in sectors.items():  # ascending M
+        product = products.get(m)
+        if product is None:
+            eta = basis._flips[rows]
+            product = 0.0 - products[-m] * np.outer(eta, eta)
+            product.setflags(write=False)
+        blocks.append((rows, product))
     # MomentMatrix has no constructor to run; _partners_by_spec keeps the
     # ``_partners`` result of each DegeneracySpec, computed on first use
     matrix = object.__new__(MomentMatrix)
@@ -322,6 +338,17 @@ def _check_spec(matrix: MomentMatrix, spec: DegeneracySpec) -> None:
         )
 
 
+def _same_partition(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether the non-negative labels ``a`` and ``b`` group the same
+    positions: whether each is a function of the other."""
+    for x, y in ((a, b), (b, a)):
+        image = np.empty(x.max() + 1, dtype=y.dtype)
+        image[x] = y
+        if not np.array_equal(image[x], y):
+            return False
+    return True
+
+
 def _partners(matrix: MomentMatrix, spec: DegeneracySpec):
     """Diagonalize the moment within each group, then list the partners
     of each state.
@@ -352,6 +379,13 @@ def _partners(matrix: MomentMatrix, spec: DegeneracySpec):
     Sub-blocks are read from the unrotated blocks, so no moment depends on
     the order in which a spec lists its groups or their members.  Rows
     contiguous in their sector, as those of one S are, are sliced.
+
+    The blocks at M and -M are exact mirrors, -D block(M) D with D the
+    diagonal of flip signs (``moment_matrix``).  So where no group was
+    rotated at -M < 0 and the spec partitions the rows of M as it does
+    those of -M, the M sector is not scanned: none of its groups needs a
+    rotation either, its pairs sit where those of -M do, and its moments
+    are its diagonal, as in every unrotated sector.
     """
     _check_spec(matrix, spec)
     found = matrix._partners_by_spec.get(spec)
@@ -359,21 +393,21 @@ def _partners(matrix: MomentMatrix, spec: DegeneracySpec):
         return found
     moments = np.zeros(matrix.size)
     states = matrix.basis.states
+    multiplet = matrix.basis._multiplets
     if any(len(group) > 1 for group in spec.groups):  # else none is read
         spin = np.array([s.total_s for s in states])
-        # a multiplet is named by its states' total spin and intermediates,
-        # numbered here in order of first appearance
-        numbers = {}
-        multiplet = np.array([
-            numbers.setdefault((s.total_s, s.intermediates), len(numbers))
-            for s in states
-        ])
     solved = {}  # eigenvalues and matched vectors, by set of multiplets
+    unrotated = {}  # group labels and pair positions, by M < 0
     pairs = []  # each sector's rows, columns and couplings
-    for k, (rows, block) in enumerate(matrix._blocks):  # ascending M
+    for rows, block in matrix._blocks:  # ascending M
         moments[rows] = np.diag(block)
         m = states[rows[0]].m
         gids = spec.group_of[rows]
+        mirror = unrotated.get(-m) if m > 0 else None
+        if mirror is not None and _same_partition(gids, mirror[0]):
+            i, j = mirror[1]
+            pairs.append((rows[i], rows[j], block[i, j]))
+            continue
         rotated = block
         for g in np.flatnonzero(np.bincount(gids) > 1):
             local = np.flatnonzero(gids == g)
@@ -386,7 +420,7 @@ def _partners(matrix: MomentMatrix, spec: DegeneracySpec):
             if m and np.all(spin[idx] == spin[idx[0]]):
                 key, unit = multiplet[idx].tobytes(), m
             else:
-                key, unit = (k, g), 1.0  # solved for this sub-block alone
+                key, unit = (m, g), 1.0  # solved for this sub-block alone
             if key not in solved:
                 w, v = np.linalg.eigh(sub / unit)
                 _rows, cols = linear_sum_assignment(-(v * v))
@@ -400,6 +434,8 @@ def _partners(matrix: MomentMatrix, spec: DegeneracySpec):
         mask = np.abs(rotated) > ZERO_TOL
         mask &= gids[:, None] != gids[None, :]
         i, j = np.nonzero(mask)
+        if m < 0 and rotated is block:
+            unrotated[m] = gids, (i, j)
         pairs.append((rows[i], rows[j], rotated[i, j]))
     moments[np.abs(moments) <= ZERO_TOL] = 0.0
     empty = (np.empty(0, dtype=int),) * 2 + (np.empty(0),)  # if no sector

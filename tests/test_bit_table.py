@@ -5,7 +5,9 @@ significant bit being the leftmost particle, through the former
 ``ProductState`` object kept in ``dense_operators``.  The vectorized helpers
 and the index columns of ``BasisTransform`` read the shared bit table
 instead; their integer arithmetic is unchanged, so the results must be equal
-exactly.
+exactly.  The moment entries ``moment_matrix`` mirrors from +M to -M are
+held to the mirror bit for bit and to the reference within a bound
+(``test_sector_blocks._same_moment``).
 """
 
 import numpy as np
@@ -26,7 +28,7 @@ from spinzeeman.system import product_states_with_m
 
 from dense_operators import ProductState, moment_diagonal
 from test_moment_sectors import ALTERNATING, _trees
-from test_sector_blocks import _former_m_sectors
+from test_sector_blocks import _former_m_sectors, _same_moment
 
 SIZES = range(1, 7)
 
@@ -157,5 +159,5 @@ def test_columns_match_per_object_reference(name, system, tree):
         assert block.column_labels == tuple(
             ProductState.from_index(c, n).label for c in expected)
         if block.states:
-            entries = moment_matrix(block).entries
-            assert entries.tobytes() == _per_object_moment(block).tobytes()
+            _same_moment(moment_matrix(block).entries,
+                         _per_object_moment(block), block.states, tree)

@@ -9,8 +9,11 @@ M sectors; the former ``moment_matrix``, which took its sectors from that
 split; the former ``scheme_overlap``, which stacked both bases' vectors
 before splitting them the same way; and the former ``classify_exchange``,
 which compared every 2^N vector with its site-swapped copy.  Blocks, the
-dense views built from them, moment entries, overlaps and exchange
-verdicts must be bit-identical to these.
+dense views built from them, overlaps and exchange verdicts must be
+bit-identical to these, and so must moment entries, except the M < 0
+blocks that ``moment_matrix`` mirrors from +M: those must be the exact
+mirror -D block(M) D of the entries at +M, and within ``MIRROR_BOUND`` of
+the former product.
 """
 
 import itertools
@@ -42,6 +45,7 @@ from spinzeeman.system import _projections, product_states_with_m
 
 from dense_operators import moment_diagonal
 from test_moment_sectors import ALTERNATING, _spin_grouped, _trees
+from test_spin_flip import _flip_sign, _multiplet
 
 DIPOS = SpinSystem.dipositronium()
 
@@ -184,6 +188,43 @@ def _pairs():
            CouplingTree.positronium_pairs(DIPOS))
 
 
+# The largest |entry - former entry| of a mirrored M < 0 block, over the
+# largest |former entry|, on the cases here and in test_bit_table (N <= 8).
+# Measured: 7.9e-16 on them; on both trees with seeds 1, 2 and 11, 1.4e-15
+# up to N = 8, 2.1e-15 up to N = 10 and 7.2e-15 up to N = 12.
+MIRROR_BOUND = 2e-15
+
+
+def _mirrored(entries, expected, states, tree):
+    """``expected`` with every M < 0 block whose +M block is among
+    ``states`` replaced by -D (the +M block of ``entries``) D, D being the
+    states' flip signs computed from their intermediate spins, and zeros
+    +0.0; and the largest change that made, over the largest |expected|."""
+    index = {(_multiplet(s), s.m): k for k, s in enumerate(states)}
+    mirrored = np.array(expected)
+    change = 0.0
+    for m in sorted({s.m for s in states if s.m < 0}):
+        minus = [k for k, s in enumerate(states) if s.m == m]
+        plus = [index.get((_multiplet(states[k]), -m)) for k in minus]
+        if None in plus:
+            continue  # its +M block is not there: multiplied out
+        signs = np.array([_flip_sign(states[k], tree.root) for k in minus])
+        block = -np.outer(signs, signs) * entries[np.ix_(plus, plus)] + 0.0
+        former = expected[np.ix_(minus, minus)]
+        change = max(change, np.max(np.abs(block - former)))
+        mirrored[np.ix_(minus, minus)] = block
+    return mirrored, change / max(np.max(np.abs(expected)), 1e-300)
+
+
+def _same_moment(entries, expected, states, tree):
+    """Moment ``entries`` of ``states``: bit-identical to the former
+    ``expected`` but for the mirrored M < 0 blocks, which are exact mirrors
+    and within ``MIRROR_BOUND`` of it."""
+    mirrored, change = _mirrored(entries, expected, states, tree)
+    assert entries.tobytes() == mirrored.tobytes()
+    assert change <= MIRROR_BOUND, change
+
+
 def _same_bits(array, expected):
     """Read-only float64, and the same bytes as ``expected``."""
     assert array.dtype == np.float64
@@ -205,14 +246,16 @@ def test_blocks_match_the_former_dense_basis(name, system, tree):
     full = full_transform(states)
     _same_bits(full.matrix, dense)
     everything = np.arange(system.dimension)
-    assert moment_matrix(full).entries.tobytes() == _former_moment(
-        system, row_m, everything, dense).tobytes()
+    _same_moment(moment_matrix(full).entries,
+                 _former_moment(system, row_m, everything, dense),
+                 states, tree)
     for m in np.arange(system.n, -system.n - 1, -2) / 2:
         block = m_sector(states, m)
         columns = product_states_with_m(system.n, m)
         expected = dense[row_m == m][:, columns]
         assert np.array_equal(block.columns, columns)
         _same_bits(block.matrix, expected)
+        # one sector alone, M < 0 too, is multiplied out
         assert moment_matrix(block).entries.tobytes() == _former_moment(
             system, row_m[row_m == m], columns, expected).tobytes()
 
@@ -288,15 +331,16 @@ def test_moment_entries_are_built_from_the_blocks_on_each_read(shape,
                                                               monkeypatch):
     species = ALTERNATING[:6]
     system = SpinSystem.from_species(species)
-    states = couple(system, _trees(species)[shape])
-    _numbers, dense = _former_couple(system, _trees(species)[shape])
+    tree = _trees(species)[shape]
+    states = couple(system, tree)
+    _numbers, dense = _former_couple(system, tree)
     row_m = np.array([s.m for s in states])
     matrix = moment_matrix(full_transform(states))
     entries = matrix.entries
     assert entries.dtype == np.float64
     assert not entries.flags.writeable
-    assert entries.tobytes() == _former_moment(
-        system, row_m, np.arange(system.dimension), dense).tobytes()
+    _same_moment(entries, _former_moment(
+        system, row_m, np.arange(system.dimension), dense), states, tree)
     again = matrix.entries
     assert again is not entries and not np.shares_memory(again, entries)
     assert again.tobytes() == entries.tobytes()

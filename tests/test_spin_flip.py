@@ -2,10 +2,11 @@
 
 Flipping every spin maps |alpha S M> to eta |alpha S -M>, with one sign eta
 per multiplet, and mu_z to -mu_z.  ``couple`` builds the M < 0 sectors as
-that mirror of the M > 0 ones, and ``_partners`` solves the states of
-one total spin once, from the moment sub-block over M, so grouped verdicts
-at M and -M mirror each other exactly.  The signs and the partner states
-are computed here from each state's intermediate spins alone.
+that mirror of the M > 0 ones, ``moment_matrix`` takes each M < 0 block as
+-D block(M) D, and ``_partners`` solves the states of one total spin once,
+from the moment sub-block over M, so grouped verdicts and moments at M and
+-M mirror each other exactly.  The signs and the partner states are
+computed here from each state's intermediate spins alone.
 """
 
 import numpy as np
@@ -93,6 +94,46 @@ def test_negative_m_sectors_mirror_positive_ones(name, system, tree):
                               signs[:, None] * plus.matrix)
 
 
+@_parametrize(list(_cases(range(2, 11))) + PRESETS)
+def test_basis_keeps_each_states_flip_sign_and_multiplet(name, system,
+                                                         tree):
+    """``couple`` records each state's eta and multiplet number, and the
+    transforms keep them for their states."""
+    states = couple(system, tree)
+    signs = [_flip_sign(s, tree.root) for s in states]
+    assert states._flips.tolist() == signs
+    assert not states._flips.flags.writeable
+    assert not states._multiplets.flags.writeable
+    numbers = {}
+    for state, number in zip(states, states._multiplets.tolist()):
+        assert numbers.setdefault(_multiplet(state), number) == number
+    assert len(set(numbers.values())) == len(numbers)
+    assert np.array_equal(full_transform(states)._flips, states._flips)
+    for m in sorted({s.m for s in states}) + [system.n]:
+        sector = m_sector(states, m)
+        rows = [k for k, s in enumerate(states) if s.m == m]
+        assert np.array_equal(sector._flips, states._flips[rows])
+        assert np.array_equal(sector._multiplets, states._multiplets[rows])
+
+
+@_parametrize(list(_cases(range(2, 11))) + PRESETS)
+def test_negative_m_moment_blocks_mirror_positive_ones(name, system, tree):
+    """Each M < 0 block of the moment is -D block(M) D, D the rows' flip
+    signs, bit for bit, its zeros +0.0; the diagonals are exact negatives."""
+    states = couple(system, tree)
+    entries = moment_matrix(full_transform(states)).entries
+    index = {(_multiplet(s), s.m): k for k, s in enumerate(states)}
+    for m in sorted({s.m for s in states if s.m > 0}):
+        plus = [k for k, s in enumerate(states) if s.m == m]
+        minus = [index[_multiplet(states[k]), -m] for k in plus]
+        signs = np.array([_flip_sign(states[k], tree.root) for k in plus])
+        block = entries[np.ix_(plus, plus)]
+        mirror = entries[np.ix_(minus, minus)]
+        assert mirror.tobytes() == (
+            -np.outer(signs, signs) * block + 0.0).tobytes()
+        assert np.array_equal(np.diag(mirror), -np.diag(block))
+
+
 @_parametrize(_cases(range(2, 11)))
 def test_spin_sub_blocks_agree_over_m(name, system, tree):
     """Wigner-Eckart: the moment between states of one total spin S at M
@@ -114,11 +155,11 @@ def test_spin_sub_blocks_agree_over_m(name, system, tree):
 @_parametrize(_cases(range(4, 11)))
 def test_grouped_verdicts_mirror_under_spin_flip(name, system, tree):
     """Under E = S(S+1), a state and its flipped partner, the state of the
-    same multiplet at -M, get one class.  Where their total spin's moment
-    sub-block is rotated (more than one multiplet, not already diagonal),
-    their moments are M and -M times one eigenvalue, so exact negatives.
-    Elsewhere each keeps the diagonal of its own moment block, and the
-    blocks at M and -M agree to rounding."""
+    same multiplet at -M, get one class and exactly negated moments.  Where
+    their total spin's moment sub-block is rotated (more than one
+    multiplet, not already diagonal), the moments are M and -M times one
+    eigenvalue.  Elsewhere each keeps the diagonal of its own moment
+    block, and the block at -M is the exact mirror of the one at M."""
     states = couple(system, tree)
     matrix = moment_matrix(full_transform(states))
     report = classify(matrix, _spin_grouped(states))
@@ -135,11 +176,8 @@ def test_grouped_verdicts_mirror_under_spin_flip(name, system, tree):
     for state, verdict in zip(states, report.states):
         partner = report.states[index[_multiplet(state), -state.m]]
         assert partner.classification is verdict.classification
-        if state.total_s in rotated:
-            assert partner.moment == -verdict.moment
-            exact += 1
-        else:
-            assert abs(partner.moment + verdict.moment) <= 1e-13
+        assert partner.moment == -verdict.moment
+        exact += state.total_s in rotated
     assert exact or "ep" in name
 
 

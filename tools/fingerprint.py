@@ -21,16 +21,27 @@ report (label, class, ``moment.hex()``, partners), the quadratic
 coefficients (or their error message) and, for N <= 8, the level curves
 with their labels and flags on four field grids.
 
+The script sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
+``MKL_NUM_THREADS`` to 1 before it imports numpy, as the benchmark does:
+some hashes depend on the BLAS thread count (on a 2-core machine, 48 of the
+216 lines differ between 1 and 2 threads), so two trees are compared under
+one setting.
+
 Only public API is used, so the script runs unchanged against older trees.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 
-import numpy as np
+# before numpy is imported, so that its BLAS reads them
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-from spinzeeman import (
+import numpy as np  # noqa: E402
+
+from spinzeeman import (  # noqa: E402
     CouplingTree,
     DegeneracySpec,
     Species,
