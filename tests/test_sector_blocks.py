@@ -195,7 +195,7 @@ def _pairs():
 MIRROR_BOUND = 2e-15
 
 
-def _mirrored(entries, expected, states, tree):
+def _mirrored_reference(entries, expected, states, tree):
     """``expected`` with every M < 0 block whose +M block is among
     ``states`` replaced by -D (the +M block of ``entries``) D, D being the
     states' flip signs computed from their intermediate spins, and zeros
@@ -220,7 +220,7 @@ def _same_moment(entries, expected, states, tree):
     """Moment ``entries`` of ``states``: bit-identical to the former
     ``expected`` but for the mirrored M < 0 blocks, which are exact mirrors
     and within ``MIRROR_BOUND`` of it."""
-    mirrored, change = _mirrored(entries, expected, states, tree)
+    mirrored, change = _mirrored_reference(entries, expected, states, tree)
     assert entries.tobytes() == mirrored.tobytes()
     assert change <= MIRROR_BOUND, change
 
