@@ -261,17 +261,35 @@ def _mirrored(sectors, eta, bits):
     return {**sectors, **mirrors}
 
 
-def _node_states(node):
-    """Couple a subtree one M sector at a time, for m >= 0; returns (site
-    order, multiplets, sectors, flip signs).
+def _shape(node):
+    """``node`` with every site replaced by None."""
+    if isinstance(node, int):
+        return None
+    return _shape(node[0]), _shape(node[1])
 
-    ``multiplets`` lists ``(2j, intermediates)``, ``intermediates`` ending
-    with this node itself.  ``sectors`` maps 2m >= 0, descending, to
-    ``(block, columns, rows)``: the float64 ``block`` holds the m vectors
-    of the multiplets with j >= |m|, in list order, over the partial
-    indices ``columns`` (the k-th listed site being the most significant
-    bit), and then a row of zeros; ``rows`` gives each multiplet's row, the
-    zero row for the others.
+
+def _node_sites(node) -> list[tuple[int, ...]]:
+    """The sites under each internal node of ``node``, in post-order."""
+    if isinstance(node, int):
+        return []
+    return (_node_sites(node[0]) + _node_sites(node[1])
+            + [tuple(_leaves(node))])
+
+
+def _node_states(shape, shapes):
+    """Couple a subtree of ``shape`` one M sector at a time, for m >= 0;
+    returns (site count, 2j, intermediates, sectors, flip signs).
+
+    The k-th multiplet has doubled spin ``2j[k]``, and row k of the int
+    array ``intermediates`` holds the doubled spins of the internal nodes,
+    in post-order, ending with this node itself.  ``sectors`` maps
+    2m >= 0, descending, to ``(block, columns, rows)``: the float64
+    ``block`` holds the m vectors of the multiplets with j >= |m|, in list
+    order, over the partial indices ``columns`` (the k-th leaf being the
+    most significant bit), and then a row of zeros; ``rows`` gives each
+    multiplet's row, the zero row for the others.  None of it depends on
+    which sites the leaves are, so ``shapes`` keeps each child shape's
+    result, its sectors mirrored, for every later subtree of that shape.
 
     A pair of child multiplets at m1 and m - m1 fills the columns of that
     (m1, m - m1) slot, its m vector there being the kron of the children's
@@ -282,25 +300,22 @@ def _node_states(node):
     So a child's -m sectors are its m sectors mirrored (``_mirrored``);
     the signs are exact, so they are bit-identical to the recursion's.
     """
-    if isinstance(node, int):
-        return [node], [(1, ())], _LEAF, np.ones(1)
-    sites_l, mults_l, sectors_l, eta_l = _node_states(node[0])
-    sites_r, mults_r, sectors_r, eta_r = _node_states(node[1])
-    sectors_l = _mirrored(sectors_l, eta_l, len(sites_l))
-    sectors_r = _mirrored(sectors_r, eta_r, len(sites_r))
-    sites = sites_l + sites_r
-    site_key = tuple(sites)
-    mults, pairs = [], []
-    for a, (two_ja, inter_a) in enumerate(mults_l):
-        for b, (two_jb, inter_b) in enumerate(mults_r):
-            for two_j in range(two_ja + two_jb, abs(two_ja - two_jb) - 1, -2):
-                mults.append(
-                    (two_j, inter_a + inter_b + ((site_key, two_j / 2.0),)))
-                pairs.append((a, b))
-    qa, qb = np.array(pairs).T
-    two_j = np.array([t for t, _inter in mults])
-    two_ja = np.array([t for t, _inter in mults_l])[qa]
-    two_jb = np.array([t for t, _inter in mults_r])[qb]
+    if shape is None:
+        two_j = np.ones(1, dtype=np.int64)
+        return 1, two_j, np.empty((1, 0), dtype=np.int64), _LEAF, np.ones(1)
+    for child in shape:
+        if child not in shapes:
+            bits, two_j, inter, sectors, eta = _node_states(child, shapes)
+            shapes[child] = (bits, two_j, inter,
+                             _mirrored(sectors, eta, bits), eta)
+    bits_l, two_j_l, inter_l, sectors_l, eta_l = shapes[shape[0]]
+    shift, two_j_r, inter_r, sectors_r, eta_r = shapes[shape[1]]
+    qa, qb, two_j = np.array(
+        [(a, b, two) for a, ja in enumerate(two_j_l.tolist())
+         for b, jb in enumerate(two_j_r.tolist())
+         for two in range(ja + jb, abs(ja - jb) - 1, -2)]).T
+    inter = np.column_stack([inter_l[qa], inter_r[qb], two_j])
+    two_ja, two_jb = two_j_l[qa], two_j_r[qb]
     # (-1)^(j_a + j_b - j): the doubled spins differ by 0 or 2 modulo 4
     eta = eta_l[qa] * eta_r[qb] * np.where((two_ja + two_jb - two_j) % 4,
                                            -1.0, 1.0)
@@ -317,7 +332,6 @@ def _node_states(node):
     # doubled spins that is (twice_base - 2M (w + 1) - 2m1 (2 j_b)) / 2.
     twice_base = (2 * base + two_j * (two_ja + 1) * (two_jb + 1)
                   + two_ja * (two_jb + 1) + two_jb)
-    shift = len(sites_r)
     sectors = {}
     for two_m in range(int(two_j.max()), -1, -2):
         order = np.flatnonzero(two_j >= two_m)
@@ -347,10 +361,10 @@ def _node_states(node):
             columns[start:stop] = ((cols_l[:, None] << shift)
                                    | cols_r[None, :]).ravel()
             start = stop
-        rows = np.full(len(mults), order.size)
+        rows = np.full(two_j.size, order.size)
         rows[order] = np.arange(order.size)
         sectors[two_m] = (block, columns, rows)
-    return sites, mults, sectors, eta
+    return bits_l + shift, two_j, inter, sectors, eta
 
 
 def _site_permutation(sites: list[int], n: int) -> np.ndarray:
@@ -360,16 +374,6 @@ def _site_permutation(sites: list[int], n: int) -> np.ndarray:
     of site ``sites[k]``.
     """
     return _bit_table(n) @ (1 << (n - 1 - np.asarray(sites, dtype=np.int64)))
-
-
-def _decoration(tree: CouplingTree, inter_spins: tuple[float, ...]) -> str:
-    """The bracketed intermediate spins of a multiplet's labels."""
-    if not inter_spins:
-        return ""
-    text = tree._labels.get(inter_spins)
-    if text is None:
-        text = ",".join(format_spin(s) for s in inter_spins)
-    return tree._brackets[0] + text + tree._brackets[1]
 
 
 class CoupledBasis(tuple):
@@ -405,20 +409,34 @@ def couple(system: SpinSystem, tree: CouplingTree) -> CoupledBasis:
     product indices 2^N - 1 - i: complementing every bit reverses their
     order.  The signs are exact, so it is bit-identical to coupling that
     sector, and the +M and -M rows are the same multiplets in one order.
+    A subtree's blocks and flip signs depend on its shape alone, not on
+    which sites are its leaves, so subtrees of equal shape are coupled once
+    per call; nothing is kept from one call to the next.
     """
     tree.validate_for(system)
-    sites, mults, sectors, eta = _node_states(tree.root)
-    inner = [inter[:-1] for _two_j, inter in mults]  # without the root
-    spins = [tuple(spin for _sites, spin in nodes) for nodes in inner]
-    heads = [f"|{format_spin(two_j / 2)}," for two_j, _inter in mults]
-    decorations = {key: _decoration(tree, key) for key in set(spins)}
+    _bits, two_s, inter, sectors, eta = _node_states(_shape(tree.root), {})
+    keys = _node_sites(tree.root)[:-1]  # without the root
+    doubled = inter[:, :len(keys)]
+    total = (two_s / 2).tolist()
+    # each multiplet's label is head + M + tail, every spin formatted once
+    names = [format_spin(two / 2) for two in range(int(two_s.max()) + 1)]
+    heads = [f"|{names[two]}," for two in two_s.tolist()]
+    # one (sites, spin) pair per node and spin, shared by the multiplets
+    pairs = [[(sites, two / 2) for two in range(len(names))] for sites in keys]
+    inner, spins, tails = [], [], []
+    for row in doubled.tolist():
+        inner.append(tuple([node[two] for node, two in zip(pairs, row)]))
+        spins.append(tuple([spin for _sites, spin in inner[-1]]))
+        text = (tree._labels.get(spins[-1])
+                or ",".join([names[two] for two in row]))
+        tails.append(f"{tree._brackets[0]}{text}{tree._brackets[1]}⟩"
+                     if row else "⟩")
     # within a sector: descending S, then descending intermediate spins,
-    # unless the tree fixes that sector's order
-    plain = sorted(range(len(mults)), key=lambda k: (
-        -mults[k][0], tuple(-spin for spin in spins[k])))
-    rank = np.empty(len(mults), dtype=np.int64)
-    rank[plain] = np.arange(len(mults))
-    permutation = _site_permutation(sites, system.n)
+    # unless the tree fixes that sector's order; no two multiplets tie
+    rank = np.empty(two_s.size, dtype=np.int64)
+    rank[np.lexsort(-np.column_stack([two_s, doubled]).T[::-1])] = \
+        np.arange(two_s.size)
+    permutation = _site_permutation(tree.leaves(), system.n)
     top = max(sectors)
     states, records, finished, numbers = [], {}, {}, []
     for two_m in range(top, -top - 1, -2):
@@ -435,7 +453,7 @@ def couple(system: SpinSystem, tree: CouplingTree) -> CoupledBasis:
             if fixed is None:
                 by_key = np.argsort(rank[order])
             else:
-                by_key = np.argsort([fixed.index((mults[k][0] / 2, spins[k]))
+                by_key = np.argsort([fixed.index((total[k], spins[k]))
                                      for k in order.tolist()])
             multiplets = order[by_key]
             product = permutation[partial]
@@ -462,10 +480,10 @@ def couple(system: SpinSystem, tree: CouplingTree) -> CoupledBasis:
             # CoupledState has no constructor to run: the fields are set here
             state = object.__new__(CoupledState)
             state.__dict__.update(
-                total_s=mults[k][0] / 2,
+                total_s=total[k],
                 m=mm,
                 intermediates=inner[k],
-                label=f"{heads[k]}{tail}{decorations[spins[k]]}⟩",
+                label=heads[k] + tail + tails[k],
                 system=system,
                 _columns=columns,
                 _block=block,
@@ -513,7 +531,7 @@ class BasisTransform:
 
     @property
     def row_labels(self) -> tuple[str, ...]:
-        return tuple(s.label for s in self.states)
+        return self._row_labels
 
     @property
     def column_labels(self) -> tuple[str, ...]:
@@ -531,6 +549,7 @@ def _transform(basis, states, start, columns, sectors) -> BasisTransform:
     transform = object.__new__(BasisTransform)
     transform.__dict__.update(
         states=states, columns=columns, system=basis.system,
+        _row_labels=tuple(s.label for s in states),
         _sectors=tuple(sectors), _flips=basis._flips[start:stop],
         _multiplets=basis._multiplets[start:stop])
     return transform
@@ -579,7 +598,9 @@ def scheme_overlap(basis_a: CoupledBasis,
             # numpy takes the symmetric BLAS product for one buffer
             # times its transpose; that rounds unlike the general one
             block_b = block_b.copy()
-        overlap[np.ix_(rows, rows_b)] = block @ block_b.T
+        # each sector's rows are consecutive in both bases
+        overlap[rows[0]:rows[-1] + 1, rows_b[0]:rows_b[-1] + 1] = \
+            block @ block_b.T
     return overlap
 
 

@@ -62,8 +62,9 @@ class MomentMatrix:
         """Read-only float64 dense matrix, built from the blocks."""
         entries = np.zeros((self.size, self.size))
         # scaled per block: the zero pages between blocks stay untouched
-        for rows, block in self._blocks:
-            entries[np.ix_(rows, rows)] = block * self.basis.system.mu0
+        for rows, block in self._blocks:  # consecutive rows: a slice
+            span = slice(rows[0], rows[-1] + 1)
+            entries[span, span] = block * self.basis.system.mu0
         entries.setflags(write=False)
         return entries
 
@@ -284,9 +285,9 @@ def linear_sum_assignment(cost):
 
     Only group rotation and level tracking solve assignments, so a process
     that never does loads no scipy.  One that does loads only the compiled
-    solver, not the ``scipy.optimize`` package (about 0.4 s of import and
-    45 MB).  The load runs once, under a lock: first calls that overlap in
-    two threads wait for it rather than load it again.
+    solver, not the ``scipy.optimize`` package.  The load runs once, under
+    a lock: first calls that overlap in two threads wait for it rather than
+    load it again.
     """
     global _solver
     if _solver is None:
@@ -454,24 +455,24 @@ def classify(matrix: MomentMatrix, spec: DegeneracySpec) -> ZeemanReport:
     moments, rows, cols, _coupling = _partners(matrix, spec)
     labels = matrix.labels
     partner_labels = np.array(labels, dtype=object)[cols].tolist()
-    ends = np.cumsum(np.bincount(rows, minlength=matrix.size)).tolist()
+    counts = np.bincount(rows, minlength=matrix.size)
+    ends = np.cumsum(counts).tolist()
+    # _partners zeroed the moments within ZERO_TOL
+    kinds = np.where(moments != 0.0, Classification.LINEAR,
+                     np.where(counts > 0, Classification.QUADRATIC,
+                              Classification.NONE)).tolist()
     mu0 = matrix.basis.system.mu0
     reports = []
-    for label, moment, start, end in zip(labels, moments.tolist(),
-                                         [0] + ends, ends):
-        partners = tuple(partner_labels[start:end])
-        if moment:  # _partners zeroed those within ZERO_TOL
-            kind = Classification.LINEAR
-        elif partners:
-            kind = Classification.QUADRATIC
-        else:
-            kind = Classification.NONE
+    for label, kind, moment, slope, start, end in zip(
+            labels, kinds, (moments * mu0).tolist(),
+            (-moments * mu0).tolist(), [0] + ends, ends):
         # StateReport's frozen constructor only sets the fields, one
         # object.__setattr__ each; they are set here in one update
         report = object.__new__(StateReport)
         report.__dict__.update(label=label, classification=kind,
-                               moment=moment * mu0, linear_slope=-moment * mu0,
-                               quadratic_partners=partners)
+                               moment=moment, linear_slope=slope,
+                               quadratic_partners=tuple(
+                                   partner_labels[start:end]))
         reports.append(report)
     return ZeemanReport(tuple(reports))
 
@@ -538,11 +539,8 @@ def level_curves(matrix: MomentMatrix, spec: DegeneracySpec,
     overlap.  The marches share no buffer, and each solves the same stacks
     in the same order as it would alone, so the result is bit-identical to
     running them one after the other; the up march's flags come first.  A
-    march's exception is raised to the caller once both have stopped.  With
-    1 BLAS thread on a 2-core VM, a pass of the benchmark's N = 8 ``sweep``
-    takes 0.051 s against 0.081 s one after the other.  Two stacks are held
-    at once: one N = 12 step each way (seed 11, S(S+1) energies) takes
-    3.4-3.6 s and 497 MB of peak RSS, against 6.4-6.6 s and 324 MB.
+    march's exception is raised to the caller once both have stopped.  Two
+    stacks are held at once, one per march.
     """
     _check_spec(matrix, spec)
     b_values = np.asarray(fields, dtype=float)

@@ -202,8 +202,10 @@ def _tree_shapes(lo: int, hi: int):
                 yield (left, right)
 
 
-# 1 + 2 + 5 + 14 + 42 shapes for N = 2..6
-SHAPES = [shape for n in range(2, 7) for shape in _tree_shapes(0, n)]
+# 1 + 2 + 5 + 14 + 42 shapes for N = 2..6, then trees whose subtrees of
+# one shape hold different sites in different orders
+SHAPES = [shape for n in range(2, 7) for shape in _tree_shapes(0, n)] + [
+    ((3, 0), (1, 2)), ((5, (3, 1)), (0, (2, 4))), (((4, 5), (0, 1)), (3, 2))]
 
 
 def _subtree_spin_squared(system, sites):

@@ -102,6 +102,14 @@ def _dense_overlap(basis_a, basis_b):
     return mat_a.conj() @ mat_b.T
 
 
+# subtrees of one shape on different sites, listed in different orders
+REPEATED_SHAPES = {
+    "atoms-paired": (8, "(((e1,p1),(e2,p2)),((e3,p3),(e4,p4)))"),
+    "halves-reversed": (6, "((p3,(p2,p1)),(e1,(e2,e3)))"),
+    "pairs-crossed": (4, "((p2,e1),(e2,p1))"),
+}
+
+
 def _cases():
     for n in range(2, 9):
         system = SpinSystem.from_species(ALTERNATING[:n])
@@ -109,6 +117,15 @@ def _cases():
             yield f"n{n}-{shape}", system, tree
     yield "like-pairs", DIPOS, CouplingTree.like_pairs(DIPOS)
     yield "positronium-pairs", DIPOS, CouplingTree.positronium_pairs(DIPOS)
+    for seed in (1, 2):
+        order = np.random.default_rng(seed).permutation(8)
+        species = [ALTERNATING[k] for k in order]
+        system = SpinSystem.from_species(species)
+        for shape, tree in _trees(species).items():
+            yield f"n8-seed{seed}-{shape}", system, tree
+    for name, (n, text) in REPEATED_SHAPES.items():
+        system = SpinSystem.from_species(ALTERNATING[:n])
+        yield name, system, CouplingTree.parse(text, system)
 
 
 @pytest.mark.parametrize("name, system, tree",
@@ -128,6 +145,22 @@ def test_labels_match_per_state_rendering(name, system, tree):
     for state in couple(system, tree):
         assert state.label == _render_label(
             tree, state.total_s, state.m, state.intermediate_spins)
+
+
+def _node_sites(node):
+    """The sites under each internal node, in post-order."""
+    if isinstance(node, int):
+        return []
+    leaves = CouplingTree(node).leaves()
+    return _node_sites(node[0]) + _node_sites(node[1]) + [leaves]
+
+
+@pytest.mark.parametrize("name, system, tree",
+                         list(_cases()), ids=[c[0] for c in _cases()])
+def test_intermediates_name_the_leaves_of_their_nodes(name, system, tree):
+    expected = _node_sites(tree.root)[:-1]
+    for state in couple(system, tree):
+        assert [sites for sites, _spin in state.intermediates] == expected
 
 
 def test_basis_transforms_are_real_and_read_only():
