@@ -14,11 +14,15 @@ def test_stage_times_prints_one_row_per_size_and_tree(monkeypatch, capsys):
     # the tool sets these on import; monkeypatch restores them afterwards
     for var in BLAS_VARIABLES:
         monkeypatch.setenv(var, "2")
+    # the tool imports its trees and specs from tools/fingerprint.py
+    monkeypatch.syspath_prepend(str(TOOL.parent))
     spec = importlib.util.spec_from_file_location("stage_times", TOOL)
     stage_times = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(stage_times)
     assert {os.environ[var] for var in BLAS_VARIABLES} == {"1"}
-    stage_times.main(["--max-n", "4", "--repeats", "1"])
+    monkeypatch.setattr(stage_times, "SIZES", range(2, 5))
+    monkeypatch.setattr(stage_times, "REPEATS", 1)
+    stage_times.main()
     header, *rows = capsys.readouterr().out.splitlines()
     columns = header.split()
     assert columns == ["n", "tree",

@@ -1,15 +1,15 @@
 """Print median per-stage times and the tracemalloc peak of the census path.
 
-For N = 2...12, the site order of ``tools/fingerprint.py``'s seed 11 and
-both benchmark trees (atoms chained, unpaired sites last; electrons chained
-with positrons chained), one row gives the median milliseconds of each
-stage over ``--repeats`` runs:
+For N = 2...12, the site order of seed 11 and both benchmark trees of
+``tools/fingerprint.py`` (atoms chained, unpaired sites last; electrons
+chained with positrons chained), one row gives the median milliseconds of
+each stage over five runs:
 
 * ``couple``: ``couple(system, tree)``;
 * ``moment``: ``moment_matrix`` of the ``full_transform``;
 * ``classify_iso`` and ``classify_spin``: ``classify`` under the isolated
-  spec and under E = S(S+1), each on a freshly built moment matrix, since a
-  matrix keeps its rotation per spec;
+  spec and under E = S(S+1), each on a moment matrix built for that run,
+  untimed, since a matrix keeps its partners per spec;
 * ``overlap``: ``scheme_overlap`` of the atom basis with this tree's basis;
 * ``lc_step``: ``level_curves`` under E = S(S+1) on the grid (0, 0.1),
   one ``eigh`` of the march up;
@@ -18,7 +18,7 @@ then the tracemalloc peak, in MB, of one untimed run of the census stages
 (``couple`` through ``scheme_overlap``) and of one ``level_curves`` step.
 Run it from the repository root against a tree's ``src``:
 
-    PYTHONPATH=src python tools/stage_times.py --max-n 12
+    PYTHONPATH=src python tools/stage_times.py
 
 The script sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
 ``MKL_NUM_THREADS`` to 1 before it imports numpy, as the benchmark does.
@@ -27,7 +27,6 @@ Only public API is used, so the script runs unchanged against older trees.
 
 from __future__ import annotations
 
-import argparse
 import os
 
 # before numpy is imported, so that its BLAS reads them
@@ -39,10 +38,9 @@ import tracemalloc  # noqa: E402
 from time import perf_counter  # noqa: E402
 
 import numpy as np  # noqa: E402
+from fingerprint import _specs, _trees  # noqa: E402
 
 from spinzeeman import (  # noqa: E402
-    CouplingTree,
-    DegeneracySpec,
     Species,
     SpinSystem,
     classify,
@@ -53,69 +51,38 @@ from spinzeeman import (  # noqa: E402
     scheme_overlap,
 )
 
+SIZES = range(2, 13)
+REPEATS = 5
 SEED = 11  # shuffles the electron/positron site order
 STAGES = ("couple", "moment", "classify_iso", "classify_spin", "overlap",
           "lc_step")
-# a moment matrix keeps its rotation per spec, so each run gets a new one
-FRESH_MATRIX = ("classify_iso", "classify_spin")
 STEP_GRID = np.array([0.0, 0.1])
 
 
-def _chain(nodes):
-    node = nodes[0]
-    for nxt in nodes[1:]:
-        node = (node, nxt)
-    return node
-
-
-def _trees(species):
-    """Atoms chained (unpaired sites last), and electrons with positrons."""
-    electrons = [k for k, s in enumerate(species) if s is Species.ELECTRON]
-    positrons = [k for k, s in enumerate(species) if s is Species.POSITRON]
-    atoms = list(zip(electrons, positrons))
-    unpaired = electrons[len(atoms):] + positrons[len(atoms):]
-    return {
-        "atom": CouplingTree.from_nested(_chain(atoms + unpaired)),
-        "ep": CouplingTree.from_nested((_chain(electrons),
-                                        _chain(positrons))),
-    }
-
-
-def _spin_grouped(states) -> DegeneracySpec:
-    by_spin: dict[float, list[int]] = {}
-    for k, state in enumerate(states):
-        by_spin.setdefault(state.total_s, []).append(k)
-    return DegeneracySpec(tuple(map(tuple, by_spin.values())),
-                          tuple(s * (s + 1) for s in by_spin))
+def _timed(run, *args) -> float:
+    start = perf_counter()
+    run(*args)
+    return perf_counter() - start
 
 
 def _stages(system, tree, atom):
-    """Each stage as a function of a moment matrix of ``tree``'s basis,
-    which only the ``FRESH_MATRIX`` stages read; the other inputs are
-    built here, untimed."""
+    """Each stage as a zero-argument callable that returns its time in
+    seconds; its inputs are built here or in the stage, untimed."""
     states = couple(system, tree)
     transform = full_transform(states)
     matrix = moment_matrix(transform)
-    isolated = DegeneracySpec.isolated(len(states))
-    spin = _spin_grouped(states)
+    specs = _specs(states, SEED)
     return {
-        "couple": lambda _fresh: couple(system, tree),
-        "moment": lambda _fresh: moment_matrix(transform),
-        "classify_iso": lambda fresh: classify(fresh, isolated),
-        "classify_spin": lambda fresh: classify(fresh, spin),
-        "overlap": lambda _fresh: scheme_overlap(atom, states),
-        "lc_step": lambda _fresh: level_curves(matrix, spin, STEP_GRID),
+        "couple": lambda: _timed(couple, system, tree),
+        "moment": lambda: _timed(moment_matrix, transform),
+        "classify_iso": lambda: _timed(classify, moment_matrix(transform),
+                                       specs["isolated"]),
+        "classify_spin": lambda: _timed(classify, moment_matrix(transform),
+                                        specs["spin"]),
+        "overlap": lambda: _timed(scheme_overlap, atom, states),
+        "lc_step": lambda: _timed(level_curves, matrix, specs["spin"],
+                                  STEP_GRID),
     }
-
-
-def _median_ms(stage, fresh_matrix, repeats) -> float:
-    times = []
-    for _ in range(repeats):
-        matrix = fresh_matrix() if fresh_matrix else None
-        start = perf_counter()
-        stage(matrix)
-        times.append(perf_counter() - start)
-    return 1e3 * statistics.median(times)
 
 
 def _peak_mb(run) -> float:
@@ -127,15 +94,10 @@ def _peak_mb(run) -> float:
         tracemalloc.stop()
 
 
-def main(argv=None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--min-n", type=int, default=2)
-    parser.add_argument("--max-n", type=int, default=12)
-    parser.add_argument("--repeats", type=int, default=5)
-    args = parser.parse_args(argv)
+def main() -> None:
     print("n tree " + " ".join(f"{s}_ms" for s in STAGES)
           + " census_peak_mb lc_peak_mb", flush=True)
-    for n in range(args.min_n, args.max_n + 1):
+    for n in SIZES:
         order = np.random.default_rng(SEED).permutation(n)
         alternating = [Species.ELECTRON, Species.POSITRON] * n
         species = [alternating[k] for k in order]
@@ -144,21 +106,19 @@ def main(argv=None) -> None:
         atom = couple(system, trees["atom"])
         for name, tree in trees.items():
             stages = _stages(system, tree, atom)
-
-            def fresh_matrix():
-                return moment_matrix(full_transform(couple(system, tree)))
-
-            row = [_median_ms(stages[s], s in FRESH_MATRIX and fresh_matrix,
-                              args.repeats) for s in STAGES]
+            row = [1e3 * statistics.median(stages[s]()
+                                           for _ in range(REPEATS))
+                   for s in STAGES]
 
             def census():
                 states = couple(system, tree)
                 matrix = moment_matrix(full_transform(states))
-                classify(matrix, DegeneracySpec.isolated(len(states)))
-                classify(matrix, _spin_grouped(states))
+                specs = _specs(states, SEED)
+                classify(matrix, specs["isolated"])
+                classify(matrix, specs["spin"])
                 scheme_overlap(atom, states)
 
-            peaks = (_peak_mb(census), _peak_mb(lambda: stages["lc_step"](None)))
+            peaks = (_peak_mb(census), _peak_mb(stages["lc_step"]))
             print(f"{n} {name} " + " ".join(f"{t:.3f}" for t in row)
                   + " " + " ".join(f"{p:.2f}" for p in peaks), flush=True)
 
