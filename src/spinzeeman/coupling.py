@@ -382,8 +382,9 @@ class CoupledBasis(tuple):
     block)}`` in ascending M: the consecutive rows of M and their read-only
     amplitudes on M's product indices.  Per state it keeps the read-only
     ``_flips``, the sign eta of |S M> -> eta |S -M> under the spin flip,
-    and ``_multiplets``, the number of the state's multiplet, the same at
-    every M.  A slice or sum is a plain tuple."""
+    ``_multiplets``, the number of the state's multiplet, the same at every
+    M, and ``_two_s``, twice its total spin, as int8.  A slice or sum is a
+    plain tuple."""
 
 
 def _basis(basis) -> CoupledBasis:
@@ -495,8 +496,9 @@ def couple(system: SpinSystem, tree: CouplingTree) -> CoupledBasis:
     basis._sectors = dict(sorted(records.items()))
     basis._multiplets = np.concatenate(numbers)
     basis._flips = eta[basis._multiplets]
-    basis._flips.setflags(write=False)
-    basis._multiplets.setflags(write=False)
+    basis._two_s = two_s[basis._multiplets].astype(np.int8)  # 2S <= 2N
+    for array in (basis._multiplets, basis._flips, basis._two_s):
+        array.setflags(write=False)
     return basis
 
 
@@ -509,8 +511,8 @@ class BasisTransform:
     amplitudes are kept as the basis's ``(rows, product indices, block)``
     record of each M of the states, in ascending M, and every other
     amplitude is zero.  ``matrix``, a read-only float64 array, is built from
-    the records on each read.  The basis's ``_flips`` and ``_multiplets`` of
-    the states are kept too.
+    the records on each read.  The basis's ``_flips``, ``_multiplets`` and
+    ``_two_s`` of the states are kept too.
     """
 
     states: tuple[CoupledState, ...]
@@ -551,7 +553,8 @@ def _transform(basis, states, start, columns, sectors) -> BasisTransform:
         states=states, columns=columns, system=basis.system,
         _row_labels=tuple(s.label for s in states),
         _sectors=tuple(sectors), _flips=basis._flips[start:stop],
-        _multiplets=basis._multiplets[start:stop])
+        _multiplets=basis._multiplets[start:stop],
+        _two_s=basis._two_s[start:stop])
     return transform
 
 

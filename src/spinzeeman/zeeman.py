@@ -19,6 +19,7 @@ import importlib.machinery
 import importlib.util
 import itertools
 import math
+import numbers
 import os
 import sys
 import threading
@@ -203,12 +204,19 @@ class DegeneracySpec:
 
     @classmethod
     def isolated(cls, n: int) -> "DegeneracySpec":
-        """Each state its own zero-energy group (the default reading)."""
-        return cls(
-            groups=tuple(zip(range(n))),
-            energies=(0.0,) * n,
-            allow_shared_energies=True,
-        )
+        """Each state its own zero-energy group (the default reading): a
+        partition by construction, so it is built without the checks.  An
+        ``n`` that is not a non-negative integer raises ``ValueError``."""
+        if not isinstance(n, numbers.Integral) or n < 0:
+            raise ValueError(f"isolated spec needs a non-negative integer "
+                             f"state count, got {n!r}")
+        spec = object.__new__(cls)  # frozen: the fields are set here
+        spec.__dict__.update(groups=tuple(zip(range(n))), energies=(0.0,) * n,
+                             allow_shared_energies=True,
+                             group_of=np.arange(n), energy_of=np.zeros(n))
+        spec.group_of.setflags(write=False)
+        spec.energy_of.setflags(write=False)
+        return spec
 
     @classmethod
     def from_energy_map(cls, labels: "list[str]",
@@ -374,42 +382,49 @@ def _partners(matrix: MomentMatrix, spec: DegeneracySpec):
     spin multiplets.  By Wigner-Eckart it is M R_S, with one R_S for the
     same multiplets at every M, whichever groups hold them.  So R_S is
     solved once, from their first such sub-block (at their most negative
-    M) over M, and a state's moment is M times its eigenvalue of R_S: the
-    moments at M and -M are exact negatives.  A sub-block that mixes S, as
-    a group of an energies file may, or that lies at M = 0 is solved alone.
-    Sub-blocks are read from the unrotated blocks, so no moment depends on
-    the order in which a spec lists its groups or their members.  Rows
-    contiguous in their sector, as those of one S are, are sliced.
+    M) over M, and a state's moment is M times its eigenvalue of R_S.  A
+    sub-block that mixes S, as a group of an energies file may, or that
+    lies at M = 0 is solved alone.  Sub-blocks are read from the unrotated
+    blocks, so no moment depends on the order in which a spec lists its
+    groups or their members.
 
-    The blocks at M and -M are exact mirrors, -D block(M) D with D the
-    diagonal of flip signs (``moment_matrix``).  So where no group was
-    rotated at -M < 0 and the spec partitions the rows of M as it does
-    those of -M, the M sector is not scanned: none of its groups needs a
-    rotation either, its pairs sit where those of -M do, and its moments
-    are its diagonal, as in every unrotated sector.
+    Mirror rule: block(M) = -D block(-M) D, D the diagonal of flip signs
+    eta (``moment_matrix``), and one R_S rotates both.  The phases of a
+    tree's nodes multiply to eta = (-1)^(N/2 - S), so the rows of one S
+    share one eta and R_S commutes with D.  So a sector at M > 0 takes the
+    pair positions of its -M sector, the couplings 0.0 - eta_i eta_j times
+    those of -M and the moments 0.0 - those of -M, where (a) the spec
+    partitions its rows as those of -M (``_same_partition``); (b) the
+    groups rotated at -M come in the same positional order at M, as the
+    order of the rotations sets the rounding between groups; and (c) each
+    of them was solved per multiplet, over rows of one S.  Negation
+    commutes with IEEE rounding, so this equals a scan bit for bit.  Any
+    other sector is rotated and scanned.
     """
     _check_spec(matrix, spec)
     found = matrix._partners_by_spec.get(spec)
     if found is not None:
         return found
     moments = np.zeros(matrix.size)
-    states = matrix.basis.states
-    multiplet = matrix.basis._multiplets
-    if any(len(group) > 1 for group in spec.groups):  # else none is read
-        spin = np.array([s.total_s for s in states])
+    basis = matrix.basis
+    states, multiplet, two_s = basis.states, basis._multiplets, basis._two_s
     solved = {}  # eigenvalues and matched vectors, by set of multiplets
-    unrotated = {}  # group labels and pair positions, by M < 0
+    mirrors = {}  # what each mirrorable M < 0 sector leaves to +M
     pairs = []  # each sector's rows, columns and couplings
     for rows, block in matrix._blocks:  # ascending M
-        moments[rows] = np.diag(block)
         m = states[rows[0]].m
         gids = spec.group_of[rows]
-        mirror = unrotated.get(-m) if m > 0 else None
-        if mirror is not None and _same_partition(gids, mirror[0]):
-            i, j = mirror[1]
-            pairs.append((rows[i], rows[j], block[i, j]))
-            continue
-        rotated = block
+        if -m in mirrors:  # so m > 0
+            low, i, j, coupling, low_gids, firsts = mirrors[-m]
+            if (_same_partition(gids, low_gids)
+                    and np.all(np.diff(gids[firsts]) > 0)):
+                eta = basis._flips[rows]
+                moments[rows] = 0.0 - moments[low]
+                pairs.append((rows[i], rows[j],
+                              0.0 - eta[i] * eta[j] * coupling))
+                continue
+        moments[rows] = np.diag(block)
+        rotated, firsts, mirrored = block, [], m < 0
         for g in np.flatnonzero(np.bincount(gids) > 1):
             local = np.flatnonzero(gids == g)
             if local[-1] - local[0] == local.size - 1:
@@ -418,10 +433,10 @@ def _partners(matrix: MomentMatrix, spec: DegeneracySpec):
             if np.max(np.abs(sub - np.diag(np.diag(sub)))) <= 1e-15:
                 continue
             idx = rows[local]
-            if m and np.all(spin[idx] == spin[idx[0]]):
+            if m and np.all(two_s[idx] == two_s[idx[0]]):
                 key, unit = multiplet[idx].tobytes(), m
-            else:
-                key, unit = (m, g), 1.0  # solved for this sub-block alone
+            else:  # solved for this sub-block alone, so never mirrored
+                key, unit, mirrored = (m, g), 1.0, False
             if key not in solved:
                 w, v = np.linalg.eigh(sub / unit)
                 _rows, cols = linear_sum_assignment(-(v * v))
@@ -432,12 +447,13 @@ def _partners(matrix: MomentMatrix, spec: DegeneracySpec):
             rotated[local] = v.T @ rotated[local]
             rotated[:, local] = rotated[:, local] @ v
             moments[idx] = unit * w
+            firsts.append(idx[0] - rows[0])  # the groups' rotation order
         mask = np.abs(rotated) > ZERO_TOL
         mask &= gids[:, None] != gids[None, :]
         i, j = np.nonzero(mask)
-        if m < 0 and rotated is block:
-            unrotated[m] = gids, (i, j)
         pairs.append((rows[i], rows[j], rotated[i, j]))
+        if mirrored:
+            mirrors[m] = rows, i, j, pairs[-1][2], gids, firsts
     moments[np.abs(moments) <= ZERO_TOL] = 0.0
     empty = (np.empty(0, dtype=int),) * 2 + (np.empty(0),)  # if no sector
     found = (moments, *map(np.concatenate, zip(empty, *reversed(pairs))))

@@ -6,14 +6,21 @@ that mirror of the M > 0 ones, ``moment_matrix`` takes each M < 0 block as
 -D block(M) D, and ``_partners`` solves the states of one total spin once,
 from the moment sub-block over M, so grouped verdicts and moments at M and
 -M mirror each other exactly.  The signs and the partner states are
-computed here from each state's intermediate spins alone.
+computed here from each state's intermediate spins alone.  ``_partners``
+also takes each +M sector, where its mirror rule allows, from the -M
+sector; a reference that rotates and scans every sector checks that bit
+for bit.
 """
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spinzeeman import (
     CouplingTree,
+    DegeneracySpec,
     Species,
     SpinSystem,
     classify,
@@ -21,11 +28,13 @@ from spinzeeman import (
     full_transform,
     m_sector,
     moment_matrix,
+    zeeman,
 )
 
 from test_moment_sectors import _spin_grouped, _trees
 
 DIPOS = SpinSystem.dipositronium()
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "fingerprint.py"
 
 
 def _species(n, seed):
@@ -200,3 +209,178 @@ def test_grouped_classify_solves_each_spin_once(shape, calls, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted)
     classify(matrix, _spin_grouped(states))
     assert len(solved) == calls
+
+
+def _scanned_partners(matrix, spec):
+    """``_partners`` with every sector rotated and scanned, no sector taken
+    as the mirror of another: the reference the mirror rule must equal."""
+    states = matrix.basis.states
+    spin = np.array([s.total_s for s in states])
+    multiplet = matrix.basis._multiplets
+    moments = np.zeros(matrix.size)
+    solved, pairs = {}, []
+    for rows, block in matrix._blocks:  # ascending M
+        moments[rows] = np.diag(block)
+        m = states[rows[0]].m
+        gids = spec.group_of[rows]
+        rotated = np.array(block)
+        for g in np.flatnonzero(np.bincount(gids) > 1):  # ascending index
+            local = np.flatnonzero(gids == g)
+            if local[-1] - local[0] == local.size - 1:
+                local = slice(local[0], local[-1] + 1)
+            sub = block[local][:, local]
+            if np.max(np.abs(sub - np.diag(np.diag(sub)))) <= 1e-15:
+                continue
+            idx = rows[local]
+            if m and np.all(spin[idx] == spin[idx[0]]):
+                key, unit = multiplet[idx].tobytes(), m
+            else:
+                key, unit = (m, g), 1.0
+            if key not in solved:
+                w, v = np.linalg.eigh(sub / unit)
+                _rows, cols = zeeman.linear_sum_assignment(-(v * v))
+                solved[key] = w[cols], v[:, cols]
+            w, v = solved[key]
+            rotated[local] = v.T @ rotated[local]
+            rotated[:, local] = rotated[:, local] @ v
+            moments[idx] = unit * w
+        mask = np.abs(rotated) > zeeman.ZERO_TOL
+        mask &= gids[:, None] != gids[None, :]
+        i, j = np.nonzero(mask)
+        pairs.append((rows[i], rows[j], rotated[i, j]))
+    moments[np.abs(moments) <= zeeman.ZERO_TOL] = 0.0
+    empty = (np.empty(0, dtype=int),) * 2 + (np.empty(0),)
+    return (moments, *map(np.concatenate, zip(empty, *reversed(pairs))))
+
+
+def _assert_bit_equal(found, expected):
+    for ours, theirs in zip(found, expected, strict=True):
+        assert ours.dtype == theirs.dtype
+        assert np.array_equal(ours, theirs)
+        assert np.array_equal(np.signbit(ours), np.signbit(theirs))
+
+
+@pytest.fixture(scope="module")
+def fingerprint():
+    """``tools/fingerprint.py`` as a module.  It sets the BLAS thread
+    variables on import; they are restored afterwards."""
+    with pytest.MonkeyPatch.context() as patch:
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS"):
+            patch.delenv(var, raising=False)
+        spec = importlib.util.spec_from_file_location("fingerprint", TOOL)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("shape", ["atom", "ep"])
+@pytest.mark.parametrize("seed", [1, 2, 11])
+@pytest.mark.parametrize("n", range(2, 11))
+def test_mirrored_sectors_equal_a_scan_bit_for_bit(n, seed, shape,
+                                                   fingerprint):
+    """On the cases of ``tools/fingerprint.py`` (its site orders, trees and
+    four specs: isolated, S(S+1), shuffled and split by the sign of M),
+    ``_partners``, +M sectors mirrored where the rule allows, equals the
+    reference that rotates and scans every sector, bit for bit, signed
+    zeros included."""
+    species = _species(n, seed)
+    states = couple(SpinSystem(species), fingerprint._trees(species)[shape])
+    transform = full_transform(states)
+    for spec in fingerprint._specs(states, seed).values():
+        _assert_bit_equal(zeeman._partners(moment_matrix(transform), spec),
+                          _scanned_partners(moment_matrix(transform), spec))
+
+
+def _by_sign_and_spin(states, order):
+    """Each spin's states split into groups of M < 0, M = 0 and M > 0,
+    listed by ``order`` of (sign of M, S), at E = S(S+1)."""
+    groups = {}
+    for k, state in enumerate(states):
+        groups.setdefault((np.sign(state.m), state.total_s), []).append(k)
+    keys = sorted(groups, key=order)
+    return DegeneracySpec(tuple(tuple(groups[key]) for key in keys),
+                          tuple(s * (s + 1) for _sign, s in keys),
+                          allow_shared_energies=True)
+
+
+def _opposite_orders(states):
+    """The groups of M < 0 listed by descending S, those of M > 0 by
+    ascending S: the groups rotated at -M come in the opposite order at
+    +M, so (b) fails where two or more are rotated."""
+    return _by_sign_and_spin(states, lambda key: (key[0], key[0] * key[1]))
+
+
+def _other_partition(states):
+    """One group per spin at M <= 0, every state of M > 0 its own group:
+    the partitions at -M and +M differ, so (a) fails."""
+    spec = _by_sign_and_spin(states, lambda key: key)
+    groups = [g for g in spec.groups if states[g[0]].m <= 0]
+    groups += [(k,) for k, state in enumerate(states) if state.m > 0]
+    return DegeneracySpec(tuple(groups), tuple(range(len(groups))))
+
+
+def _mixed_spins(states):
+    """Spins S = 0 and 1 (or 1/2 and 3/2) in one group, 2 and 3 in the
+    next, and so on: each sub-block is solved alone, so (c) fails."""
+    groups = {}
+    for k, state in enumerate(states):
+        groups.setdefault(int(state.total_s) // 2, []).append(k)
+    return DegeneracySpec(tuple(tuple(g) for g in groups.values()),
+                          tuple(map(float, groups)))
+
+
+@pytest.mark.parametrize("refused", [_opposite_orders, _other_partition,
+                                     _mixed_spins])
+@_parametrize(_cases(range(4, 11)))
+def test_sectors_the_rule_refuses_equal_a_scan(name, system, tree, refused):
+    """Where a condition of the mirror rule fails, the +M sector is rotated
+    and scanned, and ``_partners`` equals the reference bit for bit."""
+    states = couple(system, tree)
+    transform = full_transform(states)
+    spec = refused(states)
+    _assert_bit_equal(zeeman._partners(moment_matrix(transform), spec),
+                      _scanned_partners(moment_matrix(transform), spec))
+
+
+@pytest.mark.parametrize("size", [1e-300, 1e-6])
+@_parametrize(_cases(range(4, 11)))
+def test_mirror_takes_whatever_vectors_eigh_returns(name, system, tree,
+                                                   size, monkeypatch):
+    """An ``eigh`` that adds ``size`` to every entry of its first vector,
+    on zero entries too: the +M sectors reuse the vectors solved at -M, so
+    ``_partners`` still equals the reference under the same ``eigh``."""
+    states = couple(system, tree)
+    transform = full_transform(states)
+    spec = _spin_grouped(states)
+    eigh = np.linalg.eigh
+    solves = []
+
+    def shifted(block):
+        w, v = eigh(block)
+        v[:, 0] += size
+        solves.append(block.shape)
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eigh", shifted)
+    _assert_bit_equal(zeeman._partners(moment_matrix(transform), spec),
+                      _scanned_partners(moment_matrix(transform), spec))
+    assert solves or "ep" in name
+
+
+@_parametrize(list(_cases(range(2, 11))) + PRESETS)
+def test_flip_sign_is_fixed_by_the_total_spin(name, system, tree):
+    """The phases (-1)^(j_a + j_b - j) of a tree's nodes multiply to
+    (-1)^(N/2 - S), so the rows of one total spin share one flip sign,
+    which the mirror rule of ``_partners`` relies on.  The basis keeps
+    twice each state's S, and the transforms keep it for their states."""
+    states = couple(system, tree)
+    two_s = np.array([round(2 * s.total_s) for s in states])
+    assert np.array_equal(states._two_s, two_s)
+    assert not states._two_s.flags.writeable
+    odd = (system.n - two_s) // 2 % 2
+    assert np.array_equal(states._flips, np.where(odd, -1.0, 1.0))
+    assert np.array_equal(full_transform(states)._two_s, two_s)
+    for m in sorted({s.m for s in states}) + [system.n]:
+        rows = [k for k, s in enumerate(states) if s.m == m]
+        assert np.array_equal(m_sector(states, m)._two_s, two_s[rows])

@@ -632,6 +632,33 @@ def test_isolated_spec_equals_the_spec_of_its_tuples(like_states):
                               quadratic_coefficients(matrix, built))
 
 
+@pytest.mark.parametrize("n", [-1, 2.5, 2.0, "3", None])
+def test_isolated_spec_refuses_a_size_that_is_no_count(n):
+    message = re.escape(f"isolated spec needs a non-negative integer state "
+                        f"count, got {n!r}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        DegeneracySpec.isolated(n)
+
+
+def test_isolated_spec_is_built_as_the_validated_constructor_builds_it():
+    # isolated() sets its fields without the checks of __post_init__
+    for n in (0, 1, 2, 16, 1024, np.int64(16)):
+        spec = DegeneracySpec.isolated(n)
+        built = DegeneracySpec(tuple((i,) for i in range(n)), (0.0,) * n,
+                               allow_shared_energies=True)
+        assert spec == built and hash(spec) == hash(built)
+        assert repr(spec) == repr(built)
+        assert type(spec.groups) is tuple and type(spec.energies) is tuple
+        assert {type(i) for g in spec.groups for i in g} <= {int}
+        assert {type(e) for e in spec.energies} <= {float}
+        for ours, theirs in ((spec.group_of, built.group_of),
+                             (spec.energy_of, built.energy_of)):
+            assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+            assert np.array_equal(ours, theirs)
+            assert not ours.flags.writeable and not theirs.flags.writeable
+        assert spec.size == built.size == n
+
+
 def test_from_energy_map_groups_equal_energies():
     labels = ["a", "b", "c", "d"]
     spec = DegeneracySpec.from_energy_map(labels, {"b": 2.0, "d": 2.0})
