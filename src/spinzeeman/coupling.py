@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -174,7 +174,7 @@ class _LikePairsTree(CouplingTree):
     }
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, slots=True)
 class CoupledState:
     """A |S, M, intermediates> basis vector expressed in the product basis.
 
@@ -191,6 +191,9 @@ class CoupledState:
     intermediates: tuple[tuple[tuple[int, ...], float], ...]
     label: str
     system: SpinSystem
+    _columns: np.ndarray = field(repr=False)
+    _block: np.ndarray = field(repr=False)
+    _row: int = field(repr=False)
 
     def __init__(self, *args, **kwargs) -> None:
         raise TypeError("coupled states are built by couple()")
@@ -438,6 +441,10 @@ def couple(system: SpinSystem, tree: CouplingTree) -> CoupledBasis:
     rank[np.lexsort(-np.column_stack([two_s, doubled]).T[::-1])] = \
         np.arange(two_s.size)
     permutation = _site_permutation(tree.leaves(), system.n)
+    # CoupledState has no constructor to run: its slots are set here
+    (set_s, set_m, set_intermediates, set_label, set_system, set_columns,
+     set_block, set_row) = (getattr(CoupledState, name).__set__
+                            for name in CoupledState.__slots__)
     top = max(sectors)
     states, records, finished, numbers = [], {}, {}, []
     for two_m in range(top, -top - 1, -2):
@@ -478,18 +485,15 @@ def couple(system: SpinSystem, tree: CouplingTree) -> CoupledBasis:
         numbers.append(multiplets)
         tail = format_spin(mm)
         for row, k in enumerate(multiplets.tolist()):
-            # CoupledState has no constructor to run: the fields are set here
             state = object.__new__(CoupledState)
-            state.__dict__.update(
-                total_s=total[k],
-                m=mm,
-                intermediates=inner[k],
-                label=heads[k] + tail + tails[k],
-                system=system,
-                _columns=columns,
-                _block=block,
-                _row=row,
-            )
+            set_s(state, total[k])
+            set_m(state, mm)
+            set_intermediates(state, inner[k])
+            set_label(state, heads[k] + tail + tails[k])
+            set_system(state, system)
+            set_columns(state, columns)
+            set_block(state, block)
+            set_row(state, row)
             states.append(state)
     basis = CoupledBasis(states)
     basis.system, basis.tree = system, tree

@@ -50,7 +50,10 @@ class MomentMatrix:
     units of mu0, and is zero between them; ``entries``, the same matrix
     times mu0 as a read-only dense array, is built from the blocks on each
     read.  The library works on the blocks only; of its callers, just the
-    CLI's ``moment`` command reads ``entries``.
+    CLI's ``moment`` command reads ``entries``.  ``_partners`` keeps, for
+    each sector it scans, the (row, column) positions of the block's
+    entries above ``ZERO_TOL`` in row-major order, built on its first scan
+    and shared by every spec; nothing else builds them.
     """
 
     basis: BasisTransform
@@ -111,10 +114,11 @@ def moment_matrix(basis: BasisTransform) -> MomentMatrix:
             product.setflags(write=False)
         blocks.append((rows, product))
     # MomentMatrix has no constructor to run; _partners_by_spec keeps the
-    # ``_partners`` result of each DegeneracySpec, computed on first use
+    # ``_partners`` result of each DegeneracySpec and _patterns the nonzero
+    # pattern of each sector, by position, each computed on first use
     matrix = object.__new__(MomentMatrix)
     matrix.__dict__.update(basis=basis, _blocks=tuple(blocks),
-                           _partners_by_spec={})
+                           _partners_by_spec={}, _patterns={})
     return matrix
 
 
@@ -207,7 +211,7 @@ class DegeneracySpec:
         """Each state its own zero-energy group (the default reading): a
         partition by construction, so it is built without the checks.  An
         ``n`` that is not a non-negative integer raises ``ValueError``."""
-        if not isinstance(n, numbers.Integral) or n < 0:
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
             raise ValueError(f"isolated spec needs a non-negative integer "
                              f"state count, got {n!r}")
         spec = object.__new__(cls)  # frozen: the fields are set here
@@ -258,7 +262,7 @@ class Classification(enum.Enum):
     NONE = "NONE"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StateReport:
     """Zeeman behaviour of one (possibly group-rotated) basis state."""
 
@@ -375,8 +379,12 @@ def _partners(matrix: MomentMatrix, spec: DegeneracySpec):
     already diagonal, is rotated inside a copy of the sector's block, so
     rotated states keep a definite M.  They are matched to the original
     states by maximal overlap, so the report rows stay aligned with the
-    input basis.  The sectors' rows descend in M, so their pairs, taken in
-    reverse, are in row-major order.
+    input basis.  A sector's pairs are the entries of its rotated block
+    above ``ZERO_TOL``, in row-major order, whose row and column lie in
+    different groups.  Where no group is rotated, those entries are the
+    matrix's nonzero pattern of the sector (``MomentMatrix``), so every
+    spec shares it.  The sectors' rows descend in M, so their pairs, taken
+    in reverse, are in row-major order.
 
     A sub-block at M != 0 whose rows share one total spin S holds whole
     spin multiplets.  By Wigner-Eckart it is M R_S, with one R_S for the
@@ -411,7 +419,7 @@ def _partners(matrix: MomentMatrix, spec: DegeneracySpec):
     solved = {}  # eigenvalues and matched vectors, by set of multiplets
     mirrors = {}  # what each mirrorable M < 0 sector leaves to +M
     pairs = []  # each sector's rows, columns and couplings
-    for rows, block in matrix._blocks:  # ascending M
+    for k, (rows, block) in enumerate(matrix._blocks):  # ascending M
         m = states[rows[0]].m
         gids = spec.group_of[rows]
         if -m in mirrors:  # so m > 0
@@ -448,9 +456,14 @@ def _partners(matrix: MomentMatrix, spec: DegeneracySpec):
             rotated[:, local] = rotated[:, local] @ v
             moments[idx] = unit * w
             firsts.append(idx[0] - rows[0])  # the groups' rotation order
-        mask = np.abs(rotated) > ZERO_TOL
-        mask &= gids[:, None] != gids[None, :]
-        i, j = np.nonzero(mask)
+        if rotated is not block:
+            i, j = np.nonzero(np.abs(rotated) > ZERO_TOL)
+        elif k in matrix._patterns:
+            i, j = matrix._patterns[k]
+        else:
+            i, j = matrix._patterns[k] = np.nonzero(np.abs(block) > ZERO_TOL)
+        outside = gids[i] != gids[j]  # row-major order is kept
+        i, j = i[outside], j[outside]
         pairs.append((rows[i], rows[j], rotated[i, j]))
         if mirrored:
             mirrors[m] = rows, i, j, pairs[-1][2], gids, firsts
@@ -477,18 +490,21 @@ def classify(matrix: MomentMatrix, spec: DegeneracySpec) -> ZeemanReport:
     kinds = np.where(moments != 0.0, Classification.LINEAR,
                      np.where(counts > 0, Classification.QUADRATIC,
                               Classification.NONE)).tolist()
-    mu0 = matrix.basis.system.mu0
+    scaled = moments * matrix.basis.system.mu0
+    # StateReport's constructor only sets the fields: its slots are set here
+    set_label, set_kind, set_moment, set_slope, set_partners = (
+        getattr(StateReport, name).__set__ for name in StateReport.__slots__)
     reports = []
+    # adding to or subtracting from 0.0 makes every zero +0.0
     for label, kind, moment, slope, start, end in zip(
-            labels, kinds, (moments * mu0).tolist(),
-            (-moments * mu0).tolist(), [0] + ends, ends):
-        # StateReport's frozen constructor only sets the fields, one
-        # object.__setattr__ each; they are set here in one update
+            labels, kinds, (scaled + 0.0).tolist(), (0.0 - scaled).tolist(),
+            [0] + ends, ends):
         report = object.__new__(StateReport)
-        report.__dict__.update(label=label, classification=kind,
-                               moment=moment, linear_slope=slope,
-                               quadratic_partners=tuple(
-                                   partner_labels[start:end]))
+        set_label(report, label)
+        set_kind(report, kind)
+        set_moment(report, moment)
+        set_slope(report, slope)
+        set_partners(report, tuple(partner_labels[start:end]))
         reports.append(report)
     return ZeemanReport(tuple(reports))
 

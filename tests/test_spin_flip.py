@@ -13,6 +13,7 @@ for bit.
 """
 
 import importlib.util
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from spinzeeman import (
     classify,
     couple,
     full_transform,
+    level_curves,
     m_sector,
     moment_matrix,
     zeeman,
@@ -290,6 +292,50 @@ def test_mirrored_sectors_equal_a_scan_bit_for_bit(n, seed, shape,
     for spec in fingerprint._specs(states, seed).values():
         _assert_bit_equal(zeeman._partners(moment_matrix(transform), spec),
                           _scanned_partners(moment_matrix(transform), spec))
+
+
+@pytest.mark.parametrize("shape", ["atom", "ep"])
+@pytest.mark.parametrize("seed", [1, 2, 11])
+@pytest.mark.parametrize("n", range(2, 11))
+def test_a_pattern_kept_for_one_spec_serves_every_other(n, seed, shape,
+                                                        fingerprint):
+    """A moment matrix keeps each scanned sector's nonzero pattern, and
+    ``_partners`` filters it by group wherever no group is rotated.  For
+    each ordered pair of the four specs of ``tools/fingerprint.py``, called
+    in that order on one matrix, both equal the reference that scans every
+    sector densely, bit for bit, signed zeros included."""
+    species = _species(n, seed)
+    states = couple(SpinSystem(species), fingerprint._trees(species)[shape])
+    transform = full_transform(states)
+    specs = fingerprint._specs(states, seed)
+    expected = {name: _scanned_partners(moment_matrix(transform), spec)
+                for name, spec in specs.items()}
+    for first, second in itertools.permutations(specs, 2):
+        matrix = moment_matrix(transform)
+        assert matrix._patterns == {}
+        for name in (first, second):
+            _assert_bit_equal(zeeman._partners(matrix, specs[name]),
+                              expected[name])
+            if name == "isolated":  # every sector at M <= 0 is scanned
+                scanned = [k for k, (rows, _block) in enumerate(matrix._blocks)
+                           if states[rows[0]].m <= 0]
+                assert sorted(matrix._patterns) == scanned
+
+
+def test_only_partners_build_the_patterns():
+    """``moment_matrix``, ``entries`` and ``level_curves`` build no
+    pattern; ``classify`` builds one per scanned sector, once."""
+    states = couple(DIPOS, CouplingTree.like_pairs(DIPOS))
+    matrix = moment_matrix(full_transform(states))
+    spec = DegeneracySpec.isolated(len(states))
+    matrix.entries
+    level_curves(matrix, spec, [-0.5, 0.0, 0.5])
+    assert matrix._patterns == {}
+    classify(matrix, spec)
+    patterns = dict(matrix._patterns)
+    assert len(patterns) == 3  # M = -2, -1, 0
+    classify(matrix, _spin_grouped(states))
+    assert all(matrix._patterns[k] is patterns[k] for k in patterns)
 
 
 def _by_sign_and_spin(states, order):

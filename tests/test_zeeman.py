@@ -246,6 +246,30 @@ def test_sum_rules(like_states):
     assert sum(s.linear_slope for s in full.states) == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("mu0", [1.0, -1.0])
+@pytest.mark.parametrize("tree", ["like", "pos"])
+def test_zero_moments_and_slopes_are_positive_zeros(tree, mu0):
+    """A state of zero moment reports moment and slope +0.0, whatever the
+    sign of mu0; a nonzero slope is exactly minus the moment."""
+    system = SpinSystem.dipositronium(mu0)
+    preset = {"like": CouplingTree.like_pairs,
+              "pos": CouplingTree.positronium_pairs}[tree]
+    states = couple(system, preset(system))
+    matrix = moment_matrix(full_transform(states))
+    spin = DegeneracySpec.from_energy_map(
+        [s.label for s in states],
+        {s.label: s.total_s * (s.total_s + 1) for s in states})
+    zeros = 0
+    for spec in (DegeneracySpec.isolated(len(states)), spin):
+        for report in classify(matrix, spec).states:
+            assert report.linear_slope == -report.moment
+            if report.moment == 0.0:
+                zeros += 1
+                assert math.copysign(1.0, report.moment) == 1.0
+                assert math.copysign(1.0, report.linear_slope) == 1.0
+    assert zeros >= 12
+
+
 def test_mirror_sector_reports(like_states):
     plus = classify(
         moment_matrix(m_sector(like_states, 1.0)), DegeneracySpec.isolated(4)
@@ -632,7 +656,7 @@ def test_isolated_spec_equals_the_spec_of_its_tuples(like_states):
                               quadratic_coefficients(matrix, built))
 
 
-@pytest.mark.parametrize("n", [-1, 2.5, 2.0, "3", None])
+@pytest.mark.parametrize("n", [-1, 2.5, 2.0, "3", None, True, False])
 def test_isolated_spec_refuses_a_size_that_is_no_count(n):
     message = re.escape(f"isolated spec needs a non-negative integer state "
                         f"count, got {n!r}")

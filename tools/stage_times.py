@@ -15,7 +15,13 @@ each stage over five runs:
   one ``eigh`` of the march up;
 
 then the tracemalloc peak, in MB, of one untimed run of the census stages
-(``couple`` through ``scheme_overlap``) and of one ``level_curves`` step.
+(``couple`` through ``scheme_overlap``), and the median peak of five
+untimed ``level_curves`` steps.  A step's two field marches run on two
+threads, and its peak depends on how their allocations overlap: single
+steps read 52.5-54.0 MB at N = 11 and 209.5-215.0 MB at N = 12.  On a
+2-core machine the median read the same value, to the printed 0.01 MB,
+in three runs of each tree at N = 10 and 11 and in two at N = 12; so
+few runs cannot exclude a rarer spread as wide as a single step's.
 Run it from the repository root against a tree's ``src``:
 
     PYTHONPATH=src python tools/stage_times.py
@@ -118,7 +124,9 @@ def main() -> None:
                 classify(matrix, specs["spin"])
                 scheme_overlap(atom, states)
 
-            peaks = (_peak_mb(census), _peak_mb(stages["lc_step"]))
+            peaks = (_peak_mb(census),
+                     statistics.median(_peak_mb(stages["lc_step"])
+                                       for _ in range(REPEATS)))
             print(f"{n} {name} " + " ".join(f"{t:.3f}" for t in row)
                   + " " + " ".join(f"{p:.2f}" for p in peaks), flush=True)
 
