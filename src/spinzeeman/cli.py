@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import re
@@ -291,8 +292,8 @@ def _cmd_sweep(args) -> str:
             "one step samples only --bmin; give --bmax equal to --bmin or "
             "at least 2 steps"
         )
-    # an infinite end gives NaN steps, which level_curves rejects
-    with np.errstate(invalid="ignore"):
+    # non-finite ends or span give non-finite steps, which level_curves rejects
+    with np.errstate(invalid="ignore", over="ignore"):
         grid = np.linspace(args.bmin, args.bmax, args.steps)
     curves = level_curves(moment_matrix(block), spec, grid)
     order = sorted(range(len(curves.labels)), key=lambda k: curves.labels[k])
@@ -467,3 +468,14 @@ def main(argv: "list[str] | None" = None) -> int:
     else:
         sys.stdout.write(output)
     return 0
+
+
+def run() -> None:
+    """Entry of ``python -m spinzeeman`` and the ``spinzeeman`` script:
+    ``main()``, then ``gc.freeze()`` so that the collections at exit skip
+    every live object; unlike ``os._exit``, atexit and the final flush run."""
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)

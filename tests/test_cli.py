@@ -1,6 +1,8 @@
 """Command-line interface: golden snapshots, formats, errors, exit codes."""
 
 import csv
+import gc
+import importlib
 import io
 import json
 import os
@@ -22,6 +24,7 @@ from spinzeeman import (
     m_sector,
     moment_matrix,
 )
+from spinzeeman import cli
 from spinzeeman.cli import fmt, main, parse_energies
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -143,7 +146,8 @@ def test_sweep_csv_format(capsys):
 
 
 @pytest.mark.parametrize("bmin, bmax", [("nan", "1"), ("-inf", "1"),
-                                        ("0", "inf"), ("0", "nan")])
+                                        ("0", "inf"), ("0", "nan"),
+                                        ("-1e308", "1e308")])
 def test_sweep_non_finite_field_is_domain_error(capsys, bmin, bmax):
     code, out, err = run_cli(
         capsys, "sweep", "--system", "positronium", f"--bmin={bmin}",
@@ -515,6 +519,8 @@ ERROR_CASES = {
     "zero-mu0": ["classify", "--mu0", "0"],
     "sweep-overflow": ["sweep", "--system", "positronium", "--mu0", "1e300",
                        "--bmin", "-1e10", "--bmax", "1e10", "--steps", "3"],
+    "sweep-span": ["sweep", "--system", "positronium", "--bmin", "-1e308",
+                   "--bmax", "1e308", "--steps", "3"],
     "energies": ["classify", "--system", "positronium", "--energies",
                  UNDECODABLE],
     "m": ["classify", "--m", "5"],
@@ -539,3 +545,60 @@ def test_bad_input_prints_one_error_line(args, tmp_path):
     assert (proc.returncode, proc.stdout) == (1, b""), err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert err.endswith("\n")
+
+
+ENTRY_CASES = {
+    "success": (["classify", "--system", "dipositronium"], 0),
+    "domain-error": (["classify", "--m", "5"], 1),
+    "usage-error": (["basis", "--m", "banana"], 2),
+}
+
+
+@pytest.mark.parametrize("args, expected", ENTRY_CASES.values(),
+                         ids=ENTRY_CASES)
+def test_entry_point_exits_as_main_returns(args, expected, capsysbinary):
+    proc = subprocess.run([sys.executable, "-m", "spinzeeman", *args],
+                          capture_output=True)
+    try:
+        code = main(args)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsysbinary.readouterr()
+    assert code == expected
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        code, captured.out, captured.err)
+
+
+def test_entry_point_keeps_atexit_and_the_final_flush():
+    # print() to a pipe is block-buffered, so the handler's line reaches
+    # stdout only through the interpreter's final flush
+    script = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+        "sys.argv = ['spinzeeman', 'classify', '--system', 'positronium']\n"
+        "runpy.run_module('spinzeeman', run_name='__main__')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    direct = subprocess.run(
+        [sys.executable, "-m", "spinzeeman", "classify", "--system",
+         "positronium"], capture_output=True)
+    assert proc.stdout == direct.stdout + b"frozen True\n"
+
+
+def test_main_and_the_entry_module_freeze_nothing(capsys):
+    before = gc.get_freeze_count()
+    assert run_cli(capsys, "classify", "--system", "positronium")[0] == 0
+    assert gc.get_freeze_count() == before
+    sys.modules.pop("spinzeeman.__main__", None)
+    importlib.import_module("spinzeeman.__main__")
+    assert gc.get_freeze_count() == before
+
+
+def test_console_script_is_the_entry_point():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as handle:
+        target = tomllib.load(handle)["project"]["scripts"]["spinzeeman"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.run

@@ -1,5 +1,6 @@
 """Smoke test of ``tools/stage_times.py``, the script that prints the
-median time of each census stage and its tracemalloc peak per N and tree."""
+median time of each census stage and its tracemalloc peak per N and tree,
+then the median wall time of CLI children start to finish."""
 
 import importlib.util
 import os
@@ -23,7 +24,8 @@ def test_stage_times_prints_one_row_per_size_and_tree(monkeypatch, capsys):
     monkeypatch.setattr(stage_times, "SIZES", range(2, 5))
     monkeypatch.setattr(stage_times, "REPEATS", 1)
     stage_times.main()
-    header, *rows = capsys.readouterr().out.splitlines()
+    table, block = capsys.readouterr().out.split("\n\n")
+    header, *rows = table.splitlines()
     columns = header.split()
     assert columns == ["n", "tree",
                        *(f"{stage}_ms" for stage in stage_times.STAGES),
@@ -35,3 +37,11 @@ def test_stage_times_prints_one_row_per_size_and_tree(monkeypatch, capsys):
         assert len(values) == len(columns) - 2
         assert all(v > 0.0 for v in values[:len(stage_times.STAGES)])
         assert all(v >= 0.0 for v in values[len(stage_times.STAGES):])
+
+    # then, after a blank line, one row per CLI child
+    block_header, *children = block.splitlines()
+    assert block_header == "child wall_ms"
+    assert [row.split()[0] for row in children] == [
+        "start", "import_numpy", "import_cli", "classify", "sweep"]
+    for row in children:
+        assert len(row.split()) == 2 and float(row.split()[1]) > 0.0

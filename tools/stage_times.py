@@ -22,12 +22,21 @@ steps read 52.5-54.0 MB at N = 11 and 209.5-215.0 MB at N = 12.  On a
 2-core machine the median read the same value, to the printed 0.01 MB,
 in three runs of each tree at N = 10 and 11 and in two at N = 12; so
 few runs cannot exclude a rarer spread as wide as a single step's.
+
+A last block times the CLI start to finish: the median wall milliseconds
+of each command of ``CHILDREN`` in a fresh interpreter, over ``REPEATS``
+rounds that run each command once in turn.  ``start`` is ``python -c
+pass``, ``import_numpy`` and ``import_cli`` add the imports of numpy and
+``spinzeeman.cli``, and ``classify`` and ``sweep`` are whole ``python -m
+spinzeeman`` runs, the command and its exit included.  The children
+import the ``spinzeeman`` this script imported.
 Run it from the repository root against a tree's ``src``:
 
     PYTHONPATH=src python tools/stage_times.py
 
 The script sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
-``MKL_NUM_THREADS`` to 1 before it imports numpy, as the benchmark does.
+``MKL_NUM_THREADS`` to 1 before it imports numpy, as the benchmark does;
+the children inherit them.
 Only public API is used, so the script runs unchanged against older trees.
 """
 
@@ -40,12 +49,16 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import statistics  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
 import tracemalloc  # noqa: E402
+from pathlib import Path  # noqa: E402
 from time import perf_counter  # noqa: E402
 
 import numpy as np  # noqa: E402
 from fingerprint import _specs, _trees  # noqa: E402
 
+import spinzeeman  # noqa: E402
 from spinzeeman import (  # noqa: E402
     Species,
     SpinSystem,
@@ -63,11 +76,20 @@ SEED = 11  # shuffles the electron/positron site order
 STAGES = ("couple", "moment", "classify_iso", "classify_spin", "overlap",
           "lc_step")
 STEP_GRID = np.array([0.0, 0.1])
+CHILDREN = {
+    "start": ["-c", "pass"],
+    "import_numpy": ["-c", "import numpy"],
+    "import_cli": ["-c", "import spinzeeman.cli"],
+    "classify": ["-m", "spinzeeman", "classify", "--system", "dipositronium"],
+    "sweep": ["-m", "spinzeeman", "sweep", "--system", "dipositronium",
+              "--scheme", "positronium-pairs", "--bmin", "-0.5", "--bmax",
+              "0.5", "--steps", "5"],
+}
 
 
-def _timed(run, *args) -> float:
+def _timed(run, *args, **kwargs) -> float:
     start = perf_counter()
-    run(*args)
+    run(*args, **kwargs)
     return perf_counter() - start
 
 
@@ -100,6 +122,20 @@ def _peak_mb(run) -> float:
         tracemalloc.stop()
 
 
+def _child_ms() -> "dict[str, float]":
+    """Median wall milliseconds of each of ``CHILDREN`` in a fresh
+    interpreter, over ``REPEATS`` rounds that run each once in turn."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(spinzeeman.__file__).resolve().parents[1]))
+    times: "dict[str, list[float]]" = {name: [] for name in CHILDREN}
+    for _ in range(REPEATS):
+        for name, args in CHILDREN.items():
+            times[name].append(_timed(
+                subprocess.run, [sys.executable, *args], env=env, check=True,
+                stdout=subprocess.DEVNULL))
+    return {name: 1e3 * statistics.median(t) for name, t in times.items()}
+
+
 def main() -> None:
     print("n tree " + " ".join(f"{s}_ms" for s in STAGES)
           + " census_peak_mb lc_peak_mb", flush=True)
@@ -129,6 +165,9 @@ def main() -> None:
                                        for _ in range(REPEATS)))
             print(f"{n} {name} " + " ".join(f"{t:.3f}" for t in row)
                   + " " + " ".join(f"{p:.2f}" for p in peaks), flush=True)
+    print("\nchild wall_ms")
+    for name, ms in _child_ms().items():
+        print(f"{name} {ms:.1f}")
 
 
 if __name__ == "__main__":
