@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 
 import numpy as np
 
@@ -174,6 +174,18 @@ class _LikePairsTree(CouplingTree):
     }
 
 
+def _frozen(cls):
+    """Make a frozen slotted dataclass refuse any name with
+    ``FrozenInstanceError``: the methods that ``slots=True`` keeps check the
+    class it replaced, and raise ``TypeError`` for a name that is no field."""
+    def refuse(self, name, *value):
+        verb = "assign to" if value else "delete"
+        raise FrozenInstanceError(f"cannot {verb} field {name!r}")
+    cls.__setattr__ = cls.__delattr__ = refuse
+    return cls
+
+
+@_frozen
 @dataclass(frozen=True, eq=False, init=False, slots=True)
 class CoupledState:
     """A |S, M, intermediates> basis vector expressed in the product basis.

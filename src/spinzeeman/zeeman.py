@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coupling import BasisTransform
+from .coupling import BasisTransform, _frozen
 from .system import _signed_spins
 
 ZERO_TOL = 1e-10
@@ -249,11 +249,8 @@ class DegeneracySpec:
                 f"energies {low!r} and {high!r}; give them one energy "
                 "or separate them"
             )
-        items = sorted(by_energy.items(), key=lambda kv: kv[1][0])
-        return cls(
-            groups=tuple(tuple(idx) for _e, idx in items),
-            energies=tuple(e for e, _idx in items),
-        )
+        # the energies come in the order of their first states
+        return cls(groups=tuple(by_energy.values()), energies=tuple(by_energy))
 
 
 class Classification(enum.Enum):
@@ -262,6 +259,7 @@ class Classification(enum.Enum):
     NONE = "NONE"
 
 
+@_frozen
 @dataclass(frozen=True, slots=True)
 class StateReport:
     """Zeeman behaviour of one (possibly group-rotated) basis state."""
@@ -351,17 +349,6 @@ def _check_spec(matrix: MomentMatrix, spec: DegeneracySpec) -> None:
         )
 
 
-def _same_partition(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether the non-negative labels ``a`` and ``b`` group the same
-    positions: whether each is a function of the other."""
-    for x, y in ((a, b), (b, a)):
-        image = np.empty(x.max() + 1, dtype=y.dtype)
-        image[x] = y
-        if not np.array_equal(image[x], y):
-            return False
-    return True
-
-
 def _partners(matrix: MomentMatrix, spec: DegeneracySpec):
     """Diagonalize the moment within each group, then list the partners
     of each state.
@@ -371,11 +358,12 @@ def _partners(matrix: MomentMatrix, spec: DegeneracySpec):
     the row's group and whose rotated moment couples them above the zero
     tolerance.  The four read-only arrays are computed once per spec and
     kept on the matrix, so ``classify`` and ``quadratic_coefficients``
-    share one rotation and one scan.
+    share one rotation and one scan.  They depend on the partition alone:
+    no bit of them depends on how a spec lists its groups or their members.
 
     The moment conserves M, so each M sector is rotated and scanned in one
     pass, in ascending M.  In a sector, every group with two or more rows
-    there is visited in ascending group index; its sub-block, if not
+    there is visited in the order of its first row; its sub-block, if not
     already diagonal, is rotated inside a copy of the sector's block, so
     rotated states keep a definite M.  They are matched to the original
     states by maximal overlap, so the report rows stay aligned with the
@@ -392,20 +380,16 @@ def _partners(matrix: MomentMatrix, spec: DegeneracySpec):
     solved once, from their first such sub-block (at their most negative
     M) over M, and a state's moment is M times its eigenvalue of R_S.  A
     sub-block that mixes S, as a group of an energies file may, or that
-    lies at M = 0 is solved alone.  Sub-blocks are read from the unrotated
-    blocks, so no moment depends on the order in which a spec lists its
-    groups or their members.
+    lies at M = 0 is solved alone.  Sub-blocks are read unrotated.
 
     Mirror rule: block(M) = -D block(-M) D, D the diagonal of flip signs
     eta (``moment_matrix``), and one R_S rotates both.  The phases of a
     tree's nodes multiply to eta = (-1)^(N/2 - S), so the rows of one S
-    share one eta and R_S commutes with D.  So a sector at M > 0 takes the
-    pair positions of its -M sector, the couplings 0.0 - eta_i eta_j times
-    those of -M and the moments 0.0 - those of -M, where (a) the spec
-    partitions its rows as those of -M (``_same_partition``); (b) the
-    groups rotated at -M come in the same positional order at M, as the
-    order of the rotations sets the rounding between groups; and (c) each
-    of them was solved per multiplet, over rows of one S.  Negation
+    share one eta and R_S commutes with D.  So where a sector at M > 0
+    has the groups of -M, as sets of rows, and every group rotated at -M
+    was solved per multiplet, it takes the pair positions of -M, the
+    couplings 0.0 - eta_i eta_j times those of -M and the moments 0.0 -
+    those of -M.  Its groups come in the order of -M's, and negation
     commutes with IEEE rounding, so this equals a scan bit for bit.  Any
     other sector is rotated and scanned.
     """
@@ -422,21 +406,25 @@ def _partners(matrix: MomentMatrix, spec: DegeneracySpec):
     for k, (rows, block) in enumerate(matrix._blocks):  # ascending M
         m = states[rows[0]].m
         gids = spec.group_of[rows]
+        # the groups of two or more rows here, by their first row
+        groups = sorted((np.flatnonzero(gids == g)
+                         for g in np.flatnonzero(np.bincount(gids) > 1)),
+                        key=lambda local: local[0])
         if -m in mirrors:  # so m > 0
-            low, i, j, coupling, low_gids, firsts = mirrors[-m]
-            if (_same_partition(gids, low_gids)
-                    and np.all(np.diff(gids[firsts]) > 0)):
+            low, i, j, coupling, low_groups = mirrors[-m]
+            if (len(groups) == len(low_groups)
+                    and all(map(np.array_equal, groups, low_groups))):
                 eta = basis._flips[rows]
                 moments[rows] = 0.0 - moments[low]
                 pairs.append((rows[i], rows[j],
                               0.0 - eta[i] * eta[j] * coupling))
                 continue
         moments[rows] = np.diag(block)
-        rotated, firsts, mirrored = block, [], m < 0
-        for g in np.flatnonzero(np.bincount(gids) > 1):
-            local = np.flatnonzero(gids == g)
-            if local[-1] - local[0] == local.size - 1:
-                local = slice(local[0], local[-1] + 1)
+        rotated, mirrored = block, m < 0
+        for local in groups:
+            first = local[0]
+            if local[-1] - first == local.size - 1:
+                local = slice(first, local[-1] + 1)
             sub = block[local][:, local]
             if np.max(np.abs(sub - np.diag(np.diag(sub)))) <= 1e-15:
                 continue
@@ -444,7 +432,7 @@ def _partners(matrix: MomentMatrix, spec: DegeneracySpec):
             if m and np.all(two_s[idx] == two_s[idx[0]]):
                 key, unit = multiplet[idx].tobytes(), m
             else:  # solved for this sub-block alone, so never mirrored
-                key, unit, mirrored = (m, g), 1.0, False
+                key, unit, mirrored = (m, first), 1.0, False
             if key not in solved:
                 w, v = np.linalg.eigh(sub / unit)
                 _rows, cols = linear_sum_assignment(-(v * v))
@@ -455,7 +443,6 @@ def _partners(matrix: MomentMatrix, spec: DegeneracySpec):
             rotated[local] = v.T @ rotated[local]
             rotated[:, local] = rotated[:, local] @ v
             moments[idx] = unit * w
-            firsts.append(idx[0] - rows[0])  # the groups' rotation order
         if rotated is not block:
             i, j = np.nonzero(np.abs(rotated) > ZERO_TOL)
         elif k in matrix._patterns:
@@ -466,7 +453,7 @@ def _partners(matrix: MomentMatrix, spec: DegeneracySpec):
         i, j = i[outside], j[outside]
         pairs.append((rows[i], rows[j], rotated[i, j]))
         if mirrored:
-            mirrors[m] = rows, i, j, pairs[-1][2], gids, firsts
+            mirrors[m] = rows, i, j, pairs[-1][2], groups
     moments[np.abs(moments) <= ZERO_TOL] = 0.0
     empty = (np.empty(0, dtype=int),) * 2 + (np.empty(0),)  # if no sector
     found = (moments, *map(np.concatenate, zip(empty, *reversed(pairs))))

@@ -288,6 +288,38 @@ def test_m_without_states_is_domain_error(capsys, args, m):
     assert err == f"error: no states with M={m} for 4 particles\n"
 
 
+@pytest.mark.parametrize("args, code, last_line", [
+    (("sweep", "--bmin", "0", "--bmax", "1", "--steps", "0"), 1,
+     "error: steps must be at least 1"),
+    (("basis", "--m", "0.3"), 2,
+     "spinzeeman basis: error: argument --m: spin projection must be an "
+     "integer or half-integer, got '0.3'"),
+    (("basis", "--scheme", "foo"), 1,
+     "error: unknown scheme 'foo'; use 'like-pairs', 'positronium-pairs', "
+     "or a tree expression such as '((e1,e2),(p1,p2))'"),
+    (("basis", "--scheme", "((e1,e2),(p1,p1))"), 1,
+     "error: tree leaves (0, 2, 1, 1) must be a permutation of 0..3"),
+    (("basis", "--system", "e,e,p", "--scheme", "like-pairs"), 1,
+     "error: like-pairs coupling needs exactly two electrons and two "
+     "positrons"),
+    (("basis", "--system", "e,e", "--scheme", "positronium-pairs"), 1,
+     "error: positronium-pairs coupling needs equally many electrons and "
+     "positrons"),
+    (("basis", "--system", "e,x"), 1,
+     "error: unknown species 'x'; use 'e'/'electron' or 'p'/'positron'"),
+], ids=["steps", "m", "scheme", "leaves", "like-pairs", "positronium-pairs",
+        "species"])
+def test_bad_arguments_print_their_message(capsys, args, code, last_line):
+    try:
+        exit_code = main(list(args))
+    except SystemExit as exit_:  # a usage error
+        exit_code = exit_.code
+    captured = capsys.readouterr()
+    assert (exit_code, captured.out) == (code, "")
+    assert captured.err.splitlines()[-1] == last_line
+    assert code == 2 or captured.err == last_line + "\n"
+
+
 @pytest.mark.parametrize("m", ["inf", "-inf", "1e400", "nan"])
 def test_non_finite_m_is_usage_error(capsys, m):
     with pytest.raises(SystemExit) as info:
@@ -478,6 +510,19 @@ def test_energies_file_errors(tmp_path):
     bad.write_text("|0,0⟩,abc\n", encoding="utf-8")
     with pytest.raises(ValueError, match="non-numeric"):
         parse_energies(str(bad), states)
+
+    for name, line, message in (
+            ("fieldless.csv", "foo", "expected 'label,energy'"),
+            ("infinite.csv", "|0,0⟩,inf", "energy must be finite")):
+        path = tmp_path / name
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(str(path))}:1: {message}$"):
+            parse_energies(str(path), states)
+
+    with pytest.raises(ValueError, match="^unknown state labels: \\|9,9⟩$"):
+        DegeneracySpec.from_energy_map([s.label for s in states],
+                                       {"|9,9⟩": 1.0})
 
     latin1 = tmp_path / "latin1.csv"
     latin1.write_bytes("|0,0⟩,1.0\n".encode("utf-8") + b"# caf\xe9\n")

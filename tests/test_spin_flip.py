@@ -12,9 +12,7 @@ sector; a reference that rotates and scans every sector checks that bit
 for bit.
 """
 
-import importlib.util
 import itertools
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,10 +31,9 @@ from spinzeeman import (
     zeeman,
 )
 
-from test_moment_sectors import _spin_grouped, _trees
+from test_moment_sectors import _assert_bit_equal, _spin_grouped, _trees
 
 DIPOS = SpinSystem.dipositronium()
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "fingerprint.py"
 
 
 def _species(n, seed):
@@ -226,8 +223,11 @@ def _scanned_partners(matrix, spec):
         m = states[rows[0]].m
         gids = spec.group_of[rows]
         rotated = np.array(block)
-        for g in np.flatnonzero(np.bincount(gids) > 1):  # ascending index
-            local = np.flatnonzero(gids == g)
+        _ids, firsts = np.unique(gids, return_index=True)
+        for first in np.sort(firsts):  # the groups by their first row
+            local = np.flatnonzero(gids == gids[first])
+            if local.size < 2:
+                continue
             if local[-1] - local[0] == local.size - 1:
                 local = slice(local[0], local[-1] + 1)
             sub = block[local][:, local]
@@ -237,7 +237,7 @@ def _scanned_partners(matrix, spec):
             if m and np.all(spin[idx] == spin[idx[0]]):
                 key, unit = multiplet[idx].tobytes(), m
             else:
-                key, unit = (m, g), 1.0
+                key, unit = (m, first), 1.0
             if key not in solved:
                 w, v = np.linalg.eigh(sub / unit)
                 _rows, cols = zeeman.linear_sum_assignment(-(v * v))
@@ -253,27 +253,6 @@ def _scanned_partners(matrix, spec):
     moments[np.abs(moments) <= zeeman.ZERO_TOL] = 0.0
     empty = (np.empty(0, dtype=int),) * 2 + (np.empty(0),)
     return (moments, *map(np.concatenate, zip(empty, *reversed(pairs))))
-
-
-def _assert_bit_equal(found, expected):
-    for ours, theirs in zip(found, expected, strict=True):
-        assert ours.dtype == theirs.dtype
-        assert np.array_equal(ours, theirs)
-        assert np.array_equal(np.signbit(ours), np.signbit(theirs))
-
-
-@pytest.fixture(scope="module")
-def fingerprint():
-    """``tools/fingerprint.py`` as a module.  It sets the BLAS thread
-    variables on import; they are restored afterwards."""
-    with pytest.MonkeyPatch.context() as patch:
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            patch.delenv(var, raising=False)
-        spec = importlib.util.spec_from_file_location("fingerprint", TOOL)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    return module
 
 
 @pytest.mark.parametrize("shape", ["atom", "ep"])
@@ -352,14 +331,14 @@ def _by_sign_and_spin(states, order):
 
 def _opposite_orders(states):
     """The groups of M < 0 listed by descending S, those of M > 0 by
-    ascending S: the groups rotated at -M come in the opposite order at
-    +M, so (b) fails where two or more are rotated."""
+    ascending S.  Groups are rotated in the order of their first row, not
+    as listed, so the rule mirrors these +M sectors all the same."""
     return _by_sign_and_spin(states, lambda key: (key[0], key[0] * key[1]))
 
 
 def _other_partition(states):
     """One group per spin at M <= 0, every state of M > 0 its own group:
-    the partitions at -M and +M differ, so (a) fails."""
+    the partitions at -M and +M differ, so no +M sector is mirrored."""
     spec = _by_sign_and_spin(states, lambda key: key)
     groups = [g for g in spec.groups if states[g[0]].m <= 0]
     groups += [(k,) for k, state in enumerate(states) if state.m > 0]
@@ -368,7 +347,8 @@ def _other_partition(states):
 
 def _mixed_spins(states):
     """Spins S = 0 and 1 (or 1/2 and 3/2) in one group, 2 and 3 in the
-    next, and so on: each sub-block is solved alone, so (c) fails."""
+    next, and so on: each sub-block is solved alone, so no +M sector with
+    a rotated group is mirrored."""
     groups = {}
     for k, state in enumerate(states):
         groups.setdefault(int(state.total_s) // 2, []).append(k)
@@ -381,7 +361,9 @@ def _mixed_spins(states):
 @_parametrize(_cases(range(4, 11)))
 def test_sectors_the_rule_refuses_equal_a_scan(name, system, tree, refused):
     """Where a condition of the mirror rule fails, the +M sector is rotated
-    and scanned, and ``_partners`` equals the reference bit for bit."""
+    and scanned; where only the listing order differs between -M and +M,
+    it is mirrored.  Either way ``_partners`` equals the reference bit for
+    bit."""
     states = couple(system, tree)
     transform = full_transform(states)
     spec = refused(states)

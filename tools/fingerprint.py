@@ -19,7 +19,10 @@ hash covers the coupled basis (amplitudes and labels), the moment matrix
 ``entries``, the overlap with the other tree's basis, the ``classify``
 report (label, class, ``moment.hex()``, partners), the quadratic
 coefficients (or their error message) and, for N <= 8, the level curves
-with their labels and flags on four field grids.
+with their labels and flags on four field grids.  ``shuffled`` lists the
+partition of ``spin`` in another order, and the library's output depends
+on the partition alone, so each ``spec=shuffled`` line must print the hash
+of its ``spec=spin`` line.
 
 The script sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
 ``MKL_NUM_THREADS`` to 1 before it imports numpy, as the benchmark does:
