@@ -1,8 +1,8 @@
 """Clebsch-Gordan coefficients from the Racah closed form.
 
 Condon-Shortley phase convention: coefficients are real, and the stretched
-coefficient <j1 j1; j2 (J-j1) | J J> is positive for every J.  Log-factorials
-are precomputed so the alternating sum stays finite well past the j <= 2
+coefficient <j1 j1; j2 (J-j1) | J J> is positive for every J.  The sum is
+taken over log-factorials, so its terms stay finite well past the j <= 2
 range actually exercised here (safe for j up to ~20).
 """
 
@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 
-_LOG_FACT = tuple(math.lgamma(k + 1) for k in range(200))
-
 
 def _half_integer(value: float, name: str) -> float:
     doubled = 2.0 * value
+    if not math.isfinite(doubled):
+        raise ValueError(f"{name} is not finite or too large, got {value}")
     rounded = round(doubled)
     if abs(doubled - rounded) > 1e-9:
         raise ValueError(f"{name} must be an integer or half-integer, got {value}")
@@ -26,7 +26,7 @@ def _is_integer(value: float) -> bool:
 
 
 def _lf(arg: float) -> float:
-    return _LOG_FACT[int(round(arg))]
+    return math.lgamma(round(arg) + 1)
 
 
 def cg_coefficient(j1: float, m1: float, j2: float, m2: float,
@@ -35,7 +35,7 @@ def cg_coefficient(j1: float, m1: float, j2: float, m2: float,
 
     Returns 0 when the selection rules (m = m1 + m2, triangle inequality,
     integral j1 + j2 + j) are not met.  Raises ``ValueError`` for arguments
-    that are not valid angular-momentum quantum numbers.
+    that are not valid angular-momentum quantum numbers, or not finite.
     """
     j1 = _half_integer(j1, "j1")
     m1 = _half_integer(m1, "m1")

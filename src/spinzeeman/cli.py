@@ -23,7 +23,6 @@ import numpy as np
 
 from .coupling import (
     BasisTransform,
-    CoupledBasis,
     CouplingTree,
     classify_exchange,
     couple,
@@ -85,7 +84,7 @@ def _build_tree(scheme: "str | None", system: SpinSystem) -> CouplingTree:
     )
 
 
-def _basis(args, scheme: "str | None" = None) -> CoupledBasis:
+def _basis(args, scheme: "str | None" = None) -> BasisTransform:
     """Build the system and couple it along ``scheme`` (default ``--scheme``)."""
     system = _build_system(args.system, args.mu0)
     tree = _build_tree(args.scheme if scheme is None else scheme, system)
@@ -164,6 +163,9 @@ def _parse_m(text: str) -> float:
     if not np.isfinite(value):
         raise argparse.ArgumentTypeError(
             f"spin projection must be finite, got {text!r}")
+    if not np.isfinite(2 * value):
+        raise argparse.ArgumentTypeError(
+            f"spin projection out of range, got {text!r}")
     if abs(2 * value - round(2 * value)) > 1e-9:
         raise argparse.ArgumentTypeError(
             f"spin projection must be an integer or half-integer, got {text!r}"

@@ -175,9 +175,10 @@ class _LikePairsTree(CouplingTree):
 
 
 def _frozen(cls):
-    """Make a frozen slotted dataclass refuse any name with
-    ``FrozenInstanceError``: the methods that ``slots=True`` keeps check the
-    class it replaced, and raise ``TypeError`` for a name that is no field."""
+    """Make ``cls`` refuse to set or delete any name with
+    ``FrozenInstanceError``; its builders set slots or ``__dict__`` directly.
+    On a frozen slotted dataclass the methods that ``slots=True`` keeps
+    raise ``TypeError`` for a name that is no field."""
     def refuse(self, name, *value):
         verb = "assign to" if value else "delete"
         raise FrozenInstanceError(f"cannot {verb} field {name!r}")
@@ -391,32 +392,66 @@ def _site_permutation(sites: list[int], n: int) -> np.ndarray:
     return _bit_table(n) @ (1 << (n - 1 - np.asarray(sites, dtype=np.int64)))
 
 
-class CoupledBasis(tuple):
-    """The states ``couple`` returns, in its order.  It also keeps their
-    ``system``, ``tree`` and ``_sectors``, ``{M: (rows, product indices,
+@_frozen
+class BasisTransform(tuple):
+    """A frozen tuple of coupled states, with their amplitudes by M.
+
+    ``couple`` returns a whole basis and ``m_sector`` cuts one M sector out
+    of one; nothing else builds a transform.  It keeps the states'
+    ``system``; ``columns``, the product index of each column, read-only
+    int64; ``row_labels``; and ``_sectors``, ``{M: (rows, product indices,
     block)}`` in ascending M: the consecutive rows of M and their read-only
-    amplitudes on M's product indices.  Per state it keeps the read-only
-    ``_flips``, the sign eta of |S M> -> eta |S -M> under the spin flip,
-    ``_multiplets``, the number of the state's multiplet, the same at every
-    M, and ``_two_s``, twice its total spin, as int8.  A slice or sum is a
-    plain tuple."""
+    amplitudes on M's product indices, every other amplitude being zero.
+    Per state it keeps the read-only ``_flips``, the sign eta of |S M> ->
+    eta |S -M> under the spin flip, ``_multiplets``, the number of the
+    state's multiplet, the same at every M, and ``_two_s``, twice its total
+    spin, as int8.  A slice or sum is a plain tuple.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        raise TypeError(
+            "basis transforms are built by couple() and m_sector()")
+
+    @property
+    def states(self) -> "BasisTransform":
+        return self
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Read-only float64 amplitudes, built from the sectors."""
+        matrix = np.zeros((len(self), self.columns.size))
+        for rows, cols, block in self._sectors.values():
+            matrix[np.ix_(rows, np.searchsorted(self.columns, cols))] = block
+        matrix.setflags(write=False)
+        return matrix
+
+    @property
+    def column_labels(self) -> tuple[str, ...]:
+        """The column kets, such as ``|↑↓⟩``; bit 1 means down."""
+        bits = _bit_table(self.system.n)[self.columns]
+        arrows = np.array(["↑", "↓"])[bits]
+        return tuple(f"|{''.join(row)}⟩" for row in arrows.tolist())
 
 
-def _basis(basis) -> CoupledBasis:
-    """``basis``, if ``couple`` built it; the basis functions take no other."""
-    if not isinstance(basis, CoupledBasis):
+def _basis(basis) -> BasisTransform:
+    """``basis``, if ``couple`` built it; the basis functions take no other,
+    and no M sector of one."""
+    if not isinstance(basis, BasisTransform):
         raise TypeError(f"expected a basis built by couple(), got a "
                         f"{type(basis).__name__}")
+    if len(basis) != basis.system.dimension:
+        raise TypeError("expected a basis built by couple(), got an M sector")
     return basis
 
 
-def couple(system: SpinSystem, tree: CouplingTree) -> CoupledBasis:
+def couple(system: SpinSystem, tree: CouplingTree) -> BasisTransform:
     """Build the complete coupled basis for a system along a tree.
 
-    The basis holds 2^N orthonormal simultaneous S^2/S_z eigenstates, by
-    descending M and, within each M sector, by descending total spin and
-    then descending intermediate spins (presets may override the order of
-    a sector with M >= 0 to match the conventional presentation).  The
+    The basis is a ``BasisTransform`` of 2^N orthonormal simultaneous
+    S^2/S_z eigenstates over all 2^N product states, by descending M and,
+    within each M sector, by descending total spin and then descending
+    intermediate spins (presets may override the order of a sector with
+    M >= 0 to match the conventional presentation).  The
     states of one M sector are the rows of one read-only float64 block over
     that sector's product states; no 2^N-wide array is built.  The sectors
     with M >= 0 are coupled by Clebsch-Gordan products (``_node_states``)
@@ -507,98 +542,51 @@ def couple(system: SpinSystem, tree: CouplingTree) -> CoupledBasis:
             set_block(state, block)
             set_row(state, row)
             states.append(state)
-    basis = CoupledBasis(states)
-    basis.system, basis.tree = system, tree
-    basis._sectors = dict(sorted(records.items()))
-    basis._multiplets = np.concatenate(numbers)
-    basis._flips = eta[basis._multiplets]
-    basis._two_s = two_s[basis._multiplets].astype(np.int8)  # 2S <= 2N
-    for array in (basis._multiplets, basis._flips, basis._two_s):
-        array.setflags(write=False)
+    multiplets = np.concatenate(numbers)
+    # BasisTransform has no constructor to run: its fields are set here;
+    # 2S <= 2N fits in int8
+    basis = tuple.__new__(BasisTransform, states)
+    basis.__dict__.update(
+        system=system, columns=np.arange(system.dimension),
+        row_labels=tuple([state.label for state in states]),
+        _sectors=dict(sorted(records.items())), _flips=eta[multiplets],
+        _multiplets=multiplets, _two_s=two_s[multiplets].astype(np.int8))
+    for name in ("columns", "_flips", "_multiplets", "_two_s"):
+        getattr(basis, name).setflags(write=False)
     return basis
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class BasisTransform:
-    """Rectangular block of coupled-state amplitudes over product states.
-
-    ``columns`` holds the product index of each column as a read-only int64
-    array.  Only ``m_sector`` and ``full_transform`` build transforms.  The
-    amplitudes are kept as the basis's ``(rows, product indices, block)``
-    record of each M of the states, in ascending M, and every other
-    amplitude is zero.  ``matrix``, a read-only float64 array, is built from
-    the records on each read.  The basis's ``_flips``, ``_multiplets`` and
-    ``_two_s`` of the states are kept too.
-    """
-
-    states: tuple[CoupledState, ...]
-    columns: np.ndarray
-    system: SpinSystem
-
-    def __init__(self, *args, **kwargs) -> None:
-        raise TypeError(
-            "basis transforms are built by m_sector() and full_transform()")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        matrix = np.zeros((len(self.states), self.columns.size))
-        for rows, cols, block in self._sectors:
-            matrix[np.ix_(rows, np.searchsorted(self.columns, cols))] = block
-        matrix.setflags(write=False)
-        return matrix
-
-    @property
-    def row_labels(self) -> tuple[str, ...]:
-        return self._row_labels
-
-    @property
-    def column_labels(self) -> tuple[str, ...]:
-        """The column kets, such as ``|↑↓⟩``; bit 1 means down."""
-        bits = _bit_table(self.system.n)[self.columns]
-        arrows = np.array(["↑", "↓"])[bits]
-        return tuple(f"|{''.join(row)}⟩" for row in arrows.tolist())
-
-
-def _transform(basis, states, start, columns, sectors) -> BasisTransform:
-    """The transform of ``states``, ``basis``'s from row ``start`` on, over
-    the product indices ``columns``."""
-    columns.setflags(write=False)
-    stop = start + len(states)
-    transform = object.__new__(BasisTransform)
-    transform.__dict__.update(
-        states=states, columns=columns, system=basis.system,
-        _row_labels=tuple(s.label for s in states),
-        _sectors=tuple(sectors), _flips=basis._flips[start:stop],
-        _multiplets=basis._multiplets[start:stop],
-        _two_s=basis._two_s[start:stop])
-    return transform
-
-
-def m_sector(basis: CoupledBasis, m: float) -> BasisTransform:
-    """Sub-block of the basis transform for one spin projection.
+def m_sector(basis: BasisTransform, m: float) -> BasisTransform:
+    """The one-sector transform of ``basis``'s states with projection ``m``,
+    over the product states with that M.
 
     An empty sector yields an empty block rather than an error.
     """
     system = _basis(basis).system
-    states, start, sectors = (), 0, []
+    start = stop = 0
+    sectors = {}
     if m in basis._sectors:
         rows, cols, block = basis._sectors[m]
-        start = rows[0]
-        states = basis[start:rows[-1] + 1]
-        sectors.append((rows - start, cols, block))
-    return _transform(basis, states, start,
-                      product_states_with_m(system.n, m), sectors)
+        start, stop = rows[0], rows[-1] + 1
+        sectors[m] = (rows - start, cols, block)
+    columns = product_states_with_m(system.n, m)
+    columns.setflags(write=False)
+    sector = tuple.__new__(BasisTransform, basis[start:stop])
+    sector.__dict__.update(
+        system=system, columns=columns, _sectors=sectors,
+        **{name: getattr(basis, name)[start:stop] for name in
+           ("row_labels", "_flips", "_multiplets", "_two_s")})
+    return sector
 
 
-def full_transform(basis: CoupledBasis) -> BasisTransform:
-    """Square transform over the complete product basis."""
-    system = _basis(basis).system
-    return _transform(basis, basis, 0, np.arange(system.dimension),
-                      basis._sectors.values())
+def full_transform(basis: BasisTransform) -> BasisTransform:
+    """The square transform over the complete product basis: ``basis``
+    itself, once checked to be a whole basis built by ``couple``."""
+    return _basis(basis)
 
 
-def scheme_overlap(basis_a: CoupledBasis,
-                   basis_b: CoupledBasis) -> np.ndarray:
+def scheme_overlap(basis_a: BasisTransform,
+                   basis_b: BasisTransform) -> np.ndarray:
     """Overlap matrix <a_i|b_j> between two bases built by ``couple``.
 
     Both bases conserve M, so the real matrix is assembled from one product
@@ -635,7 +623,7 @@ def _swap_permutation(n: int, i: int, j: int) -> np.ndarray:
     return _site_permutation(sites, n)
 
 
-def classify_exchange(basis: CoupledBasis,
+def classify_exchange(basis: BasisTransform,
                       pairs: "list[tuple[int, int]]"):
     """Exchange eigenvalue (+1, -1, or 'mixed') per state per site pair.
 

@@ -45,15 +45,16 @@ CHOP_TOL = 1e-14
 class MomentMatrix:
     """Real symmetric matrix of <row| mu_z |col> over a coupled basis block.
 
-    Only ``moment_matrix`` builds one.  mu_z conserves M, so it keeps a
-    ``(rows, block)`` pair per M sector of the basis, in ascending M and in
-    units of mu0, and is zero between them; ``entries``, the same matrix
-    times mu0 as a read-only dense array, is built from the blocks on each
-    read.  The library works on the blocks only; of its callers, just the
-    CLI's ``moment`` command reads ``entries``.  ``_partners`` keeps, for
-    each sector it scans, the (row, column) positions of the block's
-    entries above ``ZERO_TOL`` in row-major order, built on its first scan
-    and shared by every spec; nothing else builds them.
+    Only ``moment_matrix`` builds one.  mu_z conserves M, so ``_blocks``
+    keeps ``{M: (rows, block)}`` for each M sector of the basis, in
+    ascending M and in units of mu0, and the matrix is zero between them;
+    ``entries``, the same matrix times mu0 as a read-only dense array, is
+    built from the blocks on each read.  The library works on the blocks
+    only; of its callers, just the CLI's ``moment`` command reads
+    ``entries``.  ``_patterns`` keeps, by M, for each sector ``_partners``
+    scans, the (row, column) positions of the block's entries above
+    ``ZERO_TOL`` in row-major order, built on its first scan and shared by
+    every spec; nothing else builds them.
     """
 
     basis: BasisTransform
@@ -66,7 +67,7 @@ class MomentMatrix:
         """Read-only float64 dense matrix, built from the blocks."""
         entries = np.zeros((self.size, self.size))
         # scaled per block: the zero pages between blocks stay untouched
-        for rows, block in self._blocks:  # consecutive rows: a slice
+        for rows, block in self._blocks.values():  # consecutive rows
             span = slice(rows[0], rows[-1] + 1)
             entries[span, span] = block * self.basis.system.mu0
         entries.setflags(write=False)
@@ -78,11 +79,12 @@ class MomentMatrix:
 
     @property
     def size(self) -> int:
-        return len(self.basis.states)
+        return len(self.basis)
 
 
 def moment_matrix(basis: BasisTransform) -> MomentMatrix:
-    """Moment matrix for a basis block; mu_z is diagonal over the columns.
+    """Moment matrix of a basis from ``couple``, or of an M sector of one
+    from ``m_sector``; mu_z is diagonal over the columns.
 
     mu_z conserves M, so the matrix is assembled from one real product per
     M sector of the rows, taken on the block ``couple`` built for that
@@ -95,8 +97,7 @@ def moment_matrix(basis: BasisTransform) -> MomentMatrix:
     entries may differ from the mirror's in their last bits.
     """
     diag = _signed_spins(basis.system)
-    sectors = {basis.states[rows[0]].m: (rows, cols, block)
-               for rows, cols, block in basis._sectors}
+    sectors = basis._sectors
     products = {m: (block * diag[cols]) @ block.T
                 for m, (_rows, cols, block) in sectors.items()
                 if m >= 0 or -m not in sectors}
@@ -105,19 +106,19 @@ def moment_matrix(basis: BasisTransform) -> MomentMatrix:
     for product in products.values():
         product[np.abs(product) < CHOP_TOL * scale] = 0.0
         product.setflags(write=False)
-    blocks = []
+    blocks = {}
     for m, (rows, _cols, _block) in sectors.items():  # ascending M
         product = products.get(m)
         if product is None:
             eta = basis._flips[rows]
             product = 0.0 - products[-m] * np.outer(eta, eta)
             product.setflags(write=False)
-        blocks.append((rows, product))
+        blocks[m] = rows, product
     # MomentMatrix has no constructor to run; _partners_by_spec keeps the
     # ``_partners`` result of each DegeneracySpec and _patterns the nonzero
-    # pattern of each sector, by position, each computed on first use
+    # pattern of each sector, by M, each computed on first use
     matrix = object.__new__(MomentMatrix)
-    matrix.__dict__.update(basis=basis, _blocks=tuple(blocks),
+    matrix.__dict__.update(basis=basis, _blocks=blocks,
                            _partners_by_spec={}, _patterns={})
     return matrix
 
@@ -361,18 +362,18 @@ def _partners(matrix: MomentMatrix, spec: DegeneracySpec):
     share one rotation and one scan.  They depend on the partition alone:
     no bit of them depends on how a spec lists its groups or their members.
 
-    The moment conserves M, so each M sector is rotated and scanned in one
-    pass, in ascending M.  In a sector, every group with two or more rows
-    there is visited in the order of its first row; its sub-block, if not
-    already diagonal, is rotated inside a copy of the sector's block, so
-    rotated states keep a definite M.  They are matched to the original
-    states by maximal overlap, so the report rows stay aligned with the
-    input basis.  A sector's pairs are the entries of its rotated block
-    above ``ZERO_TOL``, in row-major order, whose row and column lie in
-    different groups.  Where no group is rotated, those entries are the
-    matrix's nonzero pattern of the sector (``MomentMatrix``), so every
-    spec shares it.  The sectors' rows descend in M, so their pairs, taken
-    in reverse, are in row-major order.
+    The moment conserves M, so each M sector of ``_blocks`` is rotated and
+    scanned in one pass, in ascending M.  In a sector, every group with two
+    or more rows there is visited in the order of its first row; its
+    sub-block, if not already diagonal, is rotated inside a copy of the
+    sector's block, so rotated states keep a definite M.  They are matched
+    to the original states by maximal overlap, so the report rows stay
+    aligned with the input basis.  A sector's pairs are the entries of its
+    rotated block above ``ZERO_TOL``, in row-major order, whose row and
+    column lie in different groups.  Where no group is rotated, those
+    entries are the matrix's nonzero pattern of the sector, kept by M
+    (``MomentMatrix``), so every spec shares it.  The sectors' rows descend
+    in M, so their pairs, taken in reverse, are in row-major order.
 
     A sub-block at M != 0 whose rows share one total spin S holds whole
     spin multiplets.  By Wigner-Eckart it is M R_S, with one R_S for the
@@ -399,12 +400,11 @@ def _partners(matrix: MomentMatrix, spec: DegeneracySpec):
         return found
     moments = np.zeros(matrix.size)
     basis = matrix.basis
-    states, multiplet, two_s = basis.states, basis._multiplets, basis._two_s
+    multiplet, two_s = basis._multiplets, basis._two_s
     solved = {}  # eigenvalues and matched vectors, by set of multiplets
     mirrors = {}  # what each mirrorable M < 0 sector leaves to +M
     pairs = []  # each sector's rows, columns and couplings
-    for k, (rows, block) in enumerate(matrix._blocks):  # ascending M
-        m = states[rows[0]].m
+    for m, (rows, block) in matrix._blocks.items():  # ascending M
         gids = spec.group_of[rows]
         # the groups of two or more rows here, by their first row
         groups = sorted((np.flatnonzero(gids == g)
@@ -445,10 +445,10 @@ def _partners(matrix: MomentMatrix, spec: DegeneracySpec):
             moments[idx] = unit * w
         if rotated is not block:
             i, j = np.nonzero(np.abs(rotated) > ZERO_TOL)
-        elif k in matrix._patterns:
-            i, j = matrix._patterns[k]
+        elif m in matrix._patterns:
+            i, j = matrix._patterns[m]
         else:
-            i, j = matrix._patterns[k] = np.nonzero(np.abs(block) > ZERO_TOL)
+            i, j = matrix._patterns[m] = np.nonzero(np.abs(block) > ZERO_TOL)
         outside = gids[i] != gids[j]  # row-major order is kept
         i, j = i[outside], j[outside]
         pairs.append((rows[i], rows[j], rotated[i, j]))
@@ -570,7 +570,7 @@ def level_curves(matrix: MomentMatrix, spec: DegeneracySpec,
     if np.any(np.diff(b_values) <= 0):
         raise ValueError("field grid must be strictly increasing")
     mu0 = matrix.basis.system.mu0
-    blocks = matrix._blocks
+    blocks = tuple(matrix._blocks.values())
     packs = _first_fit([rows.size for rows, _block in blocks])
     size = max((rows.size for rows, _block in blocks), default=0)
     moment = np.zeros((len(packs), size, size))
@@ -685,9 +685,10 @@ def quadratic_coefficients(matrix: MomentMatrix,
     Uses sum over states outside the group of |<n| mu_z |m>|^2 / (E_n - E_m)
     after the within-group rotation.  Groups that are coupled by the moment
     must not share an energy.  A mu0 that would make any coefficient
-    non-finite raises ``ValueError`` naming it: "squared overflows" where
-    mu0 * mu0 itself does, "overflows a second-order coefficient" where
-    only a term coupling^2 / gap * mu0^2 does.
+    non-finite, or any value below the smallest normal float, raises
+    ``ValueError`` naming it: "squared overflows" (or "underflows") where
+    mu0 * mu0 itself does, "overflows (underflows) a second-order
+    coefficient" where only a term coupling^2 / gap * mu0^2 does.
     """
     _moments, rows, cols, coupling = _partners(matrix, spec)
     labels = matrix.labels
@@ -701,13 +702,16 @@ def quadratic_coefficients(matrix: MomentMatrix,
         )
     mu0 = matrix.basis.system.mu0
     squared = mu0 * mu0
+    if squared < sys.float_info.min:
+        raise ValueError(f"mu0 {mu0!r} squared underflows")
     with np.errstate(over="ignore", invalid="ignore"):
+        terms = coupling * coupling / gap * squared
         # bincount adds each row's terms in ascending column order
-        coefficients = np.bincount(
-            rows, weights=coupling * coupling / gap * squared,
-            minlength=matrix.size)
+        coefficients = np.bincount(rows, weights=terms, minlength=matrix.size)
     if not np.all(np.isfinite(coefficients)):
         raise ValueError(f"mu0 {mu0!r} squared overflows"
                          if math.isinf(squared) else
                          f"mu0 {mu0!r} overflows a second-order coefficient")
+    if np.any(np.abs(terms) < sys.float_info.min):
+        raise ValueError(f"mu0 {mu0!r} underflows a second-order coefficient")
     return coefficients

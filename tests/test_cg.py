@@ -108,7 +108,7 @@ def test_frozen_values():
 
 @pytest.mark.parametrize(
     "j1,j2",
-    [(0.5, 0.5), (1.0, 0.5), (1.5, 1.0), (2.0, 2.0)],
+    [(0.5, 0.5), (1.0, 0.5), (1.5, 1.0), (2.0, 2.0), (50.0, 50.0)],
 )
 def test_stretched_state_is_one(j1, j2):
     top = j1 + j2
@@ -170,3 +170,21 @@ def test_argument_errors():
         cg_coefficient(0.5, 0.5, 0.5, -0.5, 0.5, 0)  # (j, m) pair invalid
     with pytest.raises(ValueError):
         cg_coefficient(-1, 0, 1, 0, 1, 0)
+    # twice the argument overflows, or it is not finite: named, not raised
+    # as OverflowError by the rounding
+    for position, name in enumerate(("j1", "m1", "j2", "m2", "j", "m")):
+        for value in (1e308, -1e308, math.inf, -math.inf, math.nan):
+            args = [0.0] * 6
+            args[position] = value
+            with pytest.raises(ValueError, match=(
+                    rf"^{name} is not finite or too large, got ")):
+                cg_coefficient(*args)
+
+
+def test_large_spins_take_no_table_bound():
+    # j1 + j2 + j >= 199 read past the end of a former 200-entry table
+    value = cg_coefficient(50, 0, 50, 0, 100, 0)
+    # stretched, J = j1 + j2:
+    # <j1 m1; j2 m2|J M>^2 = C(2j1, j1+m1) C(2j2, j2+m2) / C(2J, J+M)
+    exact = math.sqrt(math.comb(100, 50) ** 2 / math.comb(200, 100))
+    assert value == pytest.approx(exact, rel=1e-12)

@@ -330,6 +330,18 @@ def test_non_finite_m_is_usage_error(capsys, m):
                         f"finite, got {m!r}\n")
 
 
+@pytest.mark.parametrize("command", ["basis", "moment", "classify", "sweep"])
+@pytest.mark.parametrize("m", ["1e308", "-1e308"])
+def test_m_whose_double_overflows_is_usage_error(capsys, command, m):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--system", "dipositronium", f"--m={m}"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument --m: spin projection out of range, "
+                        f"got {m!r}\n")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("bmin, bmax, steps",
                          [(-1.0, 1.0, 20), (-0.3, 0.7, 11)])
 def test_sweep_grid_without_zero_matches_inserted_origin(capsys, bmin, bmax,

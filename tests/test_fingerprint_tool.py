@@ -8,7 +8,7 @@ from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "fingerprint.py"
 LINE = re.compile(r"n=(\d+) seed=(\d+) tree=(atom|ep) "
-                  r"spec=(isolated|spin|shuffled|split) [0-9a-f]{64}")
+                  r"spec=(isolated|spin|shuffled|split) ([0-9a-f]{64})")
 
 
 BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
@@ -28,9 +28,15 @@ def test_fingerprint_prints_one_hash_per_case(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     cases = [LINE.fullmatch(line) for line in lines]
     assert all(cases), lines
-    keys = [case.groups() for case in cases]
+    keys = [case.groups()[:4] for case in cases]
     assert len(set(keys)) == len(keys) == 2 * 3 * 2 * 4
     assert {int(n) for n, *_ in keys} == {2, 3}
+    # the output depends on the partition alone, so a shuffled listing of
+    # the spin partition prints its hash
+    hashes = {case.groups()[:4]: case.group(5) for case in cases}
+    for (n, seed, tree, spec), digest in hashes.items():
+        if spec == "shuffled":
+            assert digest == hashes[n, seed, tree, "spin"], (n, seed, tree)
     # the same cases print the same hashes on a second run
     fingerprint.main()
     assert capsys.readouterr().out.splitlines() == lines

@@ -236,7 +236,7 @@ def test_moment_blocks_are_checked_for_symmetry():
         system = SpinSystem.from_species(species)
         for tree in _trees(species).values():
             matrix = moment_matrix(full_transform(couple(system, tree)))
-            for _rows, block in matrix._blocks:
+            for _rows, block in matrix._blocks.values():
                 assert np.max(np.abs(block - block.T)) <= 1e-14
 
 
@@ -669,7 +669,8 @@ def test_padded_sectors_solve_as_their_own_blocks(n, shape, monkeypatch):
     level_curves(matrix, spec, grid)
     fields = [0.37, 1e6, -1.0, -1e6]  # every nonzero field, once
     assert len(solves) == len(fields)
-    sizes = [rows.size for rows, _block in matrix._blocks]
+    blocks = list(matrix._blocks.values())  # ascending M
+    sizes = [rows.size for rows, _block in blocks]
     size = max(sizes)
     bins = _first_fit_decreasing(sizes)
     packed = {4: 3, 6: 4, 8: 4}[n]  # of 5, 7 and 9 sectors
@@ -680,8 +681,8 @@ def test_padded_sectors_solve_as_their_own_blocks(n, shape, monkeypatch):
         (on some trees every moment diagonal is zero, so the diagonal alone
         would not tell the fields apart)."""
         for k, members in enumerate(bins):
-            rows = np.concatenate([matrix._blocks[s][0] for s in members])
-            moment = block_diag(*[matrix._blocks[s][1] for s in members])
+            rows = np.concatenate([blocks[s][0] for s in members])
+            moment = block_diag(*[blocks[s][1] for s in members])
             want = -(b * moment)
             want[np.diag_indices(rows.size)] = (energy[rows]
                                                 - b * np.diag(moment))
@@ -709,7 +710,7 @@ def test_padded_sectors_solve_as_their_own_blocks(n, shape, monkeypatch):
             first = np.argmax(support, axis=0)
             assert np.all(support <= (sector[:, None] == sector[first]))
             for j, s in enumerate(members):
-                rows, block = matrix._blocks[s]
+                rows, block = blocks[s]
                 own = np.linalg.eigvalsh(np.diag(energy[rows]) - b * block)
                 kept = w[k, :d][sector[first] == j]
                 scale = max(1.0, np.max(np.abs(own)))  # the block's norm

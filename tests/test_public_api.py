@@ -7,9 +7,11 @@ matrices, from per-M blocks.  The basis functions take only the basis that
 ``couple`` returns.
 """
 
+import copy
 import dataclasses
 import importlib
 import inspect
+import pickle
 
 import numpy as np
 import pytest
@@ -94,9 +96,11 @@ def test_dense_basis_inputs_left_the_library():
     # and only the library's builders make transforms and moment matrices
     states = couple(system, CouplingTree.positronium_pairs(system))
     full = full_transform(states)
-    with pytest.raises(TypeError, match=r"m_sector\(\) and full_transform"):
+    with pytest.raises(TypeError):
         BasisTransform(full.states, full.columns, full.matrix, system)
-    blocks = [block for _rows, block in moment_matrix(full)._blocks]
+    with pytest.raises(TypeError, match=r"couple\(\) and m_sector\(\)"):
+        BasisTransform(full)
+    blocks = [block for _rows, block in moment_matrix(full)._blocks.values()]
     with pytest.raises(TypeError, match=r"moment_matrix\(\)"):
         MomentMatrix(full, blocks)
     assert not hasattr(coupling, "_read_only_real")
@@ -152,3 +156,54 @@ def test_basis_functions_take_only_what_couple_returns(function):
                 r"^expected a basis built by couple\(\), got a "
                 f"{type(states).__name__}$")):
             call(states, basis)
+    # an M sector is a transform too, but not a whole basis
+    with pytest.raises(TypeError, match=(
+            r"^expected a basis built by couple\(\), got an M sector$")):
+        call(m_sector(basis, 0.0), basis)
+
+
+def _like_pairs_basis_and_sector():
+    system = SpinSystem.dipositronium()
+    basis = couple(system, CouplingTree.like_pairs(system))
+    return basis, m_sector(basis, 1.0)
+
+
+def test_a_basis_is_its_own_full_transform():
+    basis, sector = _like_pairs_basis_and_sector()
+    assert type(basis) is type(sector) is BasisTransform
+    assert full_transform(basis) is basis
+    assert basis.states is basis
+    # moment_matrix takes couple's output as it is
+    assert (moment_matrix(basis).entries.tobytes()
+            == moment_matrix(full_transform(basis)).entries.tobytes())
+
+
+@pytest.mark.parametrize("name", ["system", "columns", "row_labels",
+                                  "_sectors", "_flips", "other"])
+def test_a_basis_and_a_sector_refuse_any_attribute(name):
+    for transform in _like_pairs_basis_and_sector():
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(transform, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(transform, name)
+        assert transform.system == SpinSystem.dipositronium()
+
+
+@pytest.mark.parametrize("clone", [
+    copy.deepcopy, lambda transform: pickle.loads(pickle.dumps(transform))])
+def test_a_basis_and_a_sector_survive_a_copy(clone):
+    for transform in _like_pairs_basis_and_sector():
+        twin = clone(transform)
+        assert type(twin) is BasisTransform and twin is not transform
+        assert twin.row_labels == transform.row_labels
+        assert twin.columns.tobytes() == transform.columns.tobytes()
+        assert list(twin._sectors) == list(transform._sectors)
+        for m, (rows, cols, block) in transform._sectors.items():
+            rows_t, cols_t, block_t = twin._sectors[m]
+            assert np.array_equal(rows_t, rows)
+            assert np.array_equal(cols_t, cols)
+            assert block_t.tobytes() == block.tobytes()
+        assert twin.matrix.tobytes() == transform.matrix.tobytes()
+        assert [s.label for s in twin] == list(transform.row_labels)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            twin.columns = None

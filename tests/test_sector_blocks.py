@@ -289,12 +289,12 @@ def test_exchange_matches_the_former_vector_comparison(name, system, tree):
 
 def test_a_basis_from_couple_is_wrapped_not_copied():
     states = couple(DIPOS, CouplingTree.like_pairs(DIPOS))
-    for rows, cols, block in full_transform(states)._sectors:
+    for rows, cols, block in full_transform(states)._sectors.values():
         state = states[rows[0]]
         assert block is state._block
         assert np.array_equal(cols, state._columns)
         assert np.array_equal(rows, np.arange(rows[0], rows[0] + rows.size))
-    (_rows, _cols, block), = m_sector(states, 0.0)._sectors
+    (_rows, _cols, block), = m_sector(states, 0.0)._sectors.values()
     assert block is next(s for s in states if s.m == 0.0)._block
 
 

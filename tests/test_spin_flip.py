@@ -218,9 +218,8 @@ def _scanned_partners(matrix, spec):
     multiplet = matrix.basis._multiplets
     moments = np.zeros(matrix.size)
     solved, pairs = {}, []
-    for rows, block in matrix._blocks:  # ascending M
+    for m, (rows, block) in matrix._blocks.items():  # ascending M
         moments[rows] = np.diag(block)
-        m = states[rows[0]].m
         gids = spec.group_of[rows]
         rotated = np.array(block)
         _ids, firsts = np.unique(gids, return_index=True)
@@ -296,8 +295,7 @@ def test_a_pattern_kept_for_one_spec_serves_every_other(n, seed, shape,
             _assert_bit_equal(zeeman._partners(matrix, specs[name]),
                               expected[name])
             if name == "isolated":  # every sector at M <= 0 is scanned
-                scanned = [k for k, (rows, _block) in enumerate(matrix._blocks)
-                           if states[rows[0]].m <= 0]
+                scanned = [m for m in matrix._blocks if m <= 0]
                 assert sorted(matrix._patterns) == scanned
 
 

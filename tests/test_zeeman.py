@@ -485,12 +485,12 @@ def test_quadratic_singularity_error(like_states):
         quadratic_coefficients(matrix, DegeneracySpec.isolated(4))
 
 
-def _like_pairs_staircase(mu0):
-    """like-pairs moments at mu0, with state k at energy k (0...15)."""
+def _like_pairs_staircase(mu0, step=1.0):
+    """like-pairs moments at mu0, state k at energy k * step (k = 0...15)."""
     system = SpinSystem.dipositronium(mu0)
     matrix = moment_matrix(full_transform(
         couple(system, CouplingTree.like_pairs(system))))
-    energies = {label: float(k) for k, label in enumerate(matrix.labels)}
+    energies = {label: k * step for k, label in enumerate(matrix.labels)}
     return matrix, DegeneracySpec.from_energy_map(list(matrix.labels),
                                                   energies)
 
@@ -512,6 +512,30 @@ def test_quadratic_coefficients_reject_an_overflowing_term():
     matrix, spec = _like_pairs_staircase(mu0)
     with pytest.raises(ValueError,
                        match=rf"^mu0 {re.escape(repr(mu0))} overflows a "
+                             r"second-order coefficient$"):
+        quadratic_coefficients(matrix, spec)
+
+
+@pytest.mark.parametrize("mu0", [1e-160, -1e-200])
+def test_quadratic_coefficients_reject_underflowing_mu0_squared(mu0):
+    # mu0 * mu0 is below the smallest normal float: the coefficients would
+    # lose digits or read 0.0
+    matrix, spec = _like_pairs_staircase(mu0)
+    with pytest.raises(ValueError,
+                       match=rf"^mu0 {re.escape(repr(mu0))} squared "
+                             r"underflows$"):
+        quadratic_coefficients(matrix, spec)
+
+
+def test_quadratic_coefficients_reject_an_underflowing_term():
+    # mu0 * mu0 is normal, but coupling^2 / gap * mu0^2 is not once the
+    # gaps are 1e6 wide
+    mu0 = 1e-152
+    matrix, spec = _like_pairs_staircase(mu0, step=1e6)
+    unit = quadratic_coefficients(*_like_pairs_staircase(1.0, step=1e6))
+    assert 0.0 < np.max(np.abs(unit)) * (mu0 * mu0) < np.finfo(float).tiny
+    with pytest.raises(ValueError,
+                       match=rf"^mu0 {re.escape(repr(mu0))} underflows a "
                              r"second-order coefficient$"):
         quadratic_coefficients(matrix, spec)
 
