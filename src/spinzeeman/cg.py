@@ -2,8 +2,10 @@
 
 Condon-Shortley phase convention: coefficients are real, and the stretched
 coefficient <j1 j1; j2 (J-j1) | J J> is positive for every J.  The sum is
-taken over log-factorials, so its terms stay finite well past the j <= 2
-range actually exercised here (safe for j up to ~20).
+taken over log-factorials.  As an alternating sum it loses digits as the
+spins grow: against exact rationals the error is at most 4.3e-15 for every
+j1 + j2 + j <= 12, the library's whole range, and 2.5e-12 in 8000 random
+cases at 60.  Past 60 a sum of several terms raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ def cg_coefficient(j1: float, m1: float, j2: float, m2: float,
 
     Returns 0 when the selection rules (m = m1 + m2, triangle inequality,
     integral j1 + j2 + j) are not met.  Raises ``ValueError`` for arguments
-    that are not valid angular-momentum quantum numbers, or not finite.
+    that are not finite or valid angular-momentum quantum numbers, and past
+    the accurate range that the module states.
     """
     j1 = _half_integer(j1, "j1")
     m1 = _half_integer(m1, "m1")
@@ -80,6 +83,9 @@ def cg_coefficient(j1: float, m1: float, j2: float, m2: float,
 
     k_min = int(round(max(0.0, j2 - j - m1, j1 - j + m2)))
     k_max = int(round(min(j1 + j2 - j, j1 - m1, j2 + m2)))
+    if k_max > k_min and j1 + j2 + j > 60:
+        raise ValueError(f"j1 + j2 + j = {j1 + j2 + j:g} is past 60, the "
+                         "accurate range of a sum of several terms")
     total = 0.0
     for k in range(k_min, k_max + 1):
         den_terms = sorted(

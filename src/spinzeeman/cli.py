@@ -115,7 +115,7 @@ def parse_energies(path: str, states) -> DegeneracySpec:
     skipped.  The label is everything before the last comma (labels
     themselves contain commas).  Unlisted states form one zero-energy group.
     """
-    labels = [s.label for s in states]
+    known = set(states.row_labels)
     try:
         with open(path, encoding="utf-8-sig") as handle:
             text = handle.read()
@@ -130,7 +130,7 @@ def parse_energies(path: str, states) -> DegeneracySpec:
         label = label.strip()
         if not sep or not label:
             raise ValueError(f"{path}:{lineno}: expected 'label,energy'")
-        if label not in labels:
+        if label not in known:
             raise ValueError(
                 f"{path}:{lineno}: unknown state label {label!r}; labels must "
                 "match the rendered kets exactly"
@@ -146,7 +146,7 @@ def parse_energies(path: str, states) -> DegeneracySpec:
         if not np.isfinite(energy):
             raise ValueError(f"{path}:{lineno}: energy must be finite")
         seen[label] = energy
-    return DegeneracySpec.from_energy_map(labels, seen)
+    return DegeneracySpec.from_energy_map(states.row_labels, seen)
 
 
 def _parse_m(text: str) -> float:
@@ -350,12 +350,8 @@ def _cmd_overlap(args) -> str:
     basis_a = _basis(args)
     basis_b = _basis(args, args.scheme2)
     overlap = scheme_overlap(basis_a, basis_b)
-    return _matrix_output(
-        [s.label for s in basis_a],
-        [s.label for s in basis_b],
-        overlap,
-        args.format,
-    )
+    return _matrix_output(basis_a.row_labels, basis_b.row_labels, overlap,
+                          args.format)
 
 
 _COMMANDS = {

@@ -14,6 +14,8 @@ presets are:
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import re
 from dataclasses import FrozenInstanceError, dataclass, field
 
@@ -66,8 +68,8 @@ class CouplingTree:
     root: tuple
 
     # the delimiters around the intermediate spins, the text written for
-    # chosen intermediate spins, and the row order of chosen M >= 0
-    # sectors (each -M sector takes the order of +M)
+    # chosen intermediate spins, and the row order of chosen sectors, by
+    # |M| (the M and -M sectors of one |M| take one order)
     _brackets = "()"
     _labels = {}
     _orders = {}
@@ -258,15 +260,24 @@ def _cg_table(j1: float, j2: float, jj: float) -> np.ndarray:
     return table
 
 
-# a single site's sector 2m = +1: |↑⟩, partial index 0
-_LEAF = {1: (np.array([[1.0], [0.0]]), np.array([0]), np.array([0]))}
+# a single site's sectors 2m = +1 and -1: |↑⟩ and |↓⟩, partial indices 0, 1
+_LEAF = {1: (np.array([[1.0], [0.0]]), np.array([0]), np.array([0])),
+         -1: (np.array([[1.0], [0.0]]), np.array([1]), np.array([0]))}
 
 
-def _mirrored(sectors, eta, bits):
-    """``sectors`` of a ``bits``-site subtree, each m > 0 joined by its -m
-    mirror: the same rows, each multiplet's row times its eta, on the
-    partial indices with every bit complemented.  All are by descending m.
-    """
+def _flip_signs(bits, two_j):
+    """eta = (-1)^(k/2 - j) for multiplets of doubled spins ``two_j`` on
+    k = ``bits`` sites: flipping every spin maps |j m> to eta |j -m>."""
+    # k and 2j have one parity, so k - 2j is 0 or 2 modulo 4
+    return np.where((bits - two_j) % 4, -1.0, 1.0)
+
+
+def _mirrored(sectors, two_j, bits):
+    """``sectors`` of a ``bits``-site subtree of doubled spins ``two_j``,
+    each m > 0 joined by its -m mirror: the same rows, each times its
+    multiplet's exact flip sign, on the partial indices with every bit
+    complemented.  All are by descending m."""
+    eta = _flip_signs(bits, two_j)
     flip = (1 << bits) - 1
     mirrors = {}
     for two_m, (block, columns, rows) in reversed(sectors.items()):
@@ -293,48 +304,39 @@ def _node_sites(node) -> list[tuple[int, ...]]:
 
 
 def _node_states(shape, shapes):
-    """Couple a subtree of ``shape`` one M sector at a time, for m >= 0;
-    returns (site count, 2j, intermediates, sectors, flip signs).
+    """Couple a subtree of ``shape`` one M sector at a time; returns (site
+    count, 2j, intermediates, sectors).
 
     The k-th multiplet has doubled spin ``2j[k]``, and row k of the int
     array ``intermediates`` holds the doubled spins of the internal nodes,
-    in post-order, ending with this node itself.  ``sectors`` maps
-    2m >= 0, descending, to ``(block, columns, rows)``: the float64
+    in post-order, ending with this node itself.  ``sectors`` maps every
+    2m, descending, to ``(block, columns, rows)``: the float64
     ``block`` holds the m vectors of the multiplets with j >= |m|, in list
     order, over the partial indices ``columns`` (the k-th leaf being the
     most significant bit), and then a row of zeros; ``rows`` gives each
     multiplet's row, the zero row for the others.  None of it depends on
     which sites the leaves are, so ``shapes`` keeps each child shape's
-    result, its sectors mirrored, for every later subtree of that shape.
+    result for every later subtree of that shape.
 
     A pair of child multiplets at m1 and m - m1 fills the columns of that
-    (m1, m - m1) slot, its m vector there being the kron of the children's
-    rows times one CG value, the one nonzero term of the CG sum.  Flipping
-    every spin maps |j m> to eta |j -m>, where eta is 1 at a leaf and
-    eta_a eta_b (-1)^(j_a + j_b - j) for a multiplet of children a and b,
-    by <j_a -m_a j_b -m_b|j -m> = (-1)^(j_a + j_b - j) <j_a m_a j_b m_b|j m>.
-    So a child's -m sectors are its m sectors mirrored (``_mirrored``);
-    the signs are exact, so they are bit-identical to the recursion's.
+    (m1, m - m1) slot of an m >= 0 sector, its m vector there being the
+    kron of the children's rows times one CG value, the one nonzero term of
+    the CG sum.  The -m sectors are the m sectors mirrored (``_mirrored``).
     """
-    if shape is None:
+    if shape is None:  # a copy of _LEAF, as ``couple`` empties the root's
         two_j = np.ones(1, dtype=np.int64)
-        return 1, two_j, np.empty((1, 0), dtype=np.int64), _LEAF, np.ones(1)
+        return 1, two_j, np.empty((1, 0), dtype=np.int64), dict(_LEAF)
     for child in shape:
         if child not in shapes:
-            bits, two_j, inter, sectors, eta = _node_states(child, shapes)
-            shapes[child] = (bits, two_j, inter,
-                             _mirrored(sectors, eta, bits), eta)
-    bits_l, two_j_l, inter_l, sectors_l, eta_l = shapes[shape[0]]
-    shift, two_j_r, inter_r, sectors_r, eta_r = shapes[shape[1]]
+            shapes[child] = _node_states(child, shapes)
+    bits_l, two_j_l, inter_l, sectors_l = shapes[shape[0]]
+    shift, two_j_r, inter_r, sectors_r = shapes[shape[1]]
     qa, qb, two_j = np.array(
         [(a, b, two) for a, ja in enumerate(two_j_l.tolist())
          for b, jb in enumerate(two_j_r.tolist())
          for two in range(ja + jb, abs(ja - jb) - 1, -2)]).T
     inter = np.column_stack([inter_l[qa], inter_r[qb], two_j])
     two_ja, two_jb = two_j_l[qa], two_j_r[qb]
-    # (-1)^(j_a + j_b - j): the doubled spins differ by 0 or 2 modulo 4
-    eta = eta_l[qa] * eta_r[qb] * np.where((two_ja + two_jb - two_j) % 4,
-                                           -1.0, 1.0)
     # every multiplet's CG table, flattened into one array at ``base``
     keys = list(zip((two_ja / 2.0).tolist(), (two_jb / 2.0).tolist(),
                     (two_j / 2.0).tolist()))
@@ -380,7 +382,8 @@ def _node_states(shape, shapes):
         rows = np.full(two_j.size, order.size)
         rows[order] = np.arange(order.size)
         sectors[two_m] = (block, columns, rows)
-    return bits_l + shift, two_j, inter, sectors, eta
+    bits = bits_l + shift
+    return bits, two_j, inter, _mirrored(sectors, two_j, bits)
 
 
 def _site_permutation(sites: list[int], n: int) -> np.ndarray:
@@ -402,10 +405,11 @@ class BasisTransform(tuple):
     int64; ``row_labels``; and ``_sectors``, ``{M: (rows, product indices,
     block)}`` in ascending M: the consecutive rows of M and their read-only
     amplitudes on M's product indices, every other amplitude being zero.
-    Per state it keeps the read-only ``_flips``, the sign eta of |S M> ->
-    eta |S -M> under the spin flip, ``_multiplets``, the number of the
-    state's multiplet, the same at every M, and ``_two_s``, twice its total
-    spin, as int8.  A slice or sum is a plain tuple.
+    Per state it keeps the read-only ``_flips``, the sign
+    eta = (-1)^(N/2 - S) of |S M> -> eta |S -M> under the spin flip
+    (``_flip_signs``), ``_multiplets``, the number of the state's
+    multiplet, the same at every M, and ``_two_s``, twice its total spin,
+    as int8.  A slice or sum is a plain tuple.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -450,22 +454,17 @@ def couple(system: SpinSystem, tree: CouplingTree) -> BasisTransform:
     The basis is a ``BasisTransform`` of 2^N orthonormal simultaneous
     S^2/S_z eigenstates over all 2^N product states, by descending M and,
     within each M sector, by descending total spin and then descending
-    intermediate spins (presets may override the order of a sector with
-    M >= 0 to match the conventional presentation).  The
-    states of one M sector are the rows of one read-only float64 block over
-    that sector's product states; no 2^N-wide array is built.  The sectors
-    with M >= 0 are coupled by Clebsch-Gordan products (``_node_states``)
-    and their norms checked.  Each M < 0 sector is the finished +M block
-    with each row times its flip sign eta and its columns reversed, on the
-    product indices 2^N - 1 - i: complementing every bit reverses their
-    order.  The signs are exact, so it is bit-identical to coupling that
-    sector, and the +M and -M rows are the same multiplets in one order.
-    A subtree's blocks and flip signs depend on its shape alone, not on
-    which sites are its leaves, so subtrees of equal shape are coupled once
-    per call; nothing is kept from one call to the next.
+    intermediate spins (a preset may fix the order of the sectors of one
+    |M| to match the conventional presentation).  The states of one M
+    sector are the rows of one read-only float64 block over that sector's
+    product states; no 2^N-wide array is built.  The sectors are coupled
+    by Clebsch-Gordan products, each M < 0 one as the mirror of +M
+    (``_node_states``), so the +M and -M rows are the same multiplets in
+    one order, and every state's norm is checked.  Subtrees of equal shape
+    are coupled once per call; nothing is kept from one call to the next.
     """
     tree.validate_for(system)
-    _bits, two_s, inter, sectors, eta = _node_states(_shape(tree.root), {})
+    _bits, two_s, inter, sectors = _node_states(_shape(tree.root), {})
     keys = _node_sites(tree.root)[:-1]  # without the root
     doubled = inter[:, :len(keys)]
     total = (two_s / 2).tolist()
@@ -492,39 +491,32 @@ def couple(system: SpinSystem, tree: CouplingTree) -> BasisTransform:
     (set_s, set_m, set_intermediates, set_label, set_system, set_columns,
      set_block, set_row) = (getattr(CoupledState, name).__set__
                             for name in CoupledState.__slots__)
-    top = max(sectors)
-    states, records, finished, numbers = [], {}, {}, []
-    for two_m in range(top, -top - 1, -2):
+    states, records, numbers = [], {}, []
+    for two_m in list(sectors):  # popped, so each used block is freed
+        block, partial, rows = sectors.pop(two_m)
         mm = two_m / 2
-        if two_m < 0:
-            multiplets, columns, block = finished[-two_m]
-            columns = (system.dimension - 1) - columns[::-1]
-            block = block[:, ::-1] * eta[multiplets][:, None]
-            block += 0.0  # a zero times -1 is -0.0; this makes it 0.0
+        order = np.flatnonzero(rows < len(block) - 1)
+        fixed = tree._orders.get(abs(mm))
+        if fixed is None:
+            by_key = np.argsort(rank[order])
         else:
-            block, partial, rows = sectors[two_m]
-            order = np.flatnonzero(rows < len(block) - 1)
-            fixed = tree._orders.get(mm)
-            if fixed is None:
-                by_key = np.argsort(rank[order])
-            else:
-                by_key = np.argsort([fixed.index((total[k], spins[k]))
-                                     for k in order.tolist()])
-            multiplets = order[by_key]
-            product = permutation[partial]
-            by_index = np.argsort(product)
-            columns = product[by_index]
-            # a product with a zero row or a zero CG value may be -0.0;
-            # adding 0.0 makes it 0.0, as the sum over the CG table did
-            block = np.take(np.take(block, by_key, axis=0), by_index, axis=1)
-            block += 0.0
-            # written so that a NaN norm fails it
-            norms = np.sqrt(np.einsum("ij,ij->i", block, block))
-            off = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))
-            if off.size:
-                raise ValueError(
-                    f"state vector norm {norms[off[0]]} deviates from 1")
-            finished[two_m] = (multiplets, columns, block)
+            by_key = np.argsort([fixed.index((total[k], spins[k]))
+                                 for k in order.tolist()])
+        multiplets = order[by_key]
+        product = permutation[partial]
+        by_index = np.argsort(product)
+        columns = product[by_index]
+        # a product with a zero row or a zero CG value, or a zero times a
+        # flip sign of -1, may be -0.0; adding 0.0 makes it 0.0, as the sum
+        # over the CG table did
+        block = np.take(np.take(block, by_key, axis=0), by_index, axis=1)
+        block += 0.0
+        # written so that a NaN norm fails it
+        norms = np.sqrt(np.einsum("ij,ij->i", block, block))
+        off = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))
+        if off.size:
+            raise ValueError(
+                f"state vector norm {norms[off[0]]} deviates from 1")
         columns.setflags(write=False)
         block.setflags(write=False)
         records[mm] = (np.arange(len(states), len(states) + block.shape[0]),
@@ -549,7 +541,8 @@ def couple(system: SpinSystem, tree: CouplingTree) -> BasisTransform:
     basis.__dict__.update(
         system=system, columns=np.arange(system.dimension),
         row_labels=tuple([state.label for state in states]),
-        _sectors=dict(sorted(records.items())), _flips=eta[multiplets],
+        _sectors=dict(sorted(records.items())),
+        _flips=_flip_signs(system.n, two_s[multiplets]),
         _multiplets=multiplets, _two_s=two_s[multiplets].astype(np.int8))
     for name in ("columns", "_flips", "_multiplets", "_two_s"):
         getattr(basis, name).setflags(write=False)
@@ -558,11 +551,14 @@ def couple(system: SpinSystem, tree: CouplingTree) -> BasisTransform:
 
 def m_sector(basis: BasisTransform, m: float) -> BasisTransform:
     """The one-sector transform of ``basis``'s states with projection ``m``,
-    over the product states with that M.
-
-    An empty sector yields an empty block rather than an error.
+    over the product states with that M.  ``m`` must be a finite integer or
+    half-integer; one that no state has yields an empty block, no error.
     """
     system = _basis(basis).system
+    if (isinstance(m, bool) or not isinstance(m, numbers.Real)
+            or not math.isfinite(2 * m) or (2 * m) % 1):
+        raise ValueError(
+            f"m must be a finite integer or half-integer, got {m!r}")
     start = stop = 0
     sectors = {}
     if m in basis._sectors:

@@ -231,7 +231,8 @@ class DegeneracySpec:
         A non-finite energy raises ``ValueError`` naming its state, and
         nearly equal energies one naming two of their states.
         """
-        unknown = [lab for lab in mapping if lab not in labels]
+        known = set(labels)
+        unknown = [lab for lab in mapping if lab not in known]
         if unknown:
             raise ValueError(f"unknown state labels: {', '.join(unknown)}")
         by_energy: dict[float, list[int]] = {}

@@ -1,6 +1,8 @@
-"""Clebsch-Gordan coefficients against an independent ladder-operator oracle."""
+"""Clebsch-Gordan coefficients against ladder operators and exact rationals."""
 
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -188,3 +190,62 @@ def test_large_spins_take_no_table_bound():
     # <j1 m1; j2 m2|J M>^2 = C(2j1, j1+m1) C(2j2, j2+m2) / C(2J, J+M)
     exact = math.sqrt(math.comb(100, 50) ** 2 / math.comb(200, 100))
     assert value == pytest.approx(exact, rel=1e-12)
+
+
+def _exact_cg(j1, m1, j2, m2, j, m):
+    """The Racah sum in exact rationals, rounded once at the end."""
+    f = math.factorial
+
+    def fact(x):
+        return f(int(round(x)))
+
+    square = Fraction(
+        int(round(2 * j + 1)) * fact(j1 + j2 - j) * fact(j + j1 - j2)
+        * fact(j - j1 + j2) * fact(j + m) * fact(j - m) * fact(j1 - m1)
+        * fact(j1 + m1) * fact(j2 - m2) * fact(j2 + m2),
+        fact(j1 + j2 + j + 1))
+    k_min = int(round(max(0, j2 - j - m1, j1 - j + m2)))
+    k_max = int(round(min(j1 + j2 - j, j1 - m1, j2 + m2)))
+    total = sum(Fraction((-1) ** k, fact(k) * fact(j1 + j2 - j - k)
+                         * fact(j1 - m1 - k) * fact(j2 + m2 - k)
+                         * fact(j - j2 + m1 + k) * fact(j - j1 - m2 + k))
+                for k in range(k_min, k_max + 1))
+    return math.copysign(math.sqrt(total * total * square), total)
+
+
+def _random_coefficients(spin_sum, count, seed):
+    """``count`` valid <j1 m1; j2 m2|j m> with j1 + j2 + j = ``spin_sum``."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        two_j1 = rng.randrange(2 * spin_sum + 1)
+        two_j2 = rng.randrange(2 * spin_sum + 1 - two_j1)
+        two_j = 2 * spin_sum - two_j1 - two_j2
+        if not abs(two_j1 - two_j2) <= two_j <= two_j1 + two_j2:
+            continue
+        two_m1 = rng.randrange(-two_j1, two_j1 + 1, 2)
+        two_m2 = rng.randrange(-two_j2, two_j2 + 1, 2)
+        if abs(two_m1 + two_m2) <= two_j:
+            cases.append((two_j1 / 2, two_m1 / 2, two_j2 / 2, two_m2 / 2,
+                          two_j / 2, (two_m1 + two_m2) / 2))
+    return cases
+
+
+# the module docstring's measured bounds: 2.5e-12 is the worst of 8000
+# random coefficients at sum 60, so 5e-12 leaves room for other samples
+@pytest.mark.parametrize("spin_sum,tol", [(30, 1e-13), (60, 5e-12)])
+def test_sums_within_range_match_exact_rationals(spin_sum, tol):
+    j = spin_sum / 3
+    cases = [(j, 0, j, 0, j, 0)] + _random_coefficients(spin_sum, 200,
+                                                        seed=spin_sum)
+    for args in cases:
+        assert abs(cg_coefficient(*args) - _exact_cg(*args)) <= tol, args
+
+
+@pytest.mark.parametrize("args", [(30, 0, 30, 0, 30, 0),
+                                  (20, 0, 20.5, 0.5, 20.5, 0.5)])
+def test_sums_past_range_raise(args):
+    with pytest.raises(ValueError, match=(
+            r"^j1 \+ j2 \+ j = \d+ is past 60, the accurate range of a "
+            r"sum of several terms$")):
+        cg_coefficient(*args)

@@ -420,6 +420,22 @@ def test_empty_sector_is_not_an_error(like_states):
     assert len(sector.states) == 0
 
 
+# valid projections that no state has: past the top, or odd 2M at even N
+@pytest.mark.parametrize("m", [5, 0.5, -1.5])
+def test_a_projection_without_states_gives_an_empty_sector(like_states, m):
+    sector = m_sector(like_states, m)
+    assert len(sector) == 0 and sector.columns.size == 0
+
+
+@pytest.mark.parametrize("m", [0.3, -1.25, math.nan, math.inf, -math.inf,
+                               1e308, "1", None, True, 1j])
+def test_m_sector_refuses_an_invalid_projection(like_states, m):
+    with pytest.raises(ValueError, match=(
+            "^m must be a finite integer or half-integer, got "
+            + re.escape(repr(m)) + "$")):
+        m_sector(like_states, m)
+
+
 def test_states_are_immutable(like_states):
     state = like_states[0]
     with pytest.raises(ValueError):

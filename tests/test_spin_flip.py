@@ -85,7 +85,7 @@ def _parametrize(cases):
                                    ids=[case[0] for case in cases])
 
 
-@_parametrize(list(_cases(range(2, 11))) + PRESETS)
+@_parametrize(list(_cases(range(2, 13))) + PRESETS)
 def test_negative_m_sectors_mirror_positive_ones(name, system, tree):
     """Each M < 0 block is its +M block, each row times its multiplet's
     sign, on the complemented product indices, bit for bit."""
@@ -102,7 +102,7 @@ def test_negative_m_sectors_mirror_positive_ones(name, system, tree):
                               signs[:, None] * plus.matrix)
 
 
-@_parametrize(list(_cases(range(2, 11))) + PRESETS)
+@_parametrize(list(_cases(range(2, 13))) + PRESETS)
 def test_basis_keeps_each_states_flip_sign_and_multiplet(name, system,
                                                          tree):
     """``couple`` records each state's eta and multiplet number, and the
@@ -394,7 +394,7 @@ def test_mirror_takes_whatever_vectors_eigh_returns(name, system, tree,
     assert solves or "ep" in name
 
 
-@_parametrize(list(_cases(range(2, 11))) + PRESETS)
+@_parametrize(list(_cases(range(2, 13))) + PRESETS)
 def test_flip_sign_is_fixed_by_the_total_spin(name, system, tree):
     """The phases (-1)^(j_a + j_b - j) of a tree's nodes multiply to
     (-1)^(N/2 - S), so the rows of one total spin share one flip sign,
