@@ -35,7 +35,8 @@ for i, b in enumerate(curves.b_values):
     print(f"{b:+6.2f}  {row}")
 
 closed_form = -gap / 2 + np.sqrt((gap / 2) ** 2 + (2 * grid) ** 2)
-dev = np.max(np.abs(curves.curve("|1,0⟩") - closed_form))
+branch = curves.energies[:, curves.labels.index("|1,0⟩")]
+dev = np.max(np.abs(branch - closed_form))
 print(f"max deviation of |1,0> from the closed-form branch: {dev:.2e}")
 print()
 

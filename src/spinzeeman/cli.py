@@ -91,31 +91,34 @@ def _basis(args, scheme: "str | None" = None) -> BasisTransform:
     return couple(system, tree)
 
 
-def _block(args) -> BasisTransform:
-    """The ``--m`` sector of the coupled basis, or all of it without ``--m``.
+def _block(basis: BasisTransform, m) -> BasisTransform:
+    """The sector of ``basis`` with projection ``m``, or all of it when
+    ``m`` is None.
 
-    An ``--m`` that no state of the system has is a domain error.
+    An ``m`` that no state of the system has is a domain error.
     """
-    basis = _basis(args)
-    if args.m is None:
+    if m is None:
         return full_transform(basis)
-    block = m_sector(basis, args.m)
-    if not block.states:
+    block = m_sector(basis, m)
+    if not block:
         raise ValueError(
-            f"no states with M={format_spin(args.m)} for "
+            f"no states with M={format_spin(m)} for "
             f"{basis.system.n} particles"
         )
     return block
 
 
-def parse_energies(path: str, states) -> DegeneracySpec:
-    """Read a 'label,energy' file into a degeneracy spec.
+def parse_energies(path: str, basis, states) -> DegeneracySpec:
+    """Read a 'label,energy' file into a degeneracy spec for ``states``, a
+    sector of ``basis`` or all of it.
 
     A leading byte-order mark, blank lines and lines starting with '#' are
     skipped.  The label is everything before the last comma (labels
-    themselves contain commas).  Unlisted states form one zero-energy group.
+    themselves contain commas).  Each label must be one of ``basis``'s; a
+    line for a state outside ``states`` is checked like any other and then
+    left out.  Unlisted states form one zero-energy group.
     """
-    known = set(states.row_labels)
+    known = set(basis.row_labels)
     try:
         with open(path, encoding="utf-8-sig") as handle:
             text = handle.read()
@@ -146,7 +149,10 @@ def parse_energies(path: str, states) -> DegeneracySpec:
         if not np.isfinite(energy):
             raise ValueError(f"{path}:{lineno}: energy must be finite")
         seen[label] = energy
-    return DegeneracySpec.from_energy_map(states.row_labels, seen)
+    wanted = set(states.row_labels)
+    return DegeneracySpec.from_energy_map(
+        states.row_labels,
+        {label: energy for label, energy in seen.items() if label in wanted})
 
 
 def _parse_m(text: str) -> float:
@@ -235,26 +241,29 @@ def _matrix_output(row_labels, col_labels, entries: np.ndarray,
 
 
 def _cmd_basis(args) -> str:
-    block = _block(args)
+    block = _block(_basis(args), args.m)
     return _matrix_output(
         block.row_labels, block.column_labels, block.matrix, args.format
     )
 
 
 def _cmd_moment(args) -> str:
-    matrix = moment_matrix(_block(args))
+    matrix = moment_matrix(_block(_basis(args), args.m))
     return _matrix_output(matrix.labels, matrix.labels, matrix.entries, args.format)
 
 
-def _degeneracy(args, states) -> DegeneracySpec:
+def _degeneracy(args, basis, block) -> DegeneracySpec:
+    """The ``--energies`` spec for ``block``, a sector of ``basis`` or all
+    of it, or the isolated spec without ``--energies``."""
     if args.energies:
-        return parse_energies(args.energies, states)
-    return DegeneracySpec.isolated(len(states))
+        return parse_energies(args.energies, basis, block)
+    return DegeneracySpec.isolated(len(block))
 
 
 def _cmd_classify(args) -> str:
-    block = _block(args)
-    spec = _degeneracy(args, block.states)
+    basis = _basis(args)
+    block = _block(basis, args.m)
+    spec = _degeneracy(args, basis, block)
     report = classify(moment_matrix(block), spec)
     return _emit(
         args.format,
@@ -285,8 +294,9 @@ def _cmd_classify(args) -> str:
 
 
 def _cmd_sweep(args) -> str:
-    block = _block(args)
-    spec = _degeneracy(args, block.states)
+    basis = _basis(args)
+    block = _block(basis, args.m)
+    spec = _degeneracy(args, basis, block)
     if args.steps < 1:
         raise ValueError("steps must be at least 1")
     if args.steps == 1 and args.bmin != args.bmax:

@@ -222,10 +222,6 @@ class CoupledState:
         vector.setflags(write=False)
         return vector
 
-    @property
-    def intermediate_spins(self) -> tuple[float, ...]:
-        return tuple(spin for _sites, spin in self.intermediates)
-
 
 # CG tables built so far, by (coefficient function, j1, j2, J)
 _CG_TABLES: dict = {}
@@ -415,10 +411,6 @@ class BasisTransform(tuple):
     def __init__(self, *args, **kwargs) -> None:
         raise TypeError(
             "basis transforms are built by couple() and m_sector()")
-
-    @property
-    def states(self) -> "BasisTransform":
-        return self
 
     @property
     def matrix(self) -> np.ndarray:

@@ -283,9 +283,6 @@ class ZeemanReport:
             out[s.classification] += 1
         return out
 
-    def by_label(self) -> "dict[str, StateReport]":
-        return {s.label: s for s in self.states}
-
 
 _LSAP = "scipy.optimize._lsap"
 _solver = None
@@ -512,9 +509,6 @@ class LevelCurves:
     energies: np.ndarray
     labels: tuple[str, ...]
     flagged: tuple[tuple[float, str], ...]
-
-    def curve(self, label: str) -> np.ndarray:
-        return self.energies[:, self.labels.index(label)]
 
 
 def _first_fit(sizes: "list[int]") -> "list[list[int]]":

@@ -107,7 +107,7 @@ def test_criterion_01_golden_basis_transform_m_pm1():
         flip.append(sector.columns.tolist().index(flipped))
     mirrored = minus.matrix.real[:, np.argsort(flip)]
     assert _rows_match_up_to_sign(mirrored, sector.matrix.real)
-    assert [s.total_s for s in minus.states] == [s.total_s for s in sector.states]
+    assert [s.total_s for s in minus] == [s.total_s for s in sector]
     _passed(1, "like-pairs M=+1 block matches the 4x4 transform; "
                "M=-1 mirrors it under global spin flip")
 
@@ -134,11 +134,11 @@ def test_criterion_04_stretched_states():
     for states in (LIKE_STATES, POS_STATES):
         top = m_sector(states, 2.0)
         bottom = m_sector(states, -2.0)
-        assert len(top.states) == len(bottom.states) == 1
-        assert np.count_nonzero(top.states[0].vector) == 1
-        assert abs(top.states[0].vector[0] - 1.0) <= TOL
-        assert np.count_nonzero(bottom.states[0].vector) == 1
-        assert abs(bottom.states[0].vector[15] - 1.0) <= TOL
+        assert len(top) == len(bottom) == 1
+        assert np.count_nonzero(top[0].vector) == 1
+        assert abs(top[0].vector[0] - 1.0) <= TOL
+        assert np.count_nonzero(bottom[0].vector) == 1
+        assert abs(bottom[0].vector[15] - 1.0) <= TOL
         assert moment_matrix(top).entries[0, 0] == 0.0
         assert moment_matrix(bottom).entries[0, 0] == 0.0
     _passed(4, "M=+2/-2 states are the aligned kets with exactly zero moment")
@@ -173,7 +173,7 @@ def test_criterion_06_classification_census():
         "|1,-1[1,0]⟩", "|1,-1[0,1]⟩",
     }
     assert sorted(linear.values()) == pytest.approx([-2, -2, 2, 2], abs=TOL)
-    by_label = report.by_label()
+    by_label = {s.label: s for s in report.states}
     m0_none = [lab for lab in ("|1,0[0,1]⟩", "|1,0[1,0]⟩",
                                "|0,0[0,0]⟩")
                if by_label[lab].classification is Classification.NONE]
@@ -203,12 +203,13 @@ def test_criterion_07_positronium_regression():
     spec = DegeneracySpec.from_energy_map(labels, {"|0,0⟩": -gap})
     grid = np.linspace(-2.0, 2.0, 17)
     curves = level_curves(matrix, spec, grid)
+    curve = dict(zip(curves.labels, curves.energies.T))
     b = curves.b_values
     root = np.sqrt((gap / 2) ** 2 + (2.0 * b) ** 2)
-    assert np.max(np.abs(curves.curve("|1,0⟩") - (-gap / 2 + root))) <= 1e-10
-    assert np.max(np.abs(curves.curve("|0,0⟩") - (-gap / 2 - root))) <= 1e-10
-    assert np.max(np.abs(curves.curve("|1,1⟩"))) <= 1e-10
-    assert np.max(np.abs(curves.curve("|1,-1⟩"))) <= 1e-10
+    assert np.max(np.abs(curve["|1,0⟩"] - (-gap / 2 + root))) <= 1e-10
+    assert np.max(np.abs(curve["|0,0⟩"] - (-gap / 2 - root))) <= 1e-10
+    assert np.max(np.abs(curve["|1,1⟩"])) <= 1e-10
+    assert np.max(np.abs(curve["|1,-1⟩"])) <= 1e-10
     _passed(7, "positronium: zero-diagonal moment, -2mu0 singlet-triplet "
                "coupling, closed-form M=0 curves, flat M=+/-1 curves")
 
@@ -264,7 +265,7 @@ def test_criterion_08_property_suites():
             assert np.max(np.abs(sz @ state.vector
                                  - state.m * state.vector)) <= 1e-10
         # multiplet census: one S=2, three S=1, two S=0
-        multiplets = {(s.total_s, s.intermediate_spins) for s in states}
+        multiplets = {(s.total_s, s.intermediates) for s in states}
         census = {}
         for total_s, _inter in multiplets:
             census[total_s] = census.get(total_s, 0) + 1

@@ -124,10 +124,10 @@ def _per_object_moment(basis):
     the chop."""
     n = basis.system.n
     columns = [ProductState.from_index(c, n) for c in basis.columns.tolist()]
-    row_m = np.array([s.m for s in basis.states])
+    row_m = np.array([s.m for s in basis])
     col_m = np.array([c.m for c in columns])
     diag = moment_diagonal_loop(basis.system)[[c.index for c in columns]]
-    entries = np.zeros((len(basis.states),) * 2)
+    entries = np.zeros((len(basis),) * 2)
     products = [
         (rows, (block * diag[cols]) @ block.T)
         for rows, cols, block in _former_m_sectors(
@@ -158,6 +158,6 @@ def test_columns_match_per_object_reference(name, system, tree):
         assert block.columns.tolist() == list(expected)
         assert block.column_labels == tuple(
             ProductState.from_index(c, n).label for c in expected)
-        if block.states:
+        if block:
             _same_moment(moment_matrix(block).entries,
-                         _per_object_moment(block), block.states, tree)
+                         _per_object_moment(block), block, tree)

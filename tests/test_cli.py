@@ -485,13 +485,13 @@ def test_energies_file_parsing(capsys, tmp_path):
         "|0,0⟩,-1.0\n",
         encoding="utf-8",
     )
-    spec = parse_energies(str(path), states)
+    spec = parse_energies(str(path), states, states)
     assert spec.groups == ((0, 1, 3), (2,))
     assert spec.energies == (0.0, -1.0)
     # a leading byte-order mark is not part of the first label
     bom = tmp_path / "bom.csv"
     bom.write_text("|0,0⟩,-1.0\n", encoding="utf-8-sig")
-    assert parse_energies(str(bom), states) == spec
+    assert parse_energies(str(bom), states, states) == spec
 
     code, out, _err = run_cli(
         capsys, "classify", "--system", "positronium", "--energies", str(path),
@@ -511,17 +511,17 @@ def test_energies_file_errors(tmp_path):
     dup = tmp_path / "dup.csv"
     dup.write_text("|0,0⟩,1.0\n|0,0⟩,2.0\n", encoding="utf-8")
     with pytest.raises(ValueError, match="dup.csv:2"):
-        parse_energies(str(dup), states)
+        parse_energies(str(dup), states, states)
 
     unknown = tmp_path / "unknown.csv"
     unknown.write_text("|7,7⟩,1.0\n", encoding="utf-8")
     with pytest.raises(ValueError, match="unknown state label"):
-        parse_energies(str(unknown), states)
+        parse_energies(str(unknown), states, states)
 
     bad = tmp_path / "bad.csv"
     bad.write_text("|0,0⟩,abc\n", encoding="utf-8")
     with pytest.raises(ValueError, match="non-numeric"):
-        parse_energies(str(bad), states)
+        parse_energies(str(bad), states, states)
 
     for name, line, message in (
             ("fieldless.csv", "foo", "expected 'label,energy'"),
@@ -530,7 +530,7 @@ def test_energies_file_errors(tmp_path):
         path.write_text(line + "\n", encoding="utf-8")
         with pytest.raises(ValueError,
                            match=f"^{re.escape(str(path))}:1: {message}$"):
-            parse_energies(str(path), states)
+            parse_energies(str(path), states, states)
 
     with pytest.raises(ValueError, match="^unknown state labels: \\|9,9⟩$"):
         DegeneracySpec.from_energy_map([s.label for s in states],
@@ -541,7 +541,55 @@ def test_energies_file_errors(tmp_path):
     message = (f"^cannot read energies file {re.escape(str(latin1))}: "
                "'utf-8' codec can't decode byte 0xe9")
     with pytest.raises(ValueError, match=message):
-        parse_energies(str(latin1), states)
+        parse_energies(str(latin1), states, states)
+
+
+def _spin_energy_lines(m=None):
+    """One 'label,S(S+1)' line per dipositronium positronium-pairs state,
+    or per state of projection ``m``."""
+    system = SpinSystem.dipositronium()
+    basis = couple(system, CouplingTree.positronium_pairs(system))
+    return [f"{s.label},{s.total_s * (s.total_s + 1)}\n" for s in basis
+            if m is None or s.m == m]
+
+
+SECTOR_ENERGIES = ("--system", "dipositronium", "--scheme",
+                   "positronium-pairs", "--m", "1", "--energies")
+
+
+@pytest.mark.parametrize("command", [
+    ("classify",), ("sweep", "--bmin", "-1", "--bmax", "1", "--steps", "5")],
+    ids=["classify", "sweep"])
+def test_a_whole_basis_energies_file_serves_a_sector(capsys, tmp_path,
+                                                      command):
+    whole = tmp_path / "whole.csv"
+    whole.write_text("".join(_spin_energy_lines()), encoding="utf-8")
+    sector = tmp_path / "sector.csv"
+    sector.write_text("".join(_spin_energy_lines(1.0)), encoding="utf-8")
+    alone = run_cli(capsys, *command, *SECTOR_ENERGIES, str(sector))
+    assert alone[0] == 0 and alone[1]
+    assert run_cli(capsys, *command, *SECTOR_ENERGIES, str(whole)) == alone
+
+
+@pytest.mark.parametrize("line, lineno, message", [
+    ("|9,9⟩,1.0", 1, "unknown state label '|9,9⟩'; labels must match the "
+                     "rendered kets exactly"),
+    ("|2,2(1,1)⟩,5.0", 17, "duplicate label '|2,2(1,1)⟩'"),
+    ("foo", 1, "expected 'label,energy'"),
+    ("|2,2(1,1)⟩,abc", 1, "non-numeric energy 'abc'"),
+    ("|2,2(1,1)⟩,inf", 1, "energy must be finite"),
+])
+def test_a_sector_run_checks_every_line(capsys, tmp_path, line, lineno,
+                                        message):
+    # a file for the whole basis with a faulty first line, whose state
+    # (M = 2) lies outside the sector, or a faulty seventeenth line
+    lines = _spin_energy_lines()
+    lines[lineno - 1:lineno] = [line + "\n"]
+    path = tmp_path / "faulty.csv"
+    path.write_text("".join(lines), encoding="utf-8")
+    code, out, err = run_cli(capsys, "classify", *SECTOR_ENERGIES, str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}:{lineno}: {message}\n"
 
 
 def test_near_equal_energies_are_domain_error(capsys, tmp_path):

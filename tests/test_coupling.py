@@ -124,24 +124,22 @@ def test_stretched_sectors(tree):
     states = couple(DIPOS, tree)
     top = m_sector(states, 2.0)
     bottom = m_sector(states, -2.0)
-    assert len(top.states) == len(bottom.states) == 1
+    assert len(top) == len(bottom) == 1
     vec_top = np.zeros(16)
     vec_top[0] = 1.0  # |up up up up>
     vec_bottom = np.zeros(16)
     vec_bottom[15] = 1.0  # |down down down down>
-    assert np.max(np.abs(top.states[0].vector - vec_top)) <= 1e-12
-    assert np.max(np.abs(bottom.states[0].vector - vec_bottom)) <= 1e-12
-    assert np.count_nonzero(top.states[0].vector) == 1
-    assert np.count_nonzero(bottom.states[0].vector) == 1
+    assert np.max(np.abs(top[0].vector - vec_top)) <= 1e-12
+    assert np.max(np.abs(bottom[0].vector - vec_bottom)) <= 1e-12
+    assert np.count_nonzero(top[0].vector) == 1
+    assert np.count_nonzero(bottom[0].vector) == 1
 
 
 def test_m_minus_one_mirrors_m_plus_one(like_states):
     plus = m_sector(like_states, 1.0)
     minus = m_sector(like_states, -1.0)
-    assert [s.total_s for s in minus.states] == [s.total_s for s in plus.states]
-    assert [s.intermediate_spins for s in minus.states] == [
-        s.intermediate_spins for s in plus.states
-    ]
+    assert [s.total_s for s in minus] == [s.total_s for s in plus]
+    assert [s.intermediates for s in minus] == [s.intermediates for s in plus]
     # map each M=-1 column to the global spin flip of the M=+1 columns
     flip = []
     for col in minus.columns:
@@ -242,7 +240,7 @@ def test_every_node_spin_is_an_eigenvalue_of_its_subtree(shape):
 @pytest.mark.parametrize("tree", [LIKE, POS], ids=["like", "pos"])
 def test_multiplet_census(tree):
     states = couple(DIPOS, tree)
-    multiplets = {(s.total_s, s.intermediate_spins) for s in states}
+    multiplets = {(s.total_s, s.intermediates) for s in states}
     by_spin = {}
     for total_s, _inter in multiplets:
         by_spin[total_s] = by_spin.get(total_s, 0) + 1
@@ -417,7 +415,7 @@ def test_exchange_classification(like_states, pos_states):
 
 def test_empty_sector_is_not_an_error(like_states):
     sector = m_sector(like_states, 7.0)
-    assert len(sector.states) == 0
+    assert len(sector) == 0
 
 
 # valid projections that no state has: past the top, or odd 2M at even N

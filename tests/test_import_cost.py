@@ -6,6 +6,9 @@ package around it: importing ``scipy.optimize`` costs about 0.4 s and 45 MB
 per CLI run.  Every command that solves no assignment, and the package
 import itself, must leave scipy unloaded altogether.  No command imports
 ``numpy.ma`` either, which ``np.unique`` does on its first call in numpy 2.
+Nor does importing the CLI load any module of ``UNLOADED``: exact
+arithmetic, sympy, process and thread pools and the numpy submodules that
+``import numpy`` defers, none of which a command needs.
 """
 
 import json
@@ -121,6 +124,23 @@ def test_assigning_step_leaves_scipy_optimize_unloaded(loaded, step):
 def test_step_leaves_numpy_ma_unloaded(loaded, step):
     assert isinstance(loaded[step], list), loaded[step]
     assert loaded["numpy.ma"][step] is False
+
+
+UNLOADED = ("fractions", "decimal", "sympy", "statistics",
+            "concurrent.futures", "multiprocessing", "numpy.random",
+            "numpy.fft", "numpy.polynomial")
+# Runs in a fresh interpreter: the modules of UNLOADED that importing the
+# CLI has loaded.
+IMPORT_PROBE = """
+import json, sys
+import spinzeeman.cli
+print(json.dumps([name for name in json.loads(sys.argv[1])
+                  if name in sys.modules]))
+"""
+
+
+def test_cli_import_loads_no_module_it_does_not_need():
+    assert run_probe(IMPORT_PROBE, json.dumps(UNLOADED)) == []
 
 
 def test_scipy_optimize_imports_normally_after_the_solver(loaded):

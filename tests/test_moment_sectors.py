@@ -12,6 +12,7 @@ quadratic coefficients, and the former dense 2^N x 2^N tracking of
 ``level_curves``.
 """
 
+import random
 import re
 import threading
 import tracemalloc
@@ -41,6 +42,7 @@ from spinzeeman import (
 from spinzeeman import zeeman
 
 from dense_operators import moment_diagonal
+from like_spin_oracle import census, like_spins, spin_grouped
 
 ALTERNATING = [Species.ELECTRON, Species.POSITRON] * 4
 DIPOS = SpinSystem.dipositronium()
@@ -66,17 +68,6 @@ def _trees(species):
     }
 
 
-def _spin_grouped(states):
-    """E = S(S+1): one degenerate group per total spin."""
-    groups: dict[float, list[int]] = {}
-    for k, state in enumerate(states):
-        groups.setdefault(state.total_s, []).append(k)
-    return DegeneracySpec(
-        tuple(tuple(g) for g in groups.values()),
-        tuple(s * (s + 1) for s in groups),
-    )
-
-
 def _dense_moment(basis):
     """Former ``moment_matrix``: one product over all columns, then the
     chop."""
@@ -98,7 +89,7 @@ def _multiplet_rotations(matrix, spec):
     spins is solved alone."""
     entries = matrix.entries
     unit = abs(matrix.basis.system.mu0)
-    states = matrix.basis.states
+    states = matrix.basis
     row_m = np.array([s.m for s in states])
     solved = {}
     rotations = []
@@ -177,7 +168,7 @@ def _dense_rotate_groups(matrix, spec):
     entries = matrix.entries  # built on each read, so read once
     rotated = np.array(entries)
     moments = np.diag(rotated).copy()
-    row_m = np.array([s.m for s in matrix.basis.states])
+    row_m = np.array([s.m for s in matrix.basis])
     for idx, m, solution in _multiplet_rotations(matrix, spec):
         if solution is None:
             continue
@@ -292,7 +283,7 @@ def test_local_group_rotation_matches_dense_product(shape):
     species = ALTERNATING[:6]
     states = couple(SpinSystem.from_species(species), _trees(species)[shape])
     matrix = moment_matrix(full_transform(states))
-    spec = _spin_grouped(states)
+    spec = spin_grouped(states)
     moments, rows, cols, coupling = zeeman._partners(matrix, spec)
     rotated = _dense_rotation(matrix, spec)
     diagonal = np.diag(rotated).copy()
@@ -317,7 +308,7 @@ def test_group_rotation_independent_of_how_groups_split(n, shape):
     species = ALTERNATING[:n]
     states = couple(SpinSystem.from_species(species), _trees(species)[shape])
     matrix = moment_matrix(full_transform(states))
-    spec = _spin_grouped(states)
+    spec = spin_grouped(states)
     moments, rows, cols, _coupling = zeeman._partners(matrix, spec)
     coeffs = quadratic_coefficients(matrix, spec)
     former_moments, former_coeffs = _former_quadratic(matrix, spec)
@@ -343,7 +334,7 @@ def test_quadratic_coefficients_match_pair_loop(shape):
     species = ALTERNATING[:8]
     states = couple(SpinSystem.from_species(species), _trees(species)[shape])
     matrix = moment_matrix(full_transform(states))
-    spec = _spin_grouped(states)
+    spec = spin_grouped(states)
     assert np.array_equal(quadratic_coefficients(matrix, spec),
                           _loop_quadratic(matrix, spec))
 
@@ -393,7 +384,7 @@ def test_verdicts_independent_of_how_a_spec_is_listed(n, shape, seed,
     # no group couples another of its spin, so the moments are those of
     # one group per spin
     assert np.array_equal(zeeman._partners(matrix, shuffled)[0],
-                          zeeman._partners(matrix, _spin_grouped(states))[0])
+                          zeeman._partners(matrix, spin_grouped(states))[0])
     specs = fingerprint._specs(states, seed)
     for one, other in ((listed, shuffled), (specs["spin"], specs["shuffled"])):
         assert one.groups != other.groups
@@ -412,7 +403,7 @@ def test_empty_group_changes_no_result(case):
         states = couple(SpinSystem.from_species(species),
                         _trees(species)["atom"])
     matrix = moment_matrix(full_transform(states))
-    spec = _spin_grouped(states)
+    spec = spin_grouped(states)
     # listed first, so every other group's index moves by one
     padded = DegeneracySpec(((),) + spec.groups, (-5.0,) + spec.energies)
     assert classify(matrix, padded).states == classify(matrix, spec).states
@@ -442,7 +433,7 @@ def test_per_block_partners_match_dense_reference(name, system, tree,
     former dense rotation and 2^N x 2^N mask."""
     states = couple(system, tree)
     matrix = moment_matrix(full_transform(states))
-    spec = (_spin_grouped(states) if grouped
+    spec = (spin_grouped(states) if grouped
             else DegeneracySpec.isolated(len(states)))
     rotated, dense_moments, mask = _dense_partners(matrix, spec)
     dense_rows, dense_cols = np.nonzero(mask)  # row-major
@@ -472,7 +463,7 @@ def test_shared_energy_error_names_first_pair():
 def _counts(species, shape):
     states = couple(SpinSystem.from_species(species), _trees(species)[shape])
     matrix = moment_matrix(full_transform(states))
-    specs = (DegeneracySpec.isolated(len(states)), _spin_grouped(states))
+    specs = (DegeneracySpec.isolated(len(states)), spin_grouped(states))
     return [classify(matrix, spec).counts() for spec in specs]
 
 
@@ -484,35 +475,11 @@ def test_census_counts_independent_of_particle_order(shape, seed):
     assert _counts([base[k] for k in order], shape) == _counts(base, shape)
 
 
-def _ep_linear_count(n):
-    """LINEAR states of an ``ep`` tree under the isolated spec, in closed
-    form.  By the projection theorem a state's moment is proportional to
-    M [S_e(S_e+1) - S_p(S_p+1)] / [S(S+1)], so it is LINEAR exactly when
-    M != 0 and S_e != S_p; count those states from the multiplicities of
-    n/2 coupled spins 1/2."""
-    k = n // 2
-
-    def multiplets(two_s):  # spin-S multiplets of k spins 1/2
-        low = (k - two_s) // 2
-        return comb(k, low) - (comb(k, low - 1) if low else 0)
-
-    spins = range(k % 2, k + 1, 2)  # 2 S_e and 2 S_p
-    total = 0
-    for two_se in spins:
-        for two_sp in spins:
-            if two_se == two_sp:
-                continue
-            for two_s in range(abs(two_se - two_sp), two_se + two_sp + 1, 2):
-                states_m_nonzero = two_s + (two_s % 2)
-                total += (multiplets(two_se) * multiplets(two_sp)
-                          * states_m_nonzero)
-    return total
-
-
 @pytest.mark.parametrize("seed", [7, 8])
 @pytest.mark.parametrize("n, expected", [(2, 0), (4, 4), (6, 24), (8, 112)])
 def test_ep_linear_count_matches_projection_theorem(n, expected, seed):
-    assert _ep_linear_count(n) == expected
+    # the like-particle oracle: LINEAR exactly when M != 0 and S_e != S_p
+    assert census(n // 2, n // 2)["LINEAR"] == expected
     order = np.random.default_rng(seed).permutation(n)
     species = [ALTERNATING[k] for k in order]
     states = couple(SpinSystem.from_species(species), _trees(species)["ep"])
@@ -520,12 +487,9 @@ def test_ep_linear_count_matches_projection_theorem(n, expected, seed):
                       DegeneracySpec.isolated(len(states)))
     assert report.counts()[Classification.LINEAR] == expected
     # state by state: LINEAR exactly when M != 0 and S_e != S_p
-    chains = [frozenset(k for k, s in enumerate(species) if s is kind)
-              for kind in (Species.ELECTRON, Species.POSITRON)]
     for state, verdict in zip(states, report.states):
-        spins = {frozenset(sites): spin for sites, spin in state.intermediates}
-        s_e, s_p = (spins.get(chain, 0.5) for chain in chains)
-        linear = state.m != 0 and s_e != s_p
+        two_e, two_p, _two_s, two_m = like_spins(state, species)
+        linear = two_m != 0 and two_e != two_p
         assert (verdict.classification is Classification.LINEAR) == linear
 
 
@@ -537,7 +501,7 @@ def test_classify_allocates_less_than_one_dense_matrix(shape):
     states = couple(SpinSystem.from_species(species), _trees(species)[shape])
     matrix = moment_matrix(full_transform(states))
     isolated = DegeneracySpec.isolated(len(states))
-    grouped = _spin_grouped(states)
+    grouped = spin_grouped(states)
     tracemalloc.start()
     try:
         classify(matrix, isolated)
@@ -588,7 +552,7 @@ def test_tie_scan_matches_pair_loop(n, shape):
     states = couple(SpinSystem.from_species(species), _trees(species)[shape])
     matrix = moment_matrix(full_transform(states))
     m_of = {s.label: s.m for s in states}
-    grouped = _spin_grouped(states)
+    grouped = spin_grouped(states)
     for spec in (DegeneracySpec.isolated(len(states)), grouped):
         curves = level_curves(matrix, spec, GRID)
         h0 = np.diag(spec.energy_of)
@@ -652,7 +616,7 @@ def test_padded_sectors_solve_as_their_own_blocks(n, shape, monkeypatch):
     species = ALTERNATING[:n]
     states = couple(SpinSystem.from_species(species), _trees(species)[shape])
     matrix = moment_matrix(full_transform(states))
-    spec = _spin_grouped(states)
+    spec = spin_grouped(states)
     energy = spec.energy_of
     solves = []
     lock = threading.Lock()
@@ -718,50 +682,100 @@ def test_padded_sectors_solve_as_their_own_blocks(n, shape, monkeypatch):
                 assert np.max(np.abs(kept - own)) <= 1e-12 * scale
 
 
+def _split(rng, sites):
+    """A random binary tree over ``sites``, in their order."""
+    if len(sites) == 1:
+        return sites[0]
+    cut = rng.randint(1, len(sites) - 1)
+    return _split(rng, sites[:cut]), _split(rng, sites[cut:])
+
+
+def _expression(node, names):
+    if isinstance(node, int):
+        return names[node]
+    return f"({_expression(node[0], names)},{_expression(node[1], names)})"
+
+
+def _random_trees(count=120, seed=36):
+    """``count`` (species, root) pairs from ``random.Random(seed)``: N = 3...8
+    sites of random species (unequal counts and a single species
+    included), random shapes and random site orders, each with its id, the
+    system and tree as CLI options to replay a failure with."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(3, 8)
+        species = [rng.choice((Species.ELECTRON, Species.POSITRON))
+                   for _site in range(n)]
+        sites = list(range(n))
+        rng.shuffle(sites)
+        root = _split(rng, sites)
+        names = SpinSystem(species).names
+        yield pytest.param(
+            (species, root),
+            id=(f"--system {','.join(s.code for s in species)} "
+                f"--scheme '{_expression(root, names)}'"))
+
+
 def _moments_with_mu0(case, mu0):
+    """The coupled basis of ``case``, a preset or ``_trees`` shape name or a
+    (species, root) pair, and its moment matrix at unit ``mu0``."""
     if case in ("like-pairs", "positronium-pairs"):
         system = SpinSystem.dipositronium(mu0)
         preset = {"like-pairs": CouplingTree.like_pairs,
                   "positronium-pairs": CouplingTree.positronium_pairs}[case]
         tree = preset(system)
-    else:
+    elif case in ("atom", "ep"):
         species = ALTERNATING[:6]
         system = SpinSystem.from_species(species, mu0)
         tree = _trees(species)[case]
+    else:
+        species, root = case
+        system = SpinSystem(species, mu0)
+        tree = CouplingTree(root)
     states = couple(system, tree)
     return states, moment_matrix(full_transform(states))
 
 
 @pytest.mark.parametrize("case", ["like-pairs", "positronium-pairs",
-                                  "atom", "ep"])
+                                  "atom", "ep", *_random_trees()])
 def test_moment_sign_flip_mirrors_census_and_curves(case):
     states, plus = _moments_with_mu0(case, 1.0)
     _states, minus = _moments_with_mu0(case, -1.0)
-    isolated = DegeneracySpec.isolated(len(states))
-    grouped = _spin_grouped(states)
-    for spec in (isolated, grouped):
-        assert classify(minus, spec).counts() == classify(plus, spec).counts()
+    specs = (DegeneracySpec.isolated(len(states)), spin_grouped(states))
+    reports = [classify(plus, spec) for spec in specs]
+    for spec, report in zip(specs, reports):
+        assert classify(minus, spec).counts() == report.counts()
 
-    before = classify(plus, isolated).states
-    linear = [s for s in before if s.classification is Classification.LINEAR]
-    # only the trees that pair like species carry moment diagonals
-    assert bool(linear) == (case in ("like-pairs", "ep"))
+    named = isinstance(case, str)
+    if named:
+        linear = [s for s in reports[0].states
+                  if s.classification is Classification.LINEAR]
+        # only the trees that pair like species carry moment diagonals
+        assert bool(linear) == (case in ("like-pairs", "ep"))
     # moments are computed in units of mu0, so any unit, its sign included,
-    # gives the same labels, verdicts and partners and scales the slopes
-    for mu0 in (-1.0, 9.274e-24, 5e-324, 1e300):
+    # gives the same labels, verdicts and partners and scales the slopes;
+    # at a power of two the second-order coefficients scale exactly too
+    quadratic = quadratic_coefficients(plus, specs[1])
+    for mu0 in (-1.0, 9.274e-24, 5e-324, 1e300, 2.0 ** -3, 2.0 ** 5):
         _states, scaled = _moments_with_mu0(case, mu0)
-        for spec in (isolated, grouped):
+        for spec, report in zip(specs, reports):
             after = classify(scaled, spec).states
-            for old, new in zip(classify(plus, spec).states, after):
+            for old, new in zip(report.states, after, strict=True):
                 assert new.label == old.label
                 assert new.classification is old.classification
                 assert new.quadratic_partners == old.quadratic_partners
                 assert new.moment == old.moment * mu0
                 assert new.linear_slope == old.linear_slope * mu0
+        if mu0 in (2.0 ** -3, 2.0 ** 5):
+            assert np.array_equal(quadratic_coefficients(scaled, specs[1]),
+                                  quadratic * mu0 * mu0)
 
-    # E(B) under -mu0 is E(-B) under mu0; GRID is symmetric about 0
-    for spec in (isolated, grouped):
-        flipped = np.sort(level_curves(minus, spec, GRID).energies, axis=1)
-        mirrored = np.sort(level_curves(plus, spec, GRID).energies[::-1],
-                           axis=1)
-        assert np.max(np.abs(flipped - mirrored)) <= 1e-12
+    # E(B) under -mu0 is E(-B) under mu0; GRID is symmetric about 0.  The
+    # random trees check the unit alone: their curves would cost seconds
+    if named:
+        for spec in specs:
+            flipped = np.sort(level_curves(minus, spec, GRID).energies,
+                              axis=1)
+            mirrored = np.sort(level_curves(plus, spec, GRID).energies[::-1],
+                               axis=1)
+            assert np.max(np.abs(flipped - mirrored)) <= 1e-12

@@ -21,8 +21,10 @@ from spinzeeman import (
     BasisTransform,
     CoupledState,
     CouplingTree,
+    LevelCurves,
     MomentMatrix,
     SpinSystem,
+    ZeemanReport,
     classify_exchange,
     couple,
     full_transform,
@@ -97,7 +99,7 @@ def test_dense_basis_inputs_left_the_library():
     states = couple(system, CouplingTree.positronium_pairs(system))
     full = full_transform(states)
     with pytest.raises(TypeError):
-        BasisTransform(full.states, full.columns, full.matrix, system)
+        BasisTransform(tuple(full), full.columns, full.matrix, system)
     with pytest.raises(TypeError, match=r"couple\(\) and m_sector\(\)"):
         BasisTransform(full)
     blocks = [block for _rows, block in moment_matrix(full)._blocks.values()]
@@ -130,6 +132,16 @@ def test_gathered_states_left_the_library():
                         (zeeman, "_check_gathered"),
                         (zeeman, "_unit"),
                  (zeeman, "_rotate_groups")):
+        assert not hasattr(owner, name), name
+
+
+def test_test_side_helpers_left_the_library():
+    # a basis is its own tuple of states; a state's spins, a report's
+    # states by label and a curve by label are read off their fields
+    for owner, name in ((BasisTransform, "states"),
+                        (CoupledState, "intermediate_spins"),
+                        (ZeemanReport, "by_label"),
+                        (LevelCurves, "curve")):
         assert not hasattr(owner, name), name
 
 
@@ -172,7 +184,6 @@ def test_a_basis_is_its_own_full_transform():
     basis, sector = _like_pairs_basis_and_sector()
     assert type(basis) is type(sector) is BasisTransform
     assert full_transform(basis) is basis
-    assert basis.states is basis
     # moment_matrix takes couple's output as it is
     assert (moment_matrix(basis).entries.tobytes()
             == moment_matrix(full_transform(basis)).entries.tobytes())

@@ -29,7 +29,8 @@ from spinzeeman import (
 from spinzeeman import coupling, zeeman
 from spinzeeman.cg import cg_coefficient
 from spinzeeman.coupling import _site_permutation, format_spin
-from test_moment_sectors import ALTERNATING, _spin_grouped, _trees
+from like_spin_oracle import spin_grouped
+from test_moment_sectors import ALTERNATING, _trees
 
 DIPOS = SpinSystem.dipositronium()
 POSITRONIUM = SpinSystem.positronium()
@@ -144,7 +145,8 @@ def test_couple_matches_kron_reference(name, system, tree):
 def test_labels_match_per_state_rendering(name, system, tree):
     for state in couple(system, tree):
         assert state.label == _render_label(
-            tree, state.total_s, state.m, state.intermediate_spins)
+            tree, state.total_s, state.m,
+            tuple(spin for _sites, spin in state.intermediates))
 
 
 def _node_sites(node):
@@ -327,7 +329,7 @@ def test_rotation_memo_serves_no_stale_spec(name):
     states = couple(system, tree)
     basis = full_transform(states)
     isolated = DegeneracySpec.isolated(len(states))
-    grouped = _spin_grouped(states)
+    grouped = spin_grouped(states)
     shared = moment_matrix(basis)
     for spec in (isolated, grouped, isolated, grouped, isolated):
         fresh = moment_matrix(basis)
@@ -341,7 +343,7 @@ def test_rotation_memo_serves_no_stale_spec(name):
     classify(matrix, grouped)
     found = matrix._partners_by_spec[grouped]
     quadratic_coefficients(matrix, grouped)
-    assert zeeman._partners(matrix, _spin_grouped(states)) is found
+    assert zeeman._partners(matrix, spin_grouped(states)) is found
     assert list(matrix._partners_by_spec) == [grouped]
     classify(matrix, isolated)
     assert list(matrix._partners_by_spec) == [grouped, isolated]

@@ -44,7 +44,8 @@ from spinzeeman.coupling import _site_permutation, _swap_permutation
 from spinzeeman.system import _projections, product_states_with_m
 
 from dense_operators import moment_diagonal
-from test_moment_sectors import ALTERNATING, _spin_grouped, _trees
+from like_spin_oracle import spin_grouped
+from test_moment_sectors import ALTERNATING, _trees
 from test_spin_flip import _flip_sign, _multiplet
 
 DIPOS = SpinSystem.dipositronium()
@@ -315,7 +316,7 @@ def test_census_path_builds_no_dense_vector_or_matrix(shape, monkeypatch):
     basis = full_transform(states)
     scheme_overlap(partner, states)
     moments = moment_matrix(basis)
-    spec = _spin_grouped(states)
+    spec = spin_grouped(states)
     classify(moments, DegeneracySpec.isolated(len(states)))
     classify(moments, spec)
     quadratic_coefficients(moments, spec)
@@ -384,7 +385,7 @@ def _census_peaks(system, tree, partner):
         basis = step("full_transform", lambda: full_transform(states))
         step("scheme_overlap", lambda: scheme_overlap(partner, states))
         moments = step("moment_matrix", lambda: moment_matrix(basis))
-        spec = _spin_grouped(states)
+        spec = spin_grouped(states)
         step("classify", lambda: classify(
             moments, DegeneracySpec.isolated(len(states))))
         step("classify grouped", lambda: classify(moments, spec))

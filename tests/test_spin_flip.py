@@ -31,7 +31,8 @@ from spinzeeman import (
     zeeman,
 )
 
-from test_moment_sectors import _assert_bit_equal, _spin_grouped, _trees
+from like_spin_oracle import spin_grouped
+from test_moment_sectors import _assert_bit_equal, _trees
 
 DIPOS = SpinSystem.dipositronium()
 
@@ -93,11 +94,11 @@ def test_negative_m_sectors_mirror_positive_ones(name, system, tree):
     every = system.dimension - 1
     for m in sorted({s.m for s in states if s.m > 0}):
         plus, minus = m_sector(states, m), m_sector(states, -m)
-        rows = {_multiplet(s): k for k, s in enumerate(minus.states)}
-        order = [rows[_multiplet(s)] for s in plus.states]
+        rows = {_multiplet(s): k for k, s in enumerate(minus)}
+        order = [rows[_multiplet(s)] for s in plus]
         cols = np.searchsorted(minus.columns, plus.columns ^ every)
         assert np.array_equal(minus.columns[cols], plus.columns ^ every)
-        signs = np.array([_flip_sign(s, tree.root) for s in plus.states])
+        signs = np.array([_flip_sign(s, tree.root) for s in plus])
         assert np.array_equal(minus.matrix[np.ix_(order, cols)],
                               signs[:, None] * plus.matrix)
 
@@ -151,10 +152,10 @@ def test_spin_sub_blocks_agree_over_m(name, system, tree):
     for m in sorted({s.m for s in states if s.m != 0}):
         sector = m_sector(states, m)
         entries = moment_matrix(sector).entries
-        for spin in {s.total_s for s in sector.states}:
-            idx = [k for k, s in enumerate(sector.states)
+        for spin in {s.total_s for s in sector}:
+            idx = [k for k, s in enumerate(sector)
                    if s.total_s == spin]
-            idx.sort(key=lambda k: sector.states[k].intermediates)
+            idx.sort(key=lambda k: sector[k].intermediates)
             block = entries[np.ix_(idx, idx)] / m
             first = reduced.setdefault(spin, block)
             assert np.max(np.abs(block - first)) <= 1e-13
@@ -170,7 +171,7 @@ def test_grouped_verdicts_mirror_under_spin_flip(name, system, tree):
     block, and the block at -M is the exact mirror of the one at M."""
     states = couple(system, tree)
     matrix = moment_matrix(full_transform(states))
-    report = classify(matrix, _spin_grouped(states))
+    report = classify(matrix, spin_grouped(states))
     entries = matrix.entries
     index = {(_multiplet(s), s.m): k for k, s in enumerate(states)}
     rotated = set()
@@ -206,14 +207,14 @@ def test_grouped_classify_solves_each_spin_once(shape, calls, monkeypatch):
         return eigh(block)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    classify(matrix, _spin_grouped(states))
+    classify(matrix, spin_grouped(states))
     assert len(solved) == calls
 
 
 def _scanned_partners(matrix, spec):
     """``_partners`` with every sector rotated and scanned, no sector taken
     as the mirror of another: the reference the mirror rule must equal."""
-    states = matrix.basis.states
+    states = matrix.basis
     spin = np.array([s.total_s for s in states])
     multiplet = matrix.basis._multiplets
     moments = np.zeros(matrix.size)
@@ -311,7 +312,7 @@ def test_only_partners_build_the_patterns():
     classify(matrix, spec)
     patterns = dict(matrix._patterns)
     assert len(patterns) == 3  # M = -2, -1, 0
-    classify(matrix, _spin_grouped(states))
+    classify(matrix, spin_grouped(states))
     assert all(matrix._patterns[k] is patterns[k] for k in patterns)
 
 
@@ -378,7 +379,7 @@ def test_mirror_takes_whatever_vectors_eigh_returns(name, system, tree,
     ``_partners`` still equals the reference under the same ``eigh``."""
     states = couple(system, tree)
     transform = full_transform(states)
-    spec = _spin_grouped(states)
+    spec = spin_grouped(states)
     eigh = np.linalg.eigh
     solves = []
 

@@ -115,8 +115,8 @@ def test_oracle_equivalence(tree, m, like_states, pos_states):
 def test_full_matrix_block_diagonal_in_m(like_states):
     block = full_transform(like_states)
     entries = moment_matrix(block).entries
-    for i, a in enumerate(block.states):
-        for j, b in enumerate(block.states):
+    for i, a in enumerate(block):
+        for j, b in enumerate(block):
             if a.m != b.m:
                 assert entries[i, j] == 0.0
 
@@ -144,7 +144,7 @@ def test_classify_like_pairs_default(mu0):
         moment_matrix(full_transform(states)),
         DegeneracySpec.isolated(16),
     )
-    by_label = report.by_label()
+    by_label = {s.label: s for s in report.states}
 
     def slope(label):
         return by_label[label].linear_slope / mu0
@@ -196,7 +196,7 @@ def test_classify_quadratic_partners(like_states):
     report = classify(
         moment_matrix(m_sector(like_states, 0.0)), DegeneracySpec.isolated(6)
     )
-    by_label = report.by_label()
+    by_label = {s.label: s for s in report.states}
     assert by_label["|1,0[2,2]⟩"].quadratic_partners == (
         "|2,0[2,2]⟩", "|0,0[2,2]⟩"
     )
@@ -402,14 +402,15 @@ def test_positronium_closed_form():
     spec = DegeneracySpec.from_energy_map(labels, {"|0,0⟩": -gap})
     grid = np.linspace(-3.0, 3.0, 25)
     curves = level_curves(matrix, spec, grid)
+    curve = dict(zip(curves.labels, curves.energies.T))
 
     b = curves.b_values
     mean = -gap / 2
     root = np.sqrt((gap / 2) ** 2 + (2.0 * b) ** 2)
-    assert np.max(np.abs(curves.curve("|1,0⟩") - (mean + root))) <= 1e-10
-    assert np.max(np.abs(curves.curve("|0,0⟩") - (mean - root))) <= 1e-10
-    assert np.max(np.abs(curves.curve("|1,1⟩"))) <= 1e-10
-    assert np.max(np.abs(curves.curve("|1,-1⟩"))) <= 1e-10
+    assert np.max(np.abs(curve["|1,0⟩"] - (mean + root))) <= 1e-10
+    assert np.max(np.abs(curve["|0,0⟩"] - (mean - root))) <= 1e-10
+    assert np.max(np.abs(curve["|1,1⟩"])) <= 1e-10
+    assert np.max(np.abs(curve["|1,-1⟩"])) <= 1e-10
 
 
 def test_finite_difference_slopes(like_states):
