@@ -13,7 +13,6 @@ from spinzeeman import (
     CouplingTree,
     SpinSystem,
     couple,
-    full_transform,
 )
 from spinzeeman.system import _bit_table
 
@@ -28,7 +27,7 @@ print()
 bits = _bit_table(system.n)
 sz = (system.n - 2 * bits.sum(axis=1)) / 2
 states = couple(system, CouplingTree.like_pairs(system))
-kets = full_transform(states).column_labels  # |up...> per product index
+kets = states.column_labels  # |up...> per product index
 ket = 0b0001  # |up up up down>
 print(f"S_z diagonal at {kets[ket]}:", sz[ket])
 

@@ -16,7 +16,6 @@ from spinzeeman import (
     classify,
     classify_exchange,
     couple,
-    full_transform,
     moment_matrix,
 )
 
@@ -27,7 +26,7 @@ for name in ("like-pairs", "positronium-pairs"):
             else CouplingTree.positronium_pairs(system))
     states = couple(system, tree)
     report = classify(
-        moment_matrix(full_transform(states)),
+        moment_matrix(states),
         DegeneracySpec.isolated(len(states)),
     )
     counts = report.counts()

@@ -13,7 +13,6 @@ from spinzeeman import (
     DegeneracySpec,
     SpinSystem,
     couple,
-    full_transform,
     level_curves,
     moment_matrix,
 )
@@ -25,7 +24,7 @@ labels = [s.label for s in states]
 gap = 1.0  # singlet sits one energy unit below the triplet
 spec = DegeneracySpec.from_energy_map(labels, {"|0,0⟩": -gap})
 grid = np.linspace(-1.0, 1.0, 9)
-curves = level_curves(moment_matrix(full_transform(states)), spec, grid)
+curves = level_curves(moment_matrix(states), spec, grid)
 
 print("positronium levels (gap = 1, energies per mu0 field unit):")
 header = "  ".join(f"{lab:>8}" for lab in curves.labels)
@@ -45,7 +44,7 @@ system = SpinSystem.dipositronium()
 states = couple(system, CouplingTree.like_pairs(system))
 spec = DegeneracySpec.isolated(len(states))
 grid = np.linspace(0.0, 1.0, 3)
-curves = level_curves(moment_matrix(full_transform(states)), spec, grid)
+curves = level_curves(moment_matrix(states), spec, grid)
 slopes = sorted(curves.energies[-1])  # E(B=1) equals the slope here
 print("dipositronium slopes at H0 = 0 (multiplicities):")
 for value in sorted(set(np.round(slopes, 10))):

@@ -14,9 +14,7 @@ from .coupling import (
     CouplingTree,
     classify_exchange,
     couple,
-    format_spin,
     full_transform,
-    like_species_pairs,
     m_sector,
     scheme_overlap,
 )
@@ -58,10 +56,8 @@ __all__ = [
     "classify",
     "classify_exchange",
     "couple",
-    "format_spin",
     "full_transform",
     "level_curves",
-    "like_species_pairs",
     "m_sector",
     "moment_matrix",
     "quadratic_coefficients",

@@ -50,20 +50,22 @@ def _rounded(value: float) -> float:
 # scenario construction
 
 
-_PRESET_SYSTEMS = ("dipositronium", "positronium")
+# the preset systems and coupling schemes, each name with its constructor
+_SYSTEMS = {"dipositronium": SpinSystem.dipositronium,
+            "positronium": SpinSystem.positronium}
+_SCHEMES = {"like-pairs": CouplingTree.like_pairs,
+            "positronium-pairs": CouplingTree.positronium_pairs}
 
 
 def _build_system(text: str, mu0: float) -> SpinSystem:
     name = text.strip().lower()
-    if name == "dipositronium":
-        return SpinSystem.dipositronium(mu0)
-    if name == "positronium":
-        return SpinSystem.positronium(mu0)
+    if name in _SYSTEMS:
+        return _SYSTEMS[name](mu0)
     if "," in text:
         species = [species_from_name(tok) for tok in text.split(",")]
         return SpinSystem(species, mu0)
     raise ValueError(
-        f"unknown system {text!r}; use one of {', '.join(_PRESET_SYSTEMS)} "
+        f"unknown system {text!r}; use one of {', '.join(_SYSTEMS)} "
         "or a comma-separated species list such as 'e,p,e,p'"
     )
 
@@ -72,15 +74,14 @@ def _build_tree(scheme: "str | None", system: SpinSystem) -> CouplingTree:
     if scheme is None:
         scheme = "positronium-pairs" if system.n == 2 else "like-pairs"
     name = scheme.strip().lower()
-    if name == "like-pairs":
-        return CouplingTree.like_pairs(system)
-    if name == "positronium-pairs":
-        return CouplingTree.positronium_pairs(system)
+    if name in _SCHEMES:
+        return _SCHEMES[name](system)
     if scheme.strip().startswith("("):
         return CouplingTree.parse(scheme, system)
     raise ValueError(
-        f"unknown scheme {scheme!r}; use 'like-pairs', 'positronium-pairs', "
-        "or a tree expression such as '((e1,e2),(p1,p2))'"
+        f"unknown scheme {scheme!r}; use "
+        + "".join(f"'{key}', " for key in _SCHEMES)
+        + "or a tree expression such as '((e1,e2),(p1,p2))'"
     )
 
 

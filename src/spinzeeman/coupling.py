@@ -256,9 +256,8 @@ def _cg_table(j1: float, j2: float, jj: float) -> np.ndarray:
     return table
 
 
-# a single site's sectors 2m = +1 and -1: |↑⟩ and |↓⟩, partial indices 0, 1
-_LEAF = {1: (np.array([[1.0], [0.0]]), np.array([0]), np.array([0])),
-         -1: (np.array([[1.0], [0.0]]), np.array([1]), np.array([0]))}
+# a single site's 2m = +1 sector, |↑⟩ at partial index 0; -1 is its mirror
+_LEAF = {1: (np.array([[1.0], [0.0]]), np.array([0]), np.array([0]))}
 
 
 def _flip_signs(bits, two_j):
@@ -319,9 +318,10 @@ def _node_states(shape, shapes):
     kron of the children's rows times one CG value, the one nonzero term of
     the CG sum.  The -m sectors are the m sectors mirrored (``_mirrored``).
     """
-    if shape is None:  # a copy of _LEAF, as ``couple`` empties the root's
+    if shape is None:
         two_j = np.ones(1, dtype=np.int64)
-        return 1, two_j, np.empty((1, 0), dtype=np.int64), dict(_LEAF)
+        sectors = _mirrored(_LEAF, two_j, 1)
+        return 1, two_j, np.empty((1, 0), dtype=np.int64), sectors
     for child in shape:
         if child not in shapes:
             shapes[child] = _node_states(child, shapes)

@@ -107,9 +107,9 @@ def pauli_site(system: SpinSystem, axis: str, site: int) -> Operator:
                     hermitian_hint=True)
 
 
-def _spin_component(system: SpinSystem, axis: str) -> np.ndarray:
+def _spin_component(system: SpinSystem, axis: str, sites=None) -> np.ndarray:
     total = np.zeros((system.dimension, system.dimension), dtype=complex)
-    for site in range(system.n):
+    for site in range(system.n) if sites is None else sites:
         total += pauli_site(system, axis, site).matrix
     return 0.5 * total
 
@@ -119,11 +119,12 @@ def total_spin_z(system: SpinSystem) -> Operator:
     return Operator(_spin_component(system, "z"), hermitian_hint=True)
 
 
-def total_spin_squared(system: SpinSystem) -> Operator:
-    """S^2 = S_x^2 + S_y^2 + S_z^2 with S = (1/2) sum_i sigma_i."""
+def total_spin_squared(system: SpinSystem, sites=None) -> Operator:
+    """S^2 = S_x^2 + S_y^2 + S_z^2 with S = (1/2) sum_i sigma_i, over all
+    sites or over ``sites`` alone."""
     total = np.zeros((system.dimension, system.dimension), dtype=complex)
     for axis in ("x", "y", "z"):
-        comp = _spin_component(system, axis)
+        comp = _spin_component(system, axis, sites)
         total += comp @ comp
     return Operator(total, hermitian_hint=True)
 

@@ -24,13 +24,26 @@ that depends on the tree (ROADMAP item 12), for example 4/9/3 against
 4/7/5 for two electrons and two positrons.
 
 Counts are exact integers, from ``math.comb``.
+
+The level curves follow from the same blocks.  H(B) = H0 - B mu_z, with H0
+a function of S alone, is one matrix per (S_e, S_p, M), over the total
+spins S of that block: diag(E(S)) - B mu0 T, where
+
+    T_SS' = 2 sum_{m_e} <S_e m_e; S_p M-m_e|S M> <S_e m_e; S_p M-m_e|S' M>
+                        (M - 2 m_e),
+
+the moment 2 (S_pz - S_ez) in units of mu0, from ``cg_coefficient`` alone.
+Each block's eigenvalues repeat d(n_e, S_e) d(n_p, S_p) times, like its
+states.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from spinzeeman import DegeneracySpec, Species
+import numpy as np
+
+from spinzeeman import DegeneracySpec, Species, cg_coefficient
 
 
 def multiplicity(n: int, two_s: int) -> int:
@@ -89,6 +102,40 @@ def census(n_e: int, n_p: int) -> "dict[str, int]":
                 for two_m in range(-two_s, two_s + 1, 2):
                     counts[verdict(two_e, two_p, two_s, two_m)] += copies
     return counts
+
+
+def block(two_e: int, two_p: int, two_m: int,
+          grouped: bool) -> "tuple[np.ndarray, np.ndarray]":
+    """The (S_e, S_p, M) block of H(B), from doubled spins: the energies
+    of its total spins, ascending (S(S+1) if ``grouped``, else 0), and T,
+    the moment over them in units of mu0."""
+    two_s = np.arange(max(abs(two_e - two_p), abs(two_m)), two_e + two_p + 1,
+                      2)
+    # the doubled m_e of the product states |m_e> |M - m_e> in the block
+    two_me = [m for m in range(-two_e, two_e + 1, 2)
+              if abs(two_m - m) <= two_p]
+    cg = np.array([[cg_coefficient(two_e / 2, m / 2, two_p / 2,
+                                   (two_m - m) / 2, s / 2, two_m / 2)
+                    for m in two_me] for s in two_s.tolist()])
+    weight = np.array([(two_m - 2 * m) / 2 for m in two_me])  # M - 2 m_e
+    energy = two_s * (two_s + 2) / 4 if grouped else np.zeros(two_s.size)
+    return energy, 2 * (cg * weight) @ cg.T
+
+
+def spectrum(n_e: int, n_p: int, b: float, mu0: float = 1.0,
+             grouped: bool = False) -> np.ndarray:
+    """The ascending 2^N eigenvalues of H(B) = H0 - B mu_z for n_e
+    electrons and n_p positrons, H0 being E = S(S+1) if ``grouped``, else
+    0."""
+    levels = []
+    for two_e in doubled_spins(n_e):
+        for two_p in doubled_spins(n_p):
+            copies = multiplicity(n_e, two_e) * multiplicity(n_p, two_p)
+            for two_m in range(-two_e - two_p, two_e + two_p + 1, 2):
+                energy, t = block(two_e, two_p, two_m, grouped)
+                levels += copies * np.linalg.eigvalsh(
+                    np.diag(energy) - b * mu0 * t).tolist()
+    return np.sort(levels)
 
 
 def spin_grouped(states) -> DegeneracySpec:

@@ -51,10 +51,8 @@ PUBLIC = [
     "classify",
     "classify_exchange",
     "couple",
-    "format_spin",
     "full_transform",
     "level_curves",
-    "like_species_pairs",
     "m_sector",
     "moment_matrix",
     "quadratic_coefficients",
@@ -137,12 +135,22 @@ def test_gathered_states_left_the_library():
 
 def test_test_side_helpers_left_the_library():
     # a basis is its own tuple of states; a state's spins, a report's
-    # states by label and a curve by label are read off their fields
+    # states by label and a curve by label are read off their fields; the
+    # CLI's spin text and like-species pairs are not package names
     for owner, name in ((BasisTransform, "states"),
                         (CoupledState, "intermediate_spins"),
                         (ZeemanReport, "by_label"),
-                        (LevelCurves, "curve")):
+                        (LevelCurves, "curve"),
+                        (spinzeeman, "format_spin"),
+                        (spinzeeman, "like_species_pairs")):
         assert not hasattr(owner, name), name
+
+
+def test_cli_helpers_stay_in_coupling():
+    assert [coupling.format_spin(s) for s in (0.0, 0.5, 1.0, -1.5)] \
+        == ["0", "1/2", "1", "-3/2"]
+    assert coupling.like_species_pairs(SpinSystem.dipositronium()) \
+        == [(0, 2), (1, 3)]
 
 
 # each basis function, given a candidate basis and a whole one

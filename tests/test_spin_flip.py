@@ -78,6 +78,8 @@ def _leaves(node):
 
 PRESETS = [("like-pairs", DIPOS, CouplingTree.like_pairs(DIPOS)),
            ("positronium-pairs", DIPOS, CouplingTree.positronium_pairs(DIPOS))]
+# a single site, whose -1/2 sector is the mirror of its +1/2 one too
+SITE = ("n1-site", SpinSystem([Species.ELECTRON]), CouplingTree(0))
 
 
 def _parametrize(cases):
@@ -86,7 +88,7 @@ def _parametrize(cases):
                                    ids=[case[0] for case in cases])
 
 
-@_parametrize(list(_cases(range(2, 13))) + PRESETS)
+@_parametrize([SITE] + list(_cases(range(2, 13))) + PRESETS)
 def test_negative_m_sectors_mirror_positive_ones(name, system, tree):
     """Each M < 0 block is its +M block, each row times its multiplet's
     sign, on the complemented product indices, bit for bit."""
